@@ -11,13 +11,14 @@
 //!    fsync / WAL with fsync. This is the number an operator cares
 //!    about: tick throughput with the safety dial at each position.
 //!
-//! Results print as a table and land in `BENCH_wal.json` (via
-//! [`vp_bench::report::write_bench_json`]) so the perf trajectory
-//! tracks durability overhead alongside the paper metrics.
+//! Results print as a table and land in `BENCH_wal.json`, or the
+//! file `--out` names (via [`vp_bench::report::write_bench_json`]), so
+//! the perf trajectory tracks durability overhead alongside the paper
+//! metrics.
 //!
 //! ```text
 //! cargo run --release -p vp-bench --bin wal_throughput             # full
-//! cargo run --release -p vp-bench --bin wal_throughput -- --quick  # CI smoke
+//! cargo run --release -p vp-bench --bin wal_throughput -- --quick --out target/B.json  # CI smoke
 //! ```
 
 use std::fs;
@@ -146,7 +147,14 @@ fn index_throughput(
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--quick");
+    let out_path = args
+        .iter()
+        .position(|a| a == "--out")
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+        .unwrap_or_else(|| "BENCH_wal.json".into());
     let (raw_records, payload, objects, ticks) = if quick {
         (200u64, 4_096usize, 2_000u64, 2usize)
     } else {
@@ -220,7 +228,7 @@ fn main() {
     table.print();
 
     write_bench_json(
-        "BENCH_wal.json",
+        &out_path,
         "wal_throughput",
         &[
             ("raw_records_per_s_fsync", raw_sync),
@@ -250,6 +258,6 @@ fn main() {
             ("group8_speedup_over_fsync", idx_group / idx_sync),
         ],
     )
-    .expect("write BENCH_wal.json");
-    println!("wrote BENCH_wal.json");
+    .expect("write the results file");
+    println!("wrote {out_path}");
 }

@@ -9,7 +9,7 @@
 //!
 //! [`BPlusTree`]: crate::BPlusTree
 
-use vp_storage::{PageId, PageRead, PageSnapshot, StorageResult};
+use vp_storage::{IoStats, PageId, PageRead, PageSnapshot, StorageResult};
 
 use crate::node::{InternalView, Key128, LeafView, Value};
 
@@ -210,6 +210,11 @@ impl BPlusTreeSnapshot {
     /// True when no keys are stored (as of the snapshot).
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// Page reads served by this snapshot so far.
+    pub fn io_stats(&self) -> IoStats {
+        self.pages.stats()
     }
 
     fn view(&self) -> ReadView<'_, PageSnapshot> {

@@ -19,54 +19,98 @@
 //! Maintenance is insert-only (deletions leave bounds conservative —
 //! still correct, just looser); [`VelocityGrid::reset`] supports the
 //! periodic rebuild strategy.
+//!
+//! Every level is stored as fixed-size **tiles** behind `Arc`s, so a
+//! clone (what a snapshot takes) bumps one refcount per allocated tile
+//! and a later `record` copies only the tiles whose bounds it widens.
+//! A region nothing was ever recorded in holds no tile at all.
+
+use std::sync::Arc;
 
 use vp_geom::{Point, Rect, Vec2};
+
+/// Cells per tile axis.
+const TILE: usize = 16;
+
+/// One cell's bounds, adjacent in memory: `[min_vx, max_vx, min_vy,
+/// max_vy]`.
+type Cell = [f32; 4];
+
+/// A cell nothing was recorded in.
+const EMPTY: Cell = [
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+    f32::INFINITY,
+    f32::NEG_INFINITY,
+];
+
+/// `TILE × TILE` cells, row-major.
+#[derive(Debug, Clone)]
+struct Tile([Cell; TILE * TILE]);
 
 /// One resolution level of the bounds pyramid.
 #[derive(Debug, Clone)]
 struct Level {
     /// Cells per axis at this level: `((n - 1) >> level) + 1`.
     n: usize,
-    min_vx: Vec<f32>,
-    max_vx: Vec<f32>,
-    min_vy: Vec<f32>,
-    max_vy: Vec<f32>,
+    /// Tiles per axis (edge tiles are partly outside the level).
+    tiles_per_axis: usize,
+    /// Row-major; `None` until something is recorded under the tile.
+    tiles: Vec<Option<Arc<Tile>>>,
 }
 
 impl Level {
     fn new(n: usize) -> Level {
+        let tiles_per_axis = n.div_ceil(TILE);
         Level {
             n,
-            min_vx: vec![f32::INFINITY; n * n],
-            max_vx: vec![f32::NEG_INFINITY; n * n],
-            min_vy: vec![f32::INFINITY; n * n],
-            max_vy: vec![f32::NEG_INFINITY; n * n],
+            tiles_per_axis,
+            tiles: vec![None; tiles_per_axis * tiles_per_axis],
         }
     }
 
     fn reset(&mut self) {
-        self.min_vx.fill(f32::INFINITY);
-        self.max_vx.fill(f32::NEG_INFINITY);
-        self.min_vy.fill(f32::INFINITY);
-        self.max_vy.fill(f32::NEG_INFINITY);
+        self.tiles.fill(None);
     }
 
-    fn record(&mut self, cx: usize, cy: usize, vel: Vec2) {
-        let i = cy * self.n + cx;
-        self.min_vx[i] = self.min_vx[i].min(vel.x as f32);
-        self.max_vx[i] = self.max_vx[i].max(vel.x as f32);
-        self.min_vy[i] = self.min_vy[i].min(vel.y as f32);
-        self.max_vy[i] = self.max_vy[i].max(vel.y as f32);
+    /// `(tile index, cell index within the tile)`.
+    fn locate(&self, cx: usize, cy: usize) -> (usize, usize) {
+        (
+            (cy / TILE) * self.tiles_per_axis + cx / TILE,
+            (cy % TILE) * TILE + cx % TILE,
+        )
+    }
+
+    /// Widens the cell's bounds to cover `vel`; `false` when they
+    /// already did, in which case nothing is written (a tile shared
+    /// with a clone stays shared).
+    fn record(&mut self, cx: usize, cy: usize, vel: Vec2) -> bool {
+        let (t, c) = self.locate(cx, cy);
+        let old = self.tiles[t].as_ref().map_or(EMPTY, |tile| tile.0[c]);
+        let (vx, vy) = (vel.x as f32, vel.y as f32);
+        let new = [
+            old[0].min(vx),
+            old[1].max(vx),
+            old[2].min(vy),
+            old[3].max(vy),
+        ];
+        if new == old {
+            return false;
+        }
+        let tile = self.tiles[t].get_or_insert_with(|| Arc::new(Tile([EMPTY; TILE * TILE])));
+        Arc::make_mut(tile).0[c] = new;
+        true
     }
 
     fn bounds(&self, cx: usize, cy: usize) -> Option<(Vec2, Vec2)> {
-        let i = cy * self.n + cx;
-        if self.max_vx[i] == f32::NEG_INFINITY {
+        let (t, c) = self.locate(cx, cy);
+        let [min_vx, max_vx, min_vy, max_vy] = self.tiles[t].as_ref()?.0[c];
+        if max_vx == f32::NEG_INFINITY {
             return None;
         }
         Some((
-            Point::new(self.min_vx[i] as f64, self.min_vy[i] as f64),
-            Point::new(self.max_vx[i] as f64, self.max_vy[i] as f64),
+            Point::new(min_vx as f64, min_vy as f64),
+            Point::new(max_vx as f64, max_vy as f64),
         ))
     }
 }
@@ -143,8 +187,12 @@ impl VelocityGrid {
     /// Records an object's velocity at its (indexed) position.
     pub fn record(&mut self, pos: Point, vel: Vec2) {
         let (cx, cy) = self.cell_of(pos);
+        // A coarser cell's bounds cover its children's, so the first
+        // level that already covers `vel` ends the ascent.
         for (k, level) in self.levels.iter_mut().enumerate() {
-            level.record(cx >> k, cy >> k, vel);
+            if !level.record(cx >> k, cy >> k, vel) {
+                break;
+            }
         }
         self.global = Some(match self.global {
             None => (vel, vel),
@@ -321,6 +369,74 @@ mod tests {
             .bounds_over(&Rect::from_bounds(90.0, 0.0, 100.0, 10.0))
             .unwrap();
         assert_eq!(b.1, Point::new(5.0, 5.0));
+    }
+
+    /// Allocated tiles per level.
+    fn tile_counts(g: &VelocityGrid) -> Vec<usize> {
+        g.levels
+            .iter()
+            .map(|l| l.tiles.iter().flatten().count())
+            .collect()
+    }
+
+    #[test]
+    fn never_recorded_grid_allocates_no_tiles() {
+        let mut g = VelocityGrid::new(Rect::from_bounds(0.0, 0.0, 100.0, 100.0), 1000);
+        assert_eq!(tile_counts(&g), vec![0; g.levels()]);
+        // One record allocates one tile per level, and reset frees them.
+        g.record(Point::new(50.0, 50.0), Point::new(1.0, 1.0));
+        assert_eq!(tile_counts(&g), vec![1; g.levels()]);
+        g.reset();
+        assert_eq!(tile_counts(&g), vec![0; g.levels()]);
+    }
+
+    #[test]
+    fn clone_is_unchanged_by_later_writes_and_shares_untouched_tiles() {
+        // 40 cells per axis: 3 x 3 tiles at level 0, 2 x 2 at level 1.
+        let mut g = VelocityGrid::new(Rect::from_bounds(0.0, 0.0, 40.0, 40.0), 40);
+        let slow = Point::new(1.0, -1.0);
+        g.record(Point::new(0.5, 0.5), slow); // tile (0, 0)
+        g.record(Point::new(39.5, 39.5), slow); // tile (2, 2)
+        let before = g.clone();
+        for (a, b) in g.levels.iter().zip(&before.levels) {
+            for (ta, tb) in a.tiles.iter().zip(&b.tiles) {
+                match (ta, tb) {
+                    (Some(ta), Some(tb)) => assert!(Arc::ptr_eq(ta, tb), "clone copied a tile"),
+                    (None, None) => {}
+                    _ => panic!("clone changed which tiles exist"),
+                }
+            }
+        }
+
+        // A record that widens nothing leaves every tile shared.
+        g.record(Point::new(0.5, 0.5), slow);
+        let shared = |g: &VelocityGrid, level: usize, t: usize| {
+            Arc::ptr_eq(
+                g.levels[level].tiles[t].as_ref().unwrap(),
+                before.levels[level].tiles[t].as_ref().unwrap(),
+            )
+        };
+        assert!(shared(&g, 0, 0) && shared(&g, 0, 8));
+
+        // A faster object in the first cell widens it at every level:
+        // those tiles are copied, the far corner's level-0 tile is not.
+        g.record(Point::new(0.5, 0.5), Point::new(30.0, 0.0));
+        assert!(!shared(&g, 0, 0), "widened tile must be private");
+        assert!(shared(&g, 0, 8), "untouched tile stays shared");
+        assert_eq!(g.cell_bounds(0, 0).unwrap().1, Point::new(30.0, 0.0));
+
+        // The clone still answers as it did when it was taken.
+        for level in 0..before.levels() {
+            let n = before.cells_per_axis_at(level);
+            for cy in 0..n {
+                for cx in 0..n {
+                    let want =
+                        ((cx, cy) == (0, 0) || (cx, cy) == (n - 1, n - 1)).then_some((slow, slow));
+                    assert_eq!(before.cell_bounds_at(level, cx, cy), want);
+                }
+            }
+        }
+        assert_eq!(before.global_bounds(), Some((slow, slow)));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use vp_bptree::{BPlusTree, BPlusTreeSnapshot, Key128, Value};
 use vp_core::{IndexError, IndexResult, IndexSnapshot, MovingObject, ObjectId, RangeQuery};
 use vp_geom::{Point, Rect};
-use vp_storage::StorageResult;
+use vp_storage::{IoStats, StorageResult};
 
 use crate::grid::VelocityGrid;
 use crate::tree::{subtract_ranges, BxConfig, BxEnlargement, BxTree, CellSpan, Curve};
@@ -426,6 +426,10 @@ impl IndexSnapshot for BxSnapshot {
 
     fn len(&self) -> usize {
         self.len
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.btree.io_stats()
     }
 }
 

@@ -58,14 +58,25 @@ impl<S> SnapshotCell<S> {
     /// after each committed mutation batch; readers holding the old
     /// snapshot are unaffected. Clears any carried delta.
     pub fn publish(&self, snapshot: S) {
-        *self.slot.lock().expect("snapshot cell poisoned") = (Arc::new(snapshot), None);
+        self.swap((Arc::new(snapshot), None));
     }
 
     /// Replaces the current snapshot and attaches the change set that
     /// produced it, atomically.
     pub fn publish_with_delta(&self, snapshot: S, delta: TickDelta) {
-        *self.slot.lock().expect("snapshot cell poisoned") =
-            (Arc::new(snapshot), Some(Arc::new(delta)));
+        self.swap((Arc::new(snapshot), Some(Arc::new(delta))));
+    }
+
+    /// Swaps the slot's content under the lock and drops the previous
+    /// content after releasing it: if this was the superseded
+    /// snapshot's last handle, its teardown (page versions, planner
+    /// state) must not stall every reader's `load`.
+    fn swap(&self, next: (Arc<S>, Option<Arc<TickDelta>>)) {
+        let previous = std::mem::replace(
+            &mut *self.slot.lock().expect("snapshot cell poisoned"),
+            next,
+        );
+        drop(previous);
     }
 }
 
@@ -111,6 +122,43 @@ mod tests {
             }
         });
         assert_eq!(*cell.load(), 100);
+    }
+
+    #[test]
+    fn superseded_snapshot_is_dropped_outside_the_lock() {
+        use std::sync::atomic::{AtomicU32, Ordering};
+        use std::sync::Weak;
+
+        /// Counts the drops that found the cell's lock free.
+        struct Probe {
+            cell: Weak<SnapshotCell<Probe>>,
+            dropped_unlocked: Arc<AtomicU32>,
+        }
+        impl Drop for Probe {
+            fn drop(&mut self) {
+                if let Some(cell) = self.cell.upgrade() {
+                    if cell.slot.try_lock().is_ok() {
+                        self.dropped_unlocked.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
+            }
+        }
+
+        let dropped_unlocked = Arc::new(AtomicU32::new(0));
+        let probe = |cell: &Weak<SnapshotCell<Probe>>| Probe {
+            cell: cell.clone(),
+            dropped_unlocked: Arc::clone(&dropped_unlocked),
+        };
+        let cell = Arc::new_cyclic(|w| SnapshotCell::new(probe(w)));
+        let weak = Arc::downgrade(&cell);
+        cell.publish(probe(&weak));
+        assert_eq!(dropped_unlocked.load(Ordering::SeqCst), 1, "publish");
+        cell.publish_with_delta(probe(&weak), TickDelta::from_delete(1, 0.0));
+        assert_eq!(
+            dropped_unlocked.load(Ordering::SeqCst),
+            2,
+            "publish_with_delta"
+        );
     }
 
     #[test]

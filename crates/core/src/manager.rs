@@ -1191,6 +1191,15 @@ impl<S: IndexSnapshot> VpSnapshot<S> {
     ) -> IndexResult<Vec<Vec<crate::knn::Neighbor>>> {
         crate::knn::knn_batch(self, queries, domain, self.workers)
     }
+
+    /// Page reads this snapshot has served, summed over its
+    /// partitions. The live index's counters never see them.
+    pub fn io_stats(&self) -> IoStats {
+        self.indexes
+            .iter()
+            .map(|i| i.io_stats())
+            .fold(IoStats::zero(), |a, b| a + b)
+    }
 }
 
 impl<S: IndexSnapshot> MovingObjectIndex for VpSnapshot<S> {
@@ -1263,9 +1272,10 @@ impl<S: IndexSnapshot> MovingObjectIndex for VpSnapshot<S> {
     }
 
     fn io_stats(&self) -> IoStats {
-        IoStats::zero()
+        VpSnapshot::io_stats(self)
     }
 
+    /// A snapshot's tally only grows; take deltas instead.
     fn reset_io_stats(&self) {}
 }
 
@@ -1288,6 +1298,10 @@ impl<S: IndexSnapshot> IndexSnapshot for VpSnapshot<S> {
 
     fn len(&self) -> usize {
         self.objects.len()
+    }
+
+    fn io_stats(&self) -> IoStats {
+        VpSnapshot::io_stats(self)
     }
 }
 

@@ -198,6 +198,13 @@ pub trait IndexSnapshot: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Page reads this snapshot has served since it was taken. They
+    /// are tallied on the snapshot, never on the live index it came
+    /// from. Zero for snapshots that hold no pages.
+    fn io_stats(&self) -> IoStats {
+        IoStats::zero()
+    }
 }
 
 /// A [`MovingObjectIndex`] that can produce lock-free point-in-time

@@ -186,8 +186,13 @@ impl ChaosProxy {
                         };
                         let _ = down.set_nodelay(true);
                         let _ = up.set_nodelay(true);
-                        spawn_pump(&down, &up, conn_idx * 2, plan.clone(), &kills);
-                        spawn_pump(&up, &down, conn_idx * 2 + 1, plan.clone(), &kills);
+                        // Both directions share one flag: a fault in
+                        // each (a scripted action applies to chunk 0
+                        // of both) is still one killed connection.
+                        let killed = Arc::new(AtomicBool::new(false));
+                        let tally = (&kills, &killed);
+                        spawn_pump(&down, &up, conn_idx * 2, plan.clone(), tally);
+                        spawn_pump(&up, &down, conn_idx * 2 + 1, plan.clone(), tally);
                         conn_idx += 1;
                     }
                 })?
@@ -244,12 +249,17 @@ fn spawn_pump(
     dst: &TcpStream,
     stream_id: u64,
     plan: ChaosPlan,
-    kills: &Arc<AtomicU64>,
+    (kills, killed): (&Arc<AtomicU64>, &Arc<AtomicBool>),
 ) {
     let (Ok(mut src), Ok(mut dst)) = (src.try_clone(), dst.try_clone()) else {
         return;
     };
-    let kills = Arc::clone(kills);
+    let (kills, killed) = (Arc::clone(kills), Arc::clone(killed));
+    let count_kill = move || {
+        if !killed.swap(true, Ordering::SeqCst) {
+            kills.fetch_add(1, Ordering::SeqCst);
+        }
+    };
     let _ = thread::Builder::new()
         .name("chaos-pump".into())
         .spawn(move || {
@@ -289,17 +299,17 @@ fn spawn_pump(
                     ChaosAction::Truncate(keep) => {
                         let keep = keep.min(n);
                         let _ = forward(&mut dst, &buf[..keep]);
-                        kills.fetch_add(1, Ordering::SeqCst);
+                        count_kill();
                         kill_pair(&src, &dst, false);
                         return;
                     }
                     ChaosAction::Kill => {
-                        kills.fetch_add(1, Ordering::SeqCst);
+                        count_kill();
                         kill_pair(&src, &dst, false);
                         return;
                     }
                     ChaosAction::Reset => {
-                        kills.fetch_add(1, Ordering::SeqCst);
+                        count_kill();
                         kill_pair(&src, &dst, true);
                         return;
                     }

@@ -497,6 +497,10 @@ where
     stream.set_write_timeout(Some(Duration::from_millis(
         shared.cfg.write_timeout_ms.max(1),
     )))?;
+    // Every write below is a whole reply (or a whole commit's pushes)
+    // flushed once, so Nagle has nothing to coalesce and only adds a
+    // delayed-ACK round to each small frame.
+    stream.set_nodelay(true)?;
     let mut reader = stream.try_clone()?;
     let writer: ConnWriter = Arc::new(Mutex::new(BufWriter::new(stream)));
     let mut frames = FrameReader::new();
@@ -927,11 +931,12 @@ impl SubRegistry {
         }
     }
 
-    /// Groups `events` by subscription and pushes one
-    /// [`Response::Events`] frame per subscription onto its owning
-    /// connection, stamped with the sequence number `on_tick` just
-    /// recorded. A connection whose stream errors loses its route
-    /// (the subscriptions detach and can be resumed).
+    /// Groups `events` by subscription into one [`Response::Events`]
+    /// frame each, stamped with the sequence number `on_tick` just
+    /// recorded, and pushes all of a connection's frames in one write
+    /// (one lock, one flush per connection per commit). A connection
+    /// whose stream errors loses its route (the subscriptions detach
+    /// and can be resumed).
     fn push_events(&mut self, time: f64, events: Vec<SubEvent>) {
         if events.is_empty() {
             return;
@@ -940,27 +945,31 @@ impl SubRegistry {
         for e in events {
             by_sub.entry(e.sub).or_default().push((e.kind, e.id));
         }
-        let mut dead: Vec<ConnId> = Vec::new();
+        // Ascending by connection, and by subscription within one.
+        let mut by_conn: BTreeMap<ConnId, (&ConnWriter, Vec<Response>)> = BTreeMap::new();
         for (sub, events) in by_sub {
             let Some((conn, w)) = self.routes.get(&sub) else {
                 continue;
             };
-            if dead.contains(conn) {
-                continue;
-            }
-            let seq = self.subs.last_seq(sub).unwrap_or(0);
             let frame = Response::Events {
                 sub,
                 time,
-                seq,
+                seq: self.subs.last_seq(sub).unwrap_or(0),
                 reset: false,
                 fin: false,
                 events,
             };
-            if write_direct(w, &[frame]).is_err() {
-                dead.push(*conn);
-            }
+            by_conn
+                .entry(*conn)
+                .or_insert((w, Vec::new()))
+                .1
+                .push(frame);
         }
+        let dead: Vec<ConnId> = by_conn
+            .into_iter()
+            .filter(|(_, (w, frames))| write_direct(w, frames).is_err())
+            .map(|(conn, _)| conn)
+            .collect();
         for conn in dead {
             self.drop_conn(conn);
         }

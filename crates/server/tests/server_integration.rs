@@ -671,3 +671,70 @@ fn subscription_survives_interleaved_queries_and_range_chunking() {
         .all(|(k, _)| *k == SubEventKind::Moved));
     handle.shutdown();
 }
+
+#[test]
+fn tick_that_fires_many_subscriptions_is_one_fast_round_trip() {
+    // A ticker that owns 16 standing queries, all of which fire on
+    // every tick: the pushes and the ack must cost one round trip, not
+    // one delayed-ACK stall per small frame.
+    const SUBS: usize = 16;
+    const TICKS: usize = 20;
+    let mut rng = Rng(0x7E11);
+    let mut fleet = integer_fleet(500, &mut rng);
+    // Object 0 sits still at the centre of every subscription.
+    let centre = Point::new(50_000.0, 50_000.0);
+    fleet[0] = MovingObject::new(0, centre, Point::new(0.0, 0.0), 0.0);
+    let index = build_bx_index(&fleet, None, VpConfig::default());
+    let handle = spawn(index, "127.0.0.1:0", ServerConfig::default()).unwrap();
+
+    let mut c = VpClient::connect(handle.addr()).unwrap();
+    let subs: Vec<u64> = (0..SUBS)
+        .map(|i| {
+            c.subscribe_range(RangeSubSpec {
+                region: QueryRegion::Circle(Circle::new(centre, 100.0 + i as f64)),
+                predictive_dt: 0.0,
+            })
+            .unwrap()
+        })
+        .collect();
+    let mut last_seq = std::collections::HashMap::new();
+    for b in collect_batches(&mut c, SUBS) {
+        assert!(b.events.contains(&(SubEventKind::Enter, 0)));
+        last_seq.insert(b.sub, b.seq);
+    }
+
+    let mut rtts = Vec::with_capacity(TICKS);
+    for tick in 1..=TICKS {
+        let t = tick as f64;
+        let report = MovingObject::new(0, centre, Point::new(0.0, 0.0), t);
+        let sent = std::time::Instant::now();
+        c.tick(&[report]).unwrap();
+        rtts.push(sent.elapsed());
+        // Pushes precede the ack on the stream, so all of them were
+        // read (and stashed) on the way to it.
+        let pushed = c.take_events();
+        assert_eq!(
+            pushed.iter().map(|b| b.sub).collect::<Vec<_>>(),
+            subs,
+            "tick {tick}: one batch per subscription, ascending, before the ack"
+        );
+        for b in pushed {
+            assert_eq!(b.time, t);
+            assert_eq!(b.events, vec![(SubEventKind::Moved, 0)]);
+            let prev = last_seq.insert(b.sub, b.seq).unwrap();
+            assert_eq!(
+                b.seq,
+                prev + 1,
+                "sub {} skipped a seq at tick {tick}",
+                b.sub
+            );
+        }
+    }
+    rtts.sort_unstable();
+    let median = rtts[TICKS / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median tick round trip {median:?} over loopback (all: {rtts:?})"
+    );
+    handle.shutdown();
+}

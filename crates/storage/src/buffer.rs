@@ -423,11 +423,17 @@ impl BufferPool {
     /// that epoch (no committed tree root of that epoch references
     /// such a page, so hitting this is a caller bug).
     ///
-    /// Deliberately bypasses the cache and the I/O counters: snapshot
-    /// reads install nothing (they must not perturb the live LRU
-    /// state) and are attributed by the snapshot layer, keeping the
-    /// pool's counters exactly the live workload's.
-    pub(crate) fn snapshot_read(&self, pid: PageId, epoch: u64) -> StorageResult<Arc<Vec<u8>>> {
+    /// Deliberately bypasses the cache and the pool's I/O counters:
+    /// snapshot reads install nothing (they must not perturb the live
+    /// LRU state), and a disk read is counted on the snapshot's own
+    /// `tally`, keeping the pool's counters exactly the live
+    /// workload's.
+    pub(crate) fn snapshot_read(
+        &self,
+        pid: PageId,
+        epoch: u64,
+        tally: &AtomicIoStats,
+    ) -> StorageResult<Arc<Vec<u8>>> {
         let shard = self.shard_for(pid);
         let g = shard.inner.lock();
         // Newest overlay version at or below the epoch (later entries
@@ -459,6 +465,7 @@ impl BufferPool {
                 }
                 let mut buf = vec![0u8; self.page_size];
                 self.disk.lock().read(pid, &mut buf)?;
+                tally.bump_physical_reads();
                 return Ok(Arc::new(buf));
             }
         }

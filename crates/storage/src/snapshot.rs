@@ -16,6 +16,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::buffer::BufferPool;
+use crate::stats::{AtomicIoStats, IoStats};
 use crate::{PageId, StorageResult};
 
 /// Read access to pages by id — implemented by the live
@@ -37,7 +38,8 @@ impl PageRead for BufferPool {
 /// Cheap to create (no page copies — captured buffers are shared by
 /// refcount) and safe to share across reader threads (`Sync`).
 /// Snapshot reads never touch the pool's I/O counters or LRU state:
-/// they are invisible to the live workload.
+/// they are invisible to the live workload, and tallied on the
+/// snapshot itself ([`PageSnapshot::stats`]).
 #[derive(Debug)]
 pub struct PageSnapshot {
     pool: Arc<BufferPool>,
@@ -48,6 +50,8 @@ pub struct PageSnapshot {
     /// is resolved (and its shard lock taken) at most once per
     /// snapshot.
     extra: Mutex<HashMap<PageId, Arc<Vec<u8>>>>,
+    /// Reads served by this snapshot (relaxed: a statistic).
+    stats: AtomicIoStats,
 }
 
 impl PageSnapshot {
@@ -56,10 +60,19 @@ impl PageSnapshot {
         self.epoch
     }
 
+    /// Page reads served by this snapshot so far: every
+    /// [`PageSnapshot::with_page`] is a logical read, and one that had
+    /// to fetch its version from the disk is also a physical read.
+    /// Writes are always zero.
+    pub fn stats(&self) -> IoStats {
+        self.stats.snapshot()
+    }
+
     /// Runs `f` over the contents of page `pid` as of the snapshot
     /// epoch. Errors with [`crate::StorageError::InvalidPage`] when
     /// the page did not exist at that epoch.
     pub fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
+        self.stats.bump_logical_reads();
         if let Some(data) = self.captured.get(&pid) {
             return Ok(f(data));
         }
@@ -67,7 +80,7 @@ impl PageSnapshot {
         let data = match memoized {
             Some(data) => data,
             None => {
-                let data = self.pool.snapshot_read(pid, self.epoch)?;
+                let data = self.pool.snapshot_read(pid, self.epoch, &self.stats)?;
                 self.extra.lock().insert(pid, Arc::clone(&data));
                 data
             }
@@ -106,6 +119,7 @@ impl BufferPool {
             epoch,
             captured,
             extra: Mutex::new(HashMap::new()),
+            stats: AtomicIoStats::zero(),
         }
     }
 }
@@ -203,6 +217,33 @@ mod tests {
             snap.with_page(pid, |_| ()).unwrap();
         }
         assert_eq!(p.stats(), before, "snapshot reads are uncounted");
+    }
+
+    #[test]
+    fn snapshot_tallies_its_own_reads() {
+        // Two frames, six pages: four pages are on disk when the
+        // snapshot is taken.
+        let p = pool(2);
+        let pids: Vec<_> = (0..6).map(|_| p.new_page().unwrap()).collect();
+        for &pid in &pids {
+            p.with_page_mut(pid, |d| d[0] = 7).unwrap();
+        }
+        let snap = p.page_snapshot();
+        assert_eq!(snap.stats(), IoStats::zero());
+        for _ in 0..2 {
+            for &pid in &pids {
+                snap.with_page(pid, |_| ()).unwrap();
+            }
+        }
+        // The second pass is served from the memo: logical only.
+        assert_eq!(
+            snap.stats(),
+            IoStats {
+                logical_reads: 12,
+                physical_reads: 4,
+                ..IoStats::zero()
+            }
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use vp_core::{IndexResult, IndexSnapshot, ObjectId, RangeQuery};
 use vp_geom::Tpbr;
-use vp_storage::{PageId, PageRead, PageSnapshot};
+use vp_storage::{IoStats, PageId, PageRead, PageSnapshot};
 
 use crate::node::Node;
 
@@ -167,9 +167,9 @@ pub(crate) fn knn_candidates_from<P: PageRead>(
 /// Queries run against it with no coordination with — and no
 /// visibility into — writers mutating the live tree, and acquire **no
 /// shared locks** for pages resident when the snapshot was taken.
-/// Snapshot reads are invisible to the live tree's I/O counters. Safe
-/// to share across reader threads. Obtained via
-/// [`vp_core::SnapshotIndex::snapshot`] on [`TprTree`].
+/// Snapshot reads are invisible to the live tree's I/O counters (the
+/// snapshot tallies its own). Safe to share across reader threads.
+/// Obtained via [`vp_core::SnapshotIndex::snapshot`] on [`TprTree`].
 ///
 /// [`TprTree`]: crate::tree::TprTree
 pub struct TprSnapshot {
@@ -204,6 +204,10 @@ impl IndexSnapshot for TprSnapshot {
 
     fn len(&self) -> usize {
         self.len
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.pages.stats()
     }
 }
 

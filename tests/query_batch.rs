@@ -496,3 +496,49 @@ fn shared_sweep_reads_fewer_pages_on_overlapping_batches() {
         );
     }
 }
+
+/// Snapshot reads are tallied on the snapshot: the same range and kNN
+/// batches cost a fresh snapshot exactly the logical page reads they
+/// cost the quiesced live index, and leave the live counters alone.
+#[test]
+fn snapshot_page_counts_match_the_quiesced_live_index() {
+    fn check<I>(label: &str, mut vp: VpIndex<I>)
+    where
+        I: MovingObjectIndex + SnapshotIndex + Send + Sync,
+    {
+        for tick in &make_ticks(0xC0DE, 2_000, 3) {
+            vp.apply_updates(tick).unwrap();
+        }
+        let ranges = make_queries(0x0715, 48, 40.0);
+        let domain = Rect::from_bounds(0.0, 0.0, DOMAIN, DOMAIN);
+        let mut rng = Rng::new(0x1313);
+        let knns: Vec<KnnQuery> = (0..12)
+            .map(|i| KnnQuery {
+                center: Point::new(rng.f64() * DOMAIN, rng.f64() * DOMAIN),
+                k: 1 + i % 8,
+                t: 20.0,
+            })
+            .collect();
+
+        let snap = vp.snapshot().unwrap();
+        assert_eq!(snap.io_stats(), IoStats::zero(), "{label}: fresh snapshot");
+
+        vp.reset_io_stats();
+        let live_ranges = vp.range_query_batch(&ranges).unwrap();
+        let live_knn = vp.knn_batch(&knns, &domain).unwrap();
+        let live = vp.io_stats();
+        assert!(live.logical_reads > 0, "{label}: the batches read pages");
+
+        assert_eq!(snap.range_query_batch(&ranges).unwrap(), live_ranges);
+        assert_eq!(snap.knn_batch(&knns, &domain).unwrap(), live_knn);
+        let tally = snap.io_stats();
+        assert_eq!(
+            tally.logical_reads, live.logical_reads,
+            "{label}: snapshot vs live logical page reads"
+        );
+        assert_eq!((tally.logical_writes, tally.physical_writes), (0, 0));
+        assert_eq!(vp.io_stats(), live, "{label}: live counters untouched");
+    }
+    check("bx", build_bx(2));
+    check("tpr", build_tpr(2));
+}
