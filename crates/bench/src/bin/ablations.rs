@@ -1,4 +1,7 @@
-//! Ablation benches for the design choices called out in DESIGN.md.
+//! Ablation benches for the design choices described in
+//! `docs/ARCHITECTURE.md` § "The tick/batch data flow" (TPR\* cost
+//! metric) and § "The query data flow" (Bx curve ranges, time buckets,
+//! velocity enlargement).
 //!
 //! * TPR\* cost-based insertion vs classic TPR (midpoint-area metric).
 //! * Hilbert vs Z-order curve inside the Bx-tree.

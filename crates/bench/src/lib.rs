@@ -7,9 +7,6 @@
 //!   (Bx-tree, Bx(VP), TPR\*-tree, TPR\*(VP), plus ablation variants),
 //!   trace replay with per-operation I/O and wall-clock accounting,
 //!   and the averaged metrics the paper reports.
-//! * [`parallel`] — the four-road tick workload and worker-scaling
-//!   sweep behind the `bench_group_update` parallel variant and the
-//!   `parallel_ticks` binary.
 //! * [`report`] — plain-text table formatting shared by the
 //!   `fig*` binaries (one binary per paper figure; see
 //!   `crates/bench/src/bin/`).
@@ -19,7 +16,6 @@
 //! for a scaled-down smoke run.
 
 pub mod harness;
-pub mod parallel;
 pub mod report;
 
 pub use harness::{BuiltIndex, IndexKind, Metrics, RunConfig, RunResult};

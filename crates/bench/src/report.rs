@@ -62,29 +62,6 @@ impl Table {
     }
 }
 
-/// Writes a flat benchmark result file as JSON:
-/// `{"bench": <name>, "metrics": {<metric>: <value>, ...}}`.
-///
-/// The perf-trajectory tooling greps these `BENCH_*.json` files, so
-/// the format stays deliberately dumb — no dependencies, stable key
-/// order (as given), full float precision.
-pub fn write_bench_json(
-    path: impl AsRef<std::path::Path>,
-    bench: &str,
-    metrics: &[(&str, f64)],
-) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"bench\": \"{bench}\",\n"));
-    out.push_str("  \"metrics\": {\n");
-    for (i, (k, v)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        out.push_str(&format!("    \"{k}\": {v}{comma}\n"));
-    }
-    out.push_str("  }\n}\n");
-    std::fs::write(path, out)
-}
-
 /// Formats a float with sensible benchmark precision.
 pub fn fmt(v: f64) -> String {
     if v == 0.0 {
@@ -121,17 +98,6 @@ mod tests {
     fn arity_checked() {
         let mut t = Table::new(&["a", "b"]);
         t.row(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn bench_json_shape() {
-        let path = std::env::temp_dir().join(format!("vp-bench-json-{}.json", std::process::id()));
-        write_bench_json(&path, "demo", &[("a", 1.5), ("b", 2.0)]).unwrap();
-        let s = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).unwrap();
-        assert!(s.contains("\"bench\": \"demo\""));
-        assert!(s.contains("\"a\": 1.5,"));
-        assert!(s.contains("\"b\": 2\n"), "no trailing comma: {s}");
     }
 
     #[test]

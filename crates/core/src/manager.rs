@@ -108,6 +108,18 @@ pub struct PartitionSpec {
     pub is_outlier: bool,
 }
 
+impl PartitionSpec {
+    /// The query in this partition's coordinate frame (identity for
+    /// the outlier partition).
+    pub(crate) fn query_in_frame(&self, query: &RangeQuery) -> RangeQuery {
+        if self.is_outlier {
+            *query
+        } else {
+            query.to_frame(&self.frame)
+        }
+    }
+}
+
 /// A velocity-partitioned moving-object index.
 ///
 /// Generic over the underlying index type `I`; construct with
@@ -824,17 +836,6 @@ impl<I> VpIndex<I> {
         Ok(())
     }
 
-    /// The query in partition `p`'s coordinate frame (identity for
-    /// the outlier partition).
-    fn query_in_frame(&self, p: usize, query: &RangeQuery) -> RangeQuery {
-        let spec = &self.specs[p];
-        if spec.is_outlier {
-            *query
-        } else {
-            query.to_frame(&spec.frame)
-        }
-    }
-
     /// Answers a whole batch of range queries with per-partition
     /// fan-out: every partition transforms the full batch into its
     /// frame once and answers it through the sub-index's batched path
@@ -865,8 +866,8 @@ impl<I> VpIndex<I> {
         // One partition's share: transform, batched sub-query, exact
         // world-space filter (on the worker, where the parallelism is).
         let run = |p: usize| -> IndexResult<BatchResults> {
-            let local: Vec<RangeQuery> =
-                queries.iter().map(|q| self.query_in_frame(p, q)).collect();
+            let spec = &self.specs[p];
+            let local: Vec<RangeQuery> = queries.iter().map(|q| spec.query_in_frame(q)).collect();
             let candidates = self.indexes[p].range_query_batch(&local)?;
             let mut out: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
             for (qi, ids) in candidates.into_iter().enumerate() {
@@ -1026,11 +1027,7 @@ impl<I: MovingObjectIndex + Send + Sync> MovingObjectIndex for VpIndex<I> {
         // and exact-filter in world space.
         let mut results = Vec::new();
         for (spec, index) in self.specs.iter().zip(&self.indexes) {
-            let local = if spec.is_outlier {
-                *query
-            } else {
-                query.to_frame(&spec.frame)
-            };
+            let local = spec.query_in_frame(query);
             for id in index.range_query(&local)? {
                 if let Some(obj) = self.objects.get(&id) {
                     if query.matches(obj) {
@@ -1058,9 +1055,9 @@ impl<I: MovingObjectIndex + Send + Sync> MovingObjectIndex for VpIndex<I> {
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>> {
         let mut out = Vec::new();
-        for (p, index) in self.indexes.iter().enumerate() {
-            let local = self.query_in_frame(p, query);
-            let local_covered = covered.map(|c| self.query_in_frame(p, c));
+        for (spec, index) in self.specs.iter().zip(&self.indexes) {
+            let local = spec.query_in_frame(query);
+            let local_covered = covered.map(|c| spec.query_in_frame(c));
             out.extend(index.knn_candidates(&local, local_covered.as_ref())?);
         }
         Ok(out)
@@ -1131,17 +1128,6 @@ pub struct VpSnapshot<S> {
 }
 
 impl<S: IndexSnapshot> VpSnapshot<S> {
-    /// The query in partition `p`'s coordinate frame (identity for
-    /// the outlier partition) — same transform as the live index.
-    fn query_in_frame(&self, p: usize, query: &RangeQuery) -> RangeQuery {
-        let spec = &self.specs[p];
-        if spec.is_outlier {
-            *query
-        } else {
-            query.to_frame(&spec.frame)
-        }
-    }
-
     /// Batched range queries with the same per-partition fan-out —
     /// and the same schedule-invariant, bit-identical results — as
     /// [`VpIndex::range_query_batch`], evaluated on the captured
@@ -1152,8 +1138,8 @@ impl<S: IndexSnapshot> VpSnapshot<S> {
         }
         let parts = self.specs.len();
         let run = |p: usize| -> IndexResult<BatchResults> {
-            let local: Vec<RangeQuery> =
-                queries.iter().map(|q| self.query_in_frame(p, q)).collect();
+            let spec = &self.specs[p];
+            let local: Vec<RangeQuery> = queries.iter().map(|q| spec.query_in_frame(q)).collect();
             let candidates = self.indexes[p].range_query_batch(&local)?;
             let mut out: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
             for (qi, ids) in candidates.into_iter().enumerate() {
@@ -1232,8 +1218,8 @@ impl<S: IndexSnapshot> MovingObjectIndex for VpSnapshot<S> {
     /// own frame, merge, exact-filter in world space.
     fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
         let mut results = Vec::new();
-        for (p, index) in self.indexes.iter().enumerate() {
-            let local = self.query_in_frame(p, query);
+        for (spec, index) in self.specs.iter().zip(&self.indexes) {
+            let local = spec.query_in_frame(query);
             for id in index.range_query(&local)? {
                 if let Some(obj) = self.objects.get(&id) {
                     if query.matches(obj) {
@@ -1255,9 +1241,9 @@ impl<S: IndexSnapshot> MovingObjectIndex for VpSnapshot<S> {
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>> {
         let mut out = Vec::new();
-        for (p, index) in self.indexes.iter().enumerate() {
-            let local = self.query_in_frame(p, query);
-            let local_covered = covered.map(|c| self.query_in_frame(p, c));
+        for (spec, index) in self.specs.iter().zip(&self.indexes) {
+            let local = spec.query_in_frame(query);
+            let local_covered = covered.map(|c| spec.query_in_frame(c));
             out.extend(index.knn_candidates(&local, local_covered.as_ref())?);
         }
         Ok(out)

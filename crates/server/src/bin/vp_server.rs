@@ -50,7 +50,11 @@ fn population(n: usize) -> Vec<MovingObject> {
     let mut objs = Vec::with_capacity(n);
     for id in 0..n as u64 {
         let speed = rng.uniform(10.0, 90.0);
-        let sign = if rng.next().is_multiple_of(2) { 1.0 } else { -1.0 };
+        let sign = if rng.next().is_multiple_of(2) {
+            1.0
+        } else {
+            -1.0
+        };
         let jitter = rng.uniform(-0.4, 0.4);
         let vel = match id % 10 {
             0..=3 => Point::new(speed * sign, jitter),

@@ -59,7 +59,11 @@ fn integer_fleet(n: usize, rng: &mut Rng) -> Vec<MovingObject> {
     (0..n as u64)
         .map(|id| {
             let speed = rng.int(10, 80);
-            let sign = if rng.next().is_multiple_of(2) { 1.0 } else { -1.0 };
+            let sign = if rng.next().is_multiple_of(2) {
+                1.0
+            } else {
+                -1.0
+            };
             let vel = if id % 2 == 0 {
                 Point::new(speed * sign, rng.int(-1, 1))
             } else {

@@ -84,7 +84,11 @@ fn integer_fleet(n: usize, rng: &mut Rng) -> Vec<MovingObject> {
     (0..n as u64)
         .map(|id| {
             let speed = rng.int(10, 80);
-            let sign = if rng.next().is_multiple_of(2) { 1.0 } else { -1.0 };
+            let sign = if rng.next().is_multiple_of(2) {
+                1.0
+            } else {
+                -1.0
+            };
             let jitter = rng.int(-1, 1);
             let vel = match id % 10 {
                 0..=3 => Point::new(speed * sign, jitter),

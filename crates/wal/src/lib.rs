@@ -43,7 +43,8 @@
 //! trade-off: [`SyncPolicy::Always`] fsyncs every commit (no committed
 //! record is ever lost), [`SyncPolicy::Never`] leaves persistence to
 //! the OS page cache (a process crash loses nothing, an OS crash can
-//! lose the tail). The `wal_throughput` bench bin measures the gap.
+//! lose the tail). `vpbench`'s `wal.commit_us_sync` and
+//! `wal.commit_us_nosync` measure the gap.
 //!
 //! ## Sequence numbers
 //!

@@ -124,9 +124,8 @@ pub fn generate(kind: ScenarioKind, cfg: &ScenarioConfig) -> ScenarioTrace {
 /// ~N(0,1) from three uniforms (Irwin–Hall, rescaled) — close enough
 /// for cluster shapes and cheap in the rand shim.
 fn gaussish(rng: &mut StdRng) -> f64 {
-    let s: f64 = rng.random_range(0.0..1.0)
-        + rng.random_range(0.0..1.0)
-        + rng.random_range(0.0..1.0);
+    let s: f64 =
+        rng.random_range(0.0..1.0) + rng.random_range(0.0..1.0) + rng.random_range(0.0..1.0);
     (s - 1.5) * 2.0
 }
 
@@ -168,7 +167,10 @@ fn hotspot(cfg: &ScenarioConfig, domain: Rect) -> ScenarioTrace {
         .map(|home| match home {
             Some(c) => clamp_to(
                 &domain,
-                Point::new(c.x + gaussish(&mut rng) * sigma, c.y + gaussish(&mut rng) * sigma),
+                Point::new(
+                    c.x + gaussish(&mut rng) * sigma,
+                    c.y + gaussish(&mut rng) * sigma,
+                ),
             ),
             None => Point::new(
                 rng.random_range(domain.lo.x..=domain.hi.x),
@@ -185,8 +187,7 @@ fn hotspot(cfg: &ScenarioConfig, domain: Rect) -> ScenarioTrace {
             if tick > 0 {
                 // Advance along the previous report's velocity.
                 let prev = ticks[tick - 1][id];
-                positions[id] =
-                    clamp_to(&domain, prev.pos.advance(prev.vel, cfg.tick_interval));
+                positions[id] = clamp_to(&domain, prev.pos.advance(prev.vel, cfg.tick_interval));
             }
             let pos = positions[id];
             let vel = match home {
@@ -254,8 +255,7 @@ fn flash_crowd(cfg: &ScenarioConfig, domain: Rect) -> ScenarioTrace {
         for id in 0..cfg.n_objects {
             if tick > 0 {
                 let prev = ticks[tick - 1][id];
-                positions[id] =
-                    clamp_to(&domain, prev.pos.advance(prev.vel, cfg.tick_interval));
+                positions[id] = clamp_to(&domain, prev.pos.advance(prev.vel, cfg.tick_interval));
             }
             let pos = positions[id];
             let vel = if join_at[id] < progress {
@@ -314,7 +314,9 @@ fn road_grid(cfg: &ScenarioConfig, domain: Rect) -> ScenarioTrace {
         .collect();
 
     let nearest_line = |v: f64| {
-        let i = ((v - domain.lo.x) / spacing - 0.5).round().clamp(0.0, (ROAD_LINES - 1) as f64);
+        let i = ((v - domain.lo.x) / spacing - 0.5)
+            .round()
+            .clamp(0.0, (ROAD_LINES - 1) as f64);
         domain.lo.x + (i + 0.5) * spacing
     };
 
@@ -427,7 +429,10 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(w.tick_time(cfg.n_ticks), cfg.n_ticks as f64 * cfg.tick_interval);
+            assert_eq!(
+                w.tick_time(cfg.n_ticks),
+                cfg.n_ticks as f64 * cfg.tick_interval
+            );
         }
     }
 
@@ -497,8 +502,8 @@ mod tests {
         // cross-check the clustered fraction is what skews the total.
         let w = generate(ScenarioKind::Hotspot, &small_cfg());
         let n = w.ticks[0].len();
-        let drifters: Vec<MovingObject> = w.ticks[0][(n as f64 * HOTSPOT_CLUSTERED) as usize..]
-            .to_vec();
+        let drifters: Vec<MovingObject> =
+            w.ticks[0][(n as f64 * HOTSPOT_CLUSTERED) as usize..].to_vec();
         let frac = near_focus(&w, &drifters, DOMAIN_SIDE * 0.1);
         assert!(
             frac < 0.35,

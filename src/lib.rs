@@ -110,8 +110,9 @@
 //! ```
 //!
 //! See `examples/durable_quickstart.rs` for the runnable version, and
-//! `cargo run --release -p vp-bench --bin wal_throughput` for what
-//! each position of the durability dial costs.
+//! `vpbench`'s `engine_batch` workload (`wal.commit_us_sync`,
+//! `wal.commit_us_nosync`, `wal.tick_share`) for what each position
+//! of the durability dial costs.
 //!
 //! ### Failure model
 //!
@@ -142,8 +143,9 @@
 //! queues with typed `Overloaded` rejection, and chunk-streamed
 //! large results. See `docs/ARCHITECTURE.md` § "Service layer &
 //! batch formation", `examples/server_quickstart.rs`, and
-//! `cargo run --release -p vp-bench --bin bench_server` for what the
-//! request coalescing buys (`BENCH_server.json`).
+//! `vpbench`'s `serve_read` and `serve_mixed` workloads
+//! (`query_p50_us`, `untraced.query_qps`, `server.window_self_us`)
+//! for what the request coalescing costs and buys.
 //!
 //! ## Where everything lives
 //!

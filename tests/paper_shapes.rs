@@ -4,7 +4,8 @@
 //!
 //! Scales are small (seconds per test); the assertions are therefore
 //! deliberately weak inequalities with slack — the full-scale numbers
-//! live in EXPERIMENTS.md.
+//! come from the `fig*` binaries (`docs/ARCHITECTURE.md` § "What
+//! guards what", rows "VP analyzer + routing" and "Queries").
 
 use vp_bench::harness::{run_paper_contenders, IndexKind, RunConfig};
 use vp_workload::{Dataset, WorkloadConfig};

@@ -721,8 +721,10 @@ fn recovered_subscriptions_backfill_enters_without_phantom_leaves() {
         predictive_dt: 0.0,
     };
     let now = 30.0; // newest reference time after four ticks
-    let sub_cfg = || SubscriptionConfig::new(Rect::from_bounds(0.0, 0.0, 100_000.0, 100_000.0))
-        .with_horizon(120.0);
+    let sub_cfg = || {
+        SubscriptionConfig::new(Rect::from_bounds(0.0, 0.0, 100_000.0, 100_000.0))
+            .with_horizon(120.0)
+    };
 
     // Pre-crash run: four ticks (checkpoint after the second, so
     // recovery exercises checkpoint + tail), live subscriptions,
@@ -761,9 +763,15 @@ fn recovered_subscriptions_backfill_enters_without_phantom_leaves() {
     // Re-register at the last committed time: pure-Enter backfill
     // reproducing the lost result sets.
     let mut rec_subs = SubscriptionSet::new(sub_cfg());
-    let (rec_rs, rec_r_backfill) = rec_subs.register_range(&recovered, now, range_spec).unwrap();
+    let (rec_rs, rec_r_backfill) = rec_subs
+        .register_range(&recovered, now, range_spec)
+        .unwrap();
     let (rec_ks, rec_k_backfill) = rec_subs.register_knn(&recovered, now, knn_spec).unwrap();
-    assert_eq!((rec_rs, rec_ks), (twin_rs, twin_ks), "same allocation order");
+    assert_eq!(
+        (rec_rs, rec_ks),
+        (twin_rs, twin_ks),
+        "same allocation order"
+    );
     for (backfill, want, what) in [
         (&rec_r_backfill, &pre_crash[0], "range"),
         (&rec_k_backfill, &pre_crash[1], "knn"),

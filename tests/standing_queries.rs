@@ -218,7 +218,10 @@ fn oracle_result(live: &BTreeMap<u64, MovingObject>, spec: &SubSpec, t: f64) -> 
     match spec {
         SubSpec::Range(s) => {
             let q = RangeQuery::time_slice(s.region, t + s.predictive_dt);
-            live.values().filter(|o| q.matches(o)).map(|o| o.id).collect()
+            live.values()
+                .filter(|o| q.matches(o))
+                .map(|o| o.id)
+                .collect()
         }
         SubSpec::Knn(s) => {
             let tq = t + s.predictive_dt;
@@ -280,21 +283,18 @@ where
     I: MovingObjectIndex + Send + Sync,
 {
     vp.apply_updates(&plan.initial).unwrap();
-    let mut live: BTreeMap<u64, MovingObject> =
-        plan.initial.iter().map(|o| (o.id, *o)).collect();
+    let mut live: BTreeMap<u64, MovingObject> = plan.initial.iter().map(|o| (o.id, *o)).collect();
 
-    let mut subs = SubscriptionSet::new(
-        SubscriptionConfig::new(vp.domain()).with_horizon(horizon),
-    );
+    let mut subs = SubscriptionSet::new(SubscriptionConfig::new(vp.domain()).with_horizon(horizon));
     // Oracle-side registry: spec + last full result per live sub.
     let mut oracle: BTreeMap<SubscriptionId, (SubSpec, BTreeSet<u64>)> = BTreeMap::new();
 
     let register = |subs: &mut SubscriptionSet,
-                        oracle: &mut BTreeMap<SubscriptionId, (SubSpec, BTreeSet<u64>)>,
-                        vp: &VpIndex<I>,
-                        live: &BTreeMap<u64, MovingObject>,
-                        spec: &SubSpec,
-                        now: f64| {
+                    oracle: &mut BTreeMap<SubscriptionId, (SubSpec, BTreeSet<u64>)>,
+                    vp: &VpIndex<I>,
+                    live: &BTreeMap<u64, MovingObject>,
+                    spec: &SubSpec,
+                    now: f64| {
         let (id, backfill) = match spec {
             SubSpec::Range(s) => subs.register_range(vp, now, *s).unwrap(),
             SubSpec::Knn(s) => subs.register_knn(vp, now, *s).unwrap(),
