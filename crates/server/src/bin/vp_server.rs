@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! vp-server [--addr 127.0.0.1:7878] [--objects 10000]
-//!           [--max-batch 32] [--window-us 200]
+//!           [--max-batch 32]
 //! ```
 
 use vp_core::traits::reference::ScanIndex;
@@ -73,7 +73,6 @@ fn main() {
     let objects: usize = parse_flag(&args, "--objects", 10_000);
     let config = ServerConfig {
         max_batch: parse_flag(&args, "--max-batch", 32),
-        window_us: parse_flag(&args, "--window-us", 200),
         ..ServerConfig::default()
     };
 

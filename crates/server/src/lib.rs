@@ -5,11 +5,11 @@
 //! lock-free under concurrent ticks — but those wins only materialize
 //! if something *forms batches* from independent client requests. This
 //! crate is that something: a std-only TCP server whose **batch
-//! former** coalesces in-flight range/kNN requests into time/size
-//! bounded windows and executes each window against the current
-//! [`vp_core::VpSnapshot`], while a single writer thread owns the
-//! `&mut` [`vp_core::VpIndex`] and publishes a fresh snapshot after
-//! every committed mutation. Group commit, applied to reads.
+//! former** coalesces the range/kNN requests queued at the same moment
+//! into size-bounded windows and executes each window against the
+//! current [`vp_core::VpSnapshot`], while a single writer thread owns
+//! the `&mut` [`vp_core::VpIndex`] and publishes a fresh snapshot
+//! after every committed mutation. Group commit, applied to reads.
 //!
 //! The same connection also carries **standing queries**: a client
 //! registers a range or kNN subscription ([`Request::Subscribe`]) and

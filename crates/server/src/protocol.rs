@@ -219,8 +219,9 @@ pub enum Response {
         message: String,
         /// Back-off hint in microseconds (0 = none). For
         /// [`ErrorCode::Overloaded`] this is the server's current
-        /// queue-drain estimate (queue depth × batch window): wait at
-        /// least this long before retrying.
+        /// queue-drain estimate (windows queued ahead × a nominal cost
+        /// each; see `ServerConfig::window_us`): wait at least this
+        /// long before retrying.
         retry_after_us: u64,
     },
     /// A standing query was registered under this id.

@@ -18,10 +18,14 @@
 //! Reads never touch the live index: the batch former loads the
 //! current [`SnapshotCell`] snapshot and executes a whole *window* of
 //! coalesced requests through `range_query_batch` / `knn_batch`, so
-//! the in-index batching wins apply to independent network clients. A
-//! window closes when it holds [`ServerConfig::max_batch`] requests or
-//! the oldest request has waited [`ServerConfig::window_us`],
-//! whichever comes first. The single writer thread owns the `&mut`
+//! the in-index batching wins apply to independent network clients.
+//! The former is work-conserving: a window opens with the first queued
+//! request, takes whatever else the read queue already holds — up to
+//! [`ServerConfig::max_batch`] — and executes at once. It never waits
+//! for requests that have not arrived, so a lone request pays two
+//! thread hand-offs and its own execution; under load the queue fills
+//! while the previous window executes and batches form by themselves
+//! (group commit). The single writer thread owns the `&mut`
 //! [`VpIndex`]; after every committed mutation it publishes a fresh
 //! snapshot, so the next read window observes it. Ticks and query
 //! windows therefore never contend on anything.
@@ -31,7 +35,8 @@
 //! Both queues are bounded (`queue_depth`). A full queue rejects the
 //! request immediately with [`ErrorCode::Overloaded`] — the connection
 //! stays open, nothing is buffered, and the client can retry after the
-//! `retry_after_us` hint (current queue depth × batch window). This is
+//! `retry_after_us` hint (windows queued ahead of it ×
+//! [`ServerConfig::window_us`], the nominal cost of one). This is
 //! the structured alternative to unbounded buildup: under overload the
 //! server sheds load at the edge while in-flight windows keep their
 //! latency.
@@ -93,9 +98,12 @@ use crate::protocol::{
 /// Tuning knobs for [`spawn`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// A batch window closes once it holds this many read requests.
+    /// Most read requests one batch window executes together; the
+    /// window takes what is already queued and never waits for more.
     pub max_batch: usize,
-    /// … or once the oldest request in it has waited this long (µs).
+    /// Nominal cost of one window (µs) — only the unit of the
+    /// `retry_after_us` hint on [`ErrorCode::Overloaded`]. It delays
+    /// nothing.
     pub window_us: u64,
     /// Bound on each admission queue (reads and writes separately);
     /// a full queue yields [`ErrorCode::Overloaded`].
@@ -221,17 +229,24 @@ impl<S> Shared<S> {
         }
     }
 
-    /// Queue-drain estimate (µs) used as the `Overloaded` back-off
-    /// hint: full windows ahead of the caller × the window span.
+    /// The `Overloaded` back-off hint for the read or the write queue
+    /// at its current depth.
     fn retry_after_us(&self, reads: bool) -> u64 {
         let queued = if reads {
-            self.counters.read_queued.load(Ordering::SeqCst)
+            &self.counters.read_queued
         } else {
-            self.counters.write_queued.load(Ordering::SeqCst)
+            &self.counters.write_queued
         };
-        let windows = queued / self.cfg.max_batch.max(1) as u64 + 1;
-        windows * self.cfg.window_us.max(1)
+        retry_hint_us(queued.load(Ordering::SeqCst), &self.cfg)
     }
+}
+
+/// Queue-drain estimate (µs): full windows ahead of the caller, the
+/// caller's own included, × `window_us` as the nominal cost of one.
+/// Saturating, so no queue depth can overflow it or yield 0.
+fn retry_hint_us(queued: u64, cfg: &ServerConfig) -> u64 {
+    let windows = (queued / cfg.max_batch.max(1) as u64).saturating_add(1);
+    windows.saturating_mul(cfg.window_us.max(1))
 }
 
 /// A connection's outgoing half, shared between its conn thread and
@@ -651,21 +666,22 @@ fn enqueue_read<S>(
     w: &ConnWriter,
 ) -> io::Result<()> {
     let (reply_tx, reply_rx) = mpsc::channel();
-    match read_tx.try_send(ReadJob {
+    // Count before sending: the former decrements as soon as it
+    // receives, and must never get there first.
+    shared.counters.read_queued.fetch_add(1, Ordering::SeqCst);
+    if let Err(e) = read_tx.try_send(ReadJob {
         kind,
         deadline,
         reply: reply_tx,
     }) {
-        Ok(()) => {
-            shared.counters.read_queued.fetch_add(1, Ordering::SeqCst);
-        }
-        Err(TrySendError::Full(_)) => {
-            shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
-            return send_one(w, &overloaded(shared.retry_after_us(true)));
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            return send_one(w, &internal("server shutting down"));
-        }
+        shared.counters.read_queued.fetch_sub(1, Ordering::SeqCst);
+        return match e {
+            TrySendError::Full(_) => {
+                shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
+                send_one(w, &overloaded(shared.retry_after_us(true)))
+            }
+            TrySendError::Disconnected(_) => send_one(w, &internal("server shutting down")),
+        };
     }
     match reply_rx.recv() {
         Ok(frames) => {
@@ -696,20 +712,20 @@ fn enqueue_write<S>(
     w: &ConnWriter,
 ) -> io::Result<()> {
     let (reply_tx, reply_rx) = mpsc::channel();
-    match write_tx.try_send(WriteJob {
+    // Counted before sending, for the same reason as in `enqueue_read`.
+    shared.counters.write_queued.fetch_add(1, Ordering::SeqCst);
+    if let Err(e) = write_tx.try_send(WriteJob {
         kind,
         reply: reply_tx,
     }) {
-        Ok(()) => {
-            shared.counters.write_queued.fetch_add(1, Ordering::SeqCst);
-        }
-        Err(TrySendError::Full(_)) => {
-            shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
-            return send_one(w, &overloaded(shared.retry_after_us(false)));
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            return send_one(w, &internal("server shutting down"));
-        }
+        shared.counters.write_queued.fetch_sub(1, Ordering::SeqCst);
+        return match e {
+            TrySendError::Full(_) => {
+                shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
+                send_one(w, &overloaded(shared.retry_after_us(false)))
+            }
+            TrySendError::Disconnected(_) => send_one(w, &internal("server shutting down")),
+        };
     }
     match reply_rx.recv() {
         // The writer thread already answered on the stream itself.
@@ -724,12 +740,29 @@ fn enqueue_write<S>(
 /// How often idle loops re-check the lifecycle mode.
 const IDLE_POLL: Duration = Duration::from_millis(20);
 
+/// Moves whatever the admission queue already holds into `window`, up
+/// to `max_batch`, without waiting: a window never stays open for
+/// requests that have not arrived.
+fn fill_window<S>(
+    rx: &Receiver<ReadJob>,
+    shared: &Shared<S>,
+    window: &mut Vec<ReadJob>,
+    max_batch: usize,
+) {
+    while window.len() < max_batch {
+        let Ok(job) = rx.try_recv() else { break };
+        shared.counters.read_queued.fetch_sub(1, Ordering::SeqCst);
+        window.push(job);
+    }
+}
+
 fn former_loop<S>(rx: Receiver<ReadJob>, shared: Arc<Shared<S>>)
 where
     S: IndexSnapshot + 'static,
 {
     let cfg = shared.cfg.clone();
     let max_batch = cfg.max_batch.max(1);
+    let max_frame = cfg.max_frame.max(1);
     loop {
         match shared.mode() {
             Mode::Stopped => {
@@ -749,49 +782,24 @@ where
             }
         };
         shared.counters.read_queued.fetch_sub(1, Ordering::SeqCst);
-        // …then coalesce until the window is full or stale.
+        // …and take along what queued up while the previous window ran.
         let mut window = vec![first];
-        let deadline = Instant::now() + Duration::from_micros(cfg.window_us);
-        while window.len() < max_batch {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            match rx.recv_timeout(deadline - now) {
-                Ok(job) => {
-                    shared.counters.read_queued.fetch_sub(1, Ordering::SeqCst);
-                    window.push(job);
-                }
-                Err(RecvTimeoutError::Timeout) => break,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
+        fill_window(&rx, &shared, &mut window, max_batch);
         if cfg.former_stall_us > 0 {
             thread::sleep(Duration::from_micros(cfg.former_stall_us));
         }
-        execute_window(window, &shared, cfg.max_frame.max(1));
+        execute_window(window, &shared, max_frame);
     }
     // Drain: answer everything already admitted (new work is being
     // rejected at the edge), bounded by the drain budget.
     let drain_deadline = Instant::now() + Duration::from_millis(cfg.drain_budget_ms);
-    loop {
-        if Instant::now() >= drain_deadline {
-            break;
-        }
+    while Instant::now() < drain_deadline {
         let mut window = Vec::new();
-        while window.len() < max_batch {
-            match rx.try_recv() {
-                Ok(job) => {
-                    shared.counters.read_queued.fetch_sub(1, Ordering::SeqCst);
-                    window.push(job);
-                }
-                Err(_) => break,
-            }
-        }
+        fill_window(&rx, &shared, &mut window, max_batch);
         if window.is_empty() {
             break;
         }
-        execute_window(window, &shared, cfg.max_frame.max(1));
+        execute_window(window, &shared, max_frame);
     }
     shared.service_thread_done();
 }
@@ -1375,13 +1383,18 @@ mod tests {
             ..ServerConfig::default()
         };
         // windows-ahead = queued / max_batch + 1 → µs.
-        let hint = |queued: u64| {
-            let windows = queued / cfg.max_batch as u64 + 1;
-            windows * cfg.window_us
+        assert_eq!(retry_hint_us(0, &cfg), 200, "empty queue: one window");
+        assert_eq!(retry_hint_us(7, &cfg), 200);
+        assert_eq!(retry_hint_us(8, &cfg), 400);
+        assert_eq!(retry_hint_us(80, &cfg), 2200);
+        // A wrapped or absurd depth saturates; it neither overflows
+        // nor tells the client to retry at once.
+        assert_eq!(retry_hint_us(u64::MAX, &cfg), u64::MAX);
+        let one_by_one = ServerConfig {
+            max_batch: 1,
+            window_us: 0,
+            ..ServerConfig::default()
         };
-        assert_eq!(hint(0), 200, "empty queue: one window");
-        assert_eq!(hint(7), 200);
-        assert_eq!(hint(8), 400);
-        assert_eq!(hint(80), 2200);
+        assert_eq!(retry_hint_us(u64::MAX, &one_by_one), u64::MAX);
     }
 }

@@ -175,7 +175,6 @@ fn multi_client_mixed_reads_match_quiesced_snapshot_under_tick_storm() {
         "127.0.0.1:0",
         ServerConfig {
             max_batch: 8,
-            window_us: 300,
             ..ServerConfig::default()
         },
     )
@@ -287,7 +286,6 @@ fn queue_overflow_yields_overloaded_not_hangs_or_drops() {
         "127.0.0.1:0",
         ServerConfig {
             max_batch: 1,
-            window_us: 1,
             queue_depth: 2,
             former_stall_us: 20_000,
             ..ServerConfig::default()

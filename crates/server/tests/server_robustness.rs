@@ -158,7 +158,6 @@ fn expired_deadlines_answer_typed_errors_and_fresh_work_still_runs() {
             // reliably expires *after* admission but *before* (or
             // during) execution.
             former_stall_us: 30_000,
-            window_us: 100,
             ..ServerConfig::default()
         },
     )
@@ -571,7 +570,6 @@ fn overloaded_rejections_carry_retry_after_hints() {
         ServerConfig {
             max_batch: 1,
             queue_depth: 1,
-            window_us: 50,
             // Each window takes ≥20ms, so a burst reliably overflows
             // the depth-1 queue.
             former_stall_us: 20_000,

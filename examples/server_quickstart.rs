@@ -25,15 +25,14 @@ fn main() {
     let index: VpIndex<ScanIndex> =
         VpIndex::build(cfg, &analysis, |_spec| ScanIndex::new()).unwrap();
 
-    // 2. Serve it. Port 0 picks an ephemeral port; `max_batch`/
-    //    `window_us` control how aggressively concurrent reads are
-    //    coalesced into one snapshot query batch.
+    // 2. Serve it. Port 0 picks an ephemeral port; `max_batch` caps
+    //    how many reads that are queued at the same moment coalesce
+    //    into one snapshot query batch (a lone read never waits).
     let handle = spawn(
         index,
         "127.0.0.1:0",
         ServerConfig {
             max_batch: 16,
-            window_us: 200,
             ..ServerConfig::default()
         },
     )

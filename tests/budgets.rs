@@ -1,14 +1,20 @@
-//! Work budgets: exact page counts asserted on a tiny fixed scenario.
+//! Work budgets: exact counts asserted on a tiny fixed scenario.
 //!
 //! Wall-clock drifts on a shared host; `io_stats().logical_reads`
-//! repeats bit for bit per seed. Each budget here is a named constant
-//! whose doc comment records the values measured when it was set.
+//! repeats bit for bit per seed, and so do the server's window
+//! counters. Each page budget here is a named constant whose doc
+//! comment records the values measured when it was set; the batch
+//! former's budgets are counts of windows from [`StatsReply`].
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::thread;
+use std::time::{Duration, Instant};
 
 use velocity_partitioning::prelude::*;
 use velocity_partitioning::vp_workload::scenarios::generate;
+use vp_server::protocol::StatsReply;
+use vp_server::{spawn, ServerConfig, ServerHandle, VpClient};
 
 /// Full re-evaluation of the standing range queries must read at
 /// least this many times the pages incremental
@@ -208,4 +214,129 @@ fn incremental_on_tick_reads_fewer_pages_than_full_reevaluation_bx() {
 #[test]
 fn incremental_on_tick_reads_fewer_pages_than_full_reevaluation_tpr() {
     assert_incremental_reads_fewer_pages("tpr", pages_read(tpr));
+}
+
+// --- the batch former: windows per request --------------------------------
+
+/// One circle per client round the scenario's focus points.
+fn served_queries(trace: &ScenarioTrace, n: usize) -> Vec<RangeQuery> {
+    (0..n)
+        .map(|i| {
+            let f = trace.focus[i % trace.focus.len()];
+            let center = Point::new(f.x + 500.0 * i as f64, f.y - 300.0 * i as f64);
+            RangeQuery::time_slice(
+                QueryRegion::Circle(Circle::new(center, 5_000.0)),
+                trace.tick_time(0),
+            )
+        })
+        .collect()
+}
+
+fn sorted(mut ids: Vec<u64>) -> Vec<u64> {
+    ids.sort_unstable();
+    ids
+}
+
+/// What the quiesced snapshot answers, sorted.
+fn expected(oracle: &impl IndexSnapshot, q: &RangeQuery) -> Vec<u64> {
+    sorted(IndexSnapshot::range_query(oracle, q).expect("oracle range"))
+}
+
+/// Serves the hotspot fleet on Bx(VP); returns the trace, the quiesced
+/// snapshot every served answer must equal, and the server.
+fn serve_hotspot(config: ServerConfig) -> (ScenarioTrace, impl IndexSnapshot, ServerHandle) {
+    let trace = hotspot_trace();
+    let index = build(&trace, bx);
+    let oracle = index.snapshot().expect("quiesced snapshot");
+    let handle = spawn(index, "127.0.0.1:0", config).expect("spawn");
+    (trace, oracle, handle)
+}
+
+/// Releases `clients` connections through one barrier with one range
+/// query each, checks every answer against the quiesced snapshot and
+/// returns the server's counters. The 20 ms stall per window is what
+/// makes the counts deterministic: whatever the first window misses is
+/// queued long before the second one opens.
+fn burst(clients: usize, max_batch: usize) -> StatsReply {
+    let (trace, oracle, handle) = serve_hotspot(ServerConfig {
+        max_batch,
+        former_stall_us: 20_000,
+        ..ServerConfig::default()
+    });
+    let queries = served_queries(&trace, clients);
+    let addr = handle.addr();
+    let barrier = Barrier::new(clients);
+    thread::scope(|s| {
+        for (i, q) in queries.iter().enumerate() {
+            let (barrier, oracle) = (&barrier, &oracle);
+            s.spawn(move || {
+                let mut c = VpClient::connect(addr).expect("connect");
+                barrier.wait();
+                let got = sorted(c.range(q).expect("served range"));
+                assert_eq!(got, expected(oracle, q), "client {i}");
+            });
+        }
+    });
+    let stats = VpClient::connect(addr)
+        .expect("connect")
+        .stats()
+        .expect("stats");
+    handle.shutdown();
+    stats
+}
+
+/// A lone request never waits for company: forty sequential reads are
+/// forty windows, and a quarter-second `window_us` delays none of them
+/// (honoured, the loop would take ten seconds).
+#[test]
+fn lone_reader_gets_one_window_per_request_and_no_wait() {
+    const READS: u64 = 40;
+    let (trace, oracle, handle) = serve_hotspot(ServerConfig {
+        window_us: 250_000,
+        ..ServerConfig::default()
+    });
+    let mut c = VpClient::connect(handle.addr()).expect("connect");
+    let queries = served_queries(&trace, READS as usize);
+    let start = Instant::now();
+    for q in &queries {
+        let got = sorted(c.range(q).expect("served range"));
+        assert_eq!(got, expected(&oracle, q));
+    }
+    let took = start.elapsed();
+    let stats = c.stats().expect("stats");
+    handle.shutdown();
+    assert_eq!(stats.batched_requests, READS);
+    assert_eq!(
+        stats.batches, READS,
+        "a window held more than its one request"
+    );
+    assert!(
+        took < Duration::from_secs(2),
+        "{READS} lone reads took {took:?}: the former waited on `window_us`"
+    );
+}
+
+/// Concurrency still fills windows without a timer: what queues while
+/// one window executes leaves in the next.
+#[test]
+fn concurrent_readers_coalesce_without_a_timer() {
+    let stats = burst(8, 8);
+    assert_eq!(stats.batched_requests, 8);
+    assert!(
+        stats.batches <= 3,
+        "8 concurrent reads took {} windows",
+        stats.batches
+    );
+}
+
+/// … and `max_batch` is the cap on what one window takes.
+#[test]
+fn max_batch_caps_a_window() {
+    let stats = burst(12, 4);
+    assert_eq!(stats.batched_requests, 12);
+    assert!(
+        stats.batches >= 3,
+        "12 reads at max_batch 4 took {} windows",
+        stats.batches
+    );
 }
