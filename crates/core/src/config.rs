@@ -38,7 +38,7 @@ pub struct VpConfig {
     /// identical either way — partitions share no index state — only
     /// the schedule changes.
     pub tick_workers: usize,
-    /// Directory of the durability artifacts (WAL streams, manifest,
+    /// Directory of the durability artifacts (the log, manifest,
     /// checkpoints). `None` (the default) keeps the index purely in
     /// memory — the seed behaviour, used by all paper reproductions.
     /// Set it and construct with [`crate::VpIndex::open`] /
@@ -57,8 +57,8 @@ pub struct VpConfig {
     /// means checkpoints happen only via the explicit
     /// [`crate::VpIndex::checkpoint`] call.
     pub checkpoint_every_ticks: u64,
-    /// Fault injector wired into the durability layer (WAL streams and
-    /// the checkpoint/manifest atomic-publish path) at open time —
+    /// Fault injector wired into the durability layer (the log and the
+    /// checkpoint/manifest atomic-publish path) at open time —
     /// the test harness's handle for torn writes, ENOSPC, and fsync
     /// failures. `None` (the default) injects nothing. Runtime-only:
     /// never persisted in the manifest; attach one to a recovered
@@ -66,7 +66,7 @@ pub struct VpConfig {
     pub fault: Option<FaultHandle>,
     /// Retry policy for transient WAL I/O errors (EIO, ENOSPC) at the
     /// flush sites. Failed fsyncs are **never** retried — they poison
-    /// the stream instead. Runtime-only, like `fault`.
+    /// the log instead. Runtime-only, like `fault`.
     pub wal_retry: RetryPolicy,
 }
 

@@ -1,56 +1,40 @@
-//! Durable storage for the VP index: write-ahead logging of tick
-//! batches, logical checkpoints, and crash recovery.
+//! Durable storage for the VP index: write-ahead logging of ticks,
+//! logical checkpoints, and crash recovery.
 //!
 //! ## Architecture
 //!
-//! The paper's batched per-partition tick is the unit of durability.
-//! A durable [`VpIndex`] (built with [`VpIndex::open`]) owns one
-//! [`vp_wal::Wal`] stream **per partition** plus one `meta` stream,
-//! all inside `VpConfig::wal_dir`:
+//! A durable [`VpIndex`] (built with [`VpIndex::open`]) owns **one**
+//! [`vp_wal::Wal`] stream, `meta`, inside `VpConfig::wal_dir`:
 //!
 //! ```text
 //! wal_dir/
 //!   MANIFEST              config + partition axes/τ + histogram bounds
 //!   ckpt-<seq>.vpck       latest logical checkpoint (object table)
-//!   meta-<seq>.seg        inserts, deletes, τ refreshes, tick commits
-//!   part-<p>-<seq>.seg    per-partition tick batches (one stream per p)
+//!   meta-<seq>.seg        ticks, inserts, deletes, τ refreshes
 //! ```
 //!
-//! Every logged *event* — a tick, a single insert/delete, a τ refresh
-//! — carries one globally increasing sequence number, so the streams
-//! merge back into a total order at recovery. A tick writes its
-//! per-partition batches (removals + world-coordinate upserts) to the
-//! partition streams *from the tick worker threads* — logging
-//! parallelizes with application instead of re-serializing it — and
-//! is sealed by a commit record on the `meta` stream after all
-//! partition streams are flushed (and, under
-//! [`SyncPolicy::Always`], fsync'd). A tick whose commit record is
-//! missing, or whose commit names more partition records than
-//! survived, is not replayed; recovery applies the longest consistent
-//! prefix of the log.
+//! Every logged event is one record under one increasing sequence
+//! number. A tick is one record holding its input updates in world
+//! coordinates. It is appended and committed (flushed, and fsync'd per
+//! [`SyncPolicy`]) on the calling thread once every partition has
+//! applied; an error before the commit rolls the tick back. Partitions
+//! are a layout, not a unit of durability: routing is a pure function
+//! of τ, whose refreshes are logged, and of the histograms, which
+//! replay rebuilds.
 //!
-//! [`SyncPolicy::EveryTicks`]`(n)` amortizes the fsync across ticks:
-//! ordinary ticks only flush, and every n-th tick is a *sync
-//! boundary* — **every** stream (including partitions the boundary
-//! tick did not touch, whose earlier records would otherwise stay
-//! unsynced) is fsync'd before the boundary tick's commit record is,
-//! so everything up to and including the boundary tick survives an OS
-//! crash. Single-record events (insert/delete/τ refresh) ride along:
-//! they are flushed at commit and become crash-durable at the next
-//! boundary or checkpoint.
+//! [`SyncPolicy::EveryTicks`]`(n)` amortizes the fsync: ordinary ticks
+//! only flush, and every n-th tick fsyncs the log, which makes it and
+//! every record before it (single-record events included) survive an
+//! OS crash.
 //!
 //! Checkpoints are **logical**: [`VpIndex::checkpoint`] flushes every
-//! sub-index's storage (dirty buffer-pool shards, then the page
-//! file), snapshots the object table + per-partition τ + online
-//! histograms into `ckpt-<seq>.vpck` (written to a temp file, fsync'd,
-//! renamed), and truncates all log streams below the checkpoint.
-//! Recovery rebuilds the sub-indexes from the snapshot via their
-//! batched upsert path and replays the log tail through the exact
-//! same routing code that ran before the crash — τ refreshes are
-//! replayed in order, so partition routing is reproduced decision for
-//! decision. Page-level (ARIES-style) redo that reuses the flushed
-//! page files instead of rebuilding is the named follow-on in the
-//! roadmap.
+//! sub-index's storage, snapshots the object table + per-partition τ +
+//! online histograms into `ckpt-<seq>.vpck` (temp file, fsync, rename)
+//! and truncates the log below it. Recovery rebuilds the sub-indexes
+//! from the snapshot through their batched upsert path, then replays
+//! the log's longest valid prefix in order. A tick record goes back
+//! through [`VpIndex::apply_updates`] itself, so a tick has one code
+//! path live and on replay.
 
 use std::collections::HashMap;
 use std::fs;
@@ -69,13 +53,12 @@ use crate::manager::{PartitionSpec, VpIndex};
 use crate::object::{MovingObject, ObjectId};
 use crate::traits::MovingObjectIndex;
 
-/// Record kinds on the `meta` stream (plus [`KIND_TICK_PART`] on the
-/// partition streams).
+/// Record kinds on the log. Kinds 3 and 4 were format 2's
+/// per-partition tick records and are not reused.
 pub(crate) const KIND_INSERT: u8 = 1;
 pub(crate) const KIND_DELETE: u8 = 2;
-pub(crate) const KIND_TICK_PART: u8 = 3;
-pub(crate) const KIND_TICK_COMMIT: u8 = 4;
 pub(crate) const KIND_TAU_REFRESH: u8 = 5;
+pub(crate) const KIND_TICK: u8 = 6;
 
 const MANIFEST_NAME: &str = "MANIFEST";
 const MANIFEST_MAGIC: &[u8; 8] = b"VPMANIF1";
@@ -83,9 +66,11 @@ const CKPT_MAGIC: &[u8; 8] = b"VPCKPT01";
 /// On-disk format version of the manifest and checkpoint files.
 /// History: 1 = original layout (1-byte sync policy); 2 = the sync
 /// policy widened to the 5-byte [`SyncPolicy::to_bytes`] encoding
-/// (cross-tick group commit). A mismatch is a clean "unsupported
-/// version" error rather than a misparse.
-const FORMAT_VERSION: u32 = 2;
+/// (cross-tick group commit); 3 = one log stream, a tick is one
+/// [`KIND_TICK`] record (format 2 kept a stream per partition). A
+/// mismatch is a clean "unsupported version" error rather than a
+/// misparse.
+const FORMAT_VERSION: u32 = 3;
 
 /// What [`VpIndex::recover`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,69 +83,49 @@ pub struct RecoveryReport {
     pub events_replayed: usize,
 }
 
-/// The durability state of a [`VpIndex`]: the log streams and the
-/// bookkeeping between checkpoints.
+/// The durability state of a [`VpIndex`]: the log and the bookkeeping
+/// between checkpoints.
 pub(crate) struct Durability {
     pub(crate) dir: PathBuf,
     pub(crate) policy: SyncPolicy,
     pub(crate) checkpoint_every: u64,
-    pub(crate) meta: Wal,
-    /// One stream per partition, indexed by [`PartitionSpec::id`].
-    pub(crate) parts: Vec<Wal>,
-    /// Next global event seq to assign.
+    /// The log: every event, in seq order (stream prefix `meta`).
+    pub(crate) log: Wal,
+    /// Next event seq to assign.
     pub(crate) next_seq: u64,
     pub(crate) ticks_since_ckpt: u64,
-    /// Ticks committed since the last cross-tick fsync boundary
-    /// (only advanced under [`SyncPolicy::EveryTicks`]).
+    /// Ticks committed since the last cross-tick fsync boundary (only
+    /// read under [`SyncPolicy::EveryTicks`]).
     pub(crate) ticks_since_sync: u64,
     /// True while recovery replays the log: suppresses re-logging.
     pub(crate) replaying: bool,
-    /// Fault injector covering this index's durability I/O (WAL
-    /// streams at sites `wal:meta` / `wal:part-<p>`, atomic publishes
-    /// at site `ckpt`). `None` outside the fault-injection harness.
+    /// Fault injector covering this index's durability I/O (the log at
+    /// site `wal:meta`, atomic publishes at sites `ckpt` / `ckpt:dir`).
+    /// `None` outside the fault-injection harness.
     pub(crate) fault: Option<FaultHandle>,
 }
 
 impl Durability {
-    /// Opens (or creates) the log streams for `nparts` partitions,
-    /// wiring the fault injector and retry policy into every stream.
+    /// Opens (or creates) the log, wiring in the fault injector and
+    /// retry policy.
     pub(crate) fn open(
         dir: &Path,
-        nparts: usize,
         policy: SyncPolicy,
         checkpoint_every: u64,
         fault: Option<FaultHandle>,
         retry: RetryPolicy,
     ) -> IndexResult<Durability> {
-        let wire = |mut wal: Wal, site: String| -> Wal {
-            if let Some(h) = &fault {
-                wal.set_fault_injector(h.0.clone(), site);
-            }
-            wal.set_retry(retry, Arc::new(ThreadSleeper));
-            wal
-        };
-        let meta = wire(Wal::open(dir, "meta")?, "wal:meta".into());
-        let mut parts = Vec::with_capacity(nparts);
-        for p in 0..nparts {
-            parts.push(wire(
-                Wal::open(dir, &format!("part-{p}"))?,
-                format!("wal:part-{p}"),
-            ));
+        let mut log = Wal::open(dir, "meta")?;
+        if let Some(h) = &fault {
+            log.set_fault_injector(h.0.clone(), "wal:meta");
         }
-        let next_seq = parts
-            .iter()
-            .map(Wal::last_seq)
-            .chain(std::iter::once(meta.last_seq()))
-            .max()
-            .unwrap_or(0)
-            + 1;
+        log.set_retry(retry, Arc::new(ThreadSleeper));
         Ok(Durability {
             dir: dir.to_path_buf(),
             policy,
             checkpoint_every,
-            meta,
-            parts,
-            next_seq,
+            next_seq: log.last_seq() + 1,
+            log,
             ticks_since_ckpt: 0,
             ticks_since_sync: 0,
             replaying: false,
@@ -168,25 +133,14 @@ impl Durability {
         })
     }
 
-    /// The first poisoned stream's reason, if any stream's fsync has
-    /// failed (meta first, then partitions in order).
-    pub(crate) fn poisoned_reason(&self) -> Option<String> {
-        self.meta.poisoned().map(str::to_owned).or_else(|| {
-            self.parts
-                .iter()
-                .find_map(|w| w.poisoned().map(str::to_owned))
-        })
-    }
-
-    /// Drops every stream's buffered-but-unflushed records — the WAL
-    /// side of a tick rollback. Records that already reached the OS
-    /// stay; without their commit record they are dead weight that
-    /// recovery ignores and the next checkpoint truncates.
-    pub(crate) fn discard_all_pending(&mut self) {
-        self.meta.discard_pending();
-        for wal in &mut self.parts {
-            wal.discard_pending();
-        }
+    /// Appends one record under the next seq and commits it per
+    /// `policy`. A failed attempt burns its seq; gaps are harmless.
+    fn append(&mut self, kind: u8, payload: &[u8], policy: SyncPolicy) -> IndexResult<()> {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.log.append(seq, kind, payload)?;
+        self.log.commit(policy)?;
+        Ok(())
     }
 }
 
@@ -301,64 +255,28 @@ pub(crate) fn decode_delete_record(payload: &[u8]) -> IndexResult<ObjectId> {
     Ok(id)
 }
 
-/// One partition's share of a tick, as logged on its stream.
-pub(crate) type TickPart = (usize, Vec<ObjectId>, Vec<MovingObject>);
-
-/// `TICK_PART` payload: partition, removals (migrating away), and
-/// **world-coordinate** upserts (frame conversion is re-derived on
-/// replay so the record is partition-layout-independent).
-pub(crate) fn encode_tick_part(
-    partition: usize,
-    removals: &[ObjectId],
-    upserts: &[MovingObject],
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + removals.len() * 8 + upserts.len() * 48);
-    put_u32(&mut out, partition as u32);
-    put_u32(&mut out, removals.len() as u32);
-    put_u32(&mut out, upserts.len() as u32);
-    for id in removals {
-        put_u64(&mut out, *id);
-    }
-    for obj in upserts {
+/// `TICK` payload: the tick's input updates in world coordinates and
+/// input order. Replay re-derives last-write-wins, routing and frames.
+fn encode_tick(updates: &[MovingObject]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + updates.len() * 48);
+    put_u32(&mut out, updates.len() as u32);
+    for obj in updates {
         put_object(&mut out, obj);
     }
     out
 }
 
-pub(crate) fn decode_tick_part(payload: &[u8]) -> IndexResult<TickPart> {
+fn decode_tick(payload: &[u8]) -> IndexResult<Vec<MovingObject>> {
     let mut cur = Cursor::new(payload);
-    let partition = cur.u32()? as usize;
-    let nr = cur.u32()? as usize;
-    let nu = cur.u32()? as usize;
-    // Clamp pre-allocations: a corrupt count must fail in the cursor
-    // (truncated payload) rather than abort on a huge reservation.
-    let mut removals = Vec::with_capacity(nr.min(1 << 20));
-    for _ in 0..nr {
-        removals.push(cur.u64()?);
-    }
-    let mut upserts = Vec::with_capacity(nu.min(1 << 20));
-    for _ in 0..nu {
-        upserts.push(get_object(&mut cur)?);
+    let n = cur.u32()? as usize;
+    // Clamp the reservation: a corrupt count must fail in the cursor
+    // (truncated payload) rather than abort on a huge allocation.
+    let mut updates = Vec::with_capacity(n.min(1 << 20));
+    for _ in 0..n {
+        updates.push(get_object(&mut cur)?);
     }
     cur.done()?;
-    Ok((partition, removals, upserts))
-}
-
-/// `TICK_COMMIT` payload: how many partition records seal this tick,
-/// plus the winning-update count (diagnostics).
-pub(crate) fn encode_tick_commit(nparts: usize, nupdates: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8);
-    put_u32(&mut out, nparts as u32);
-    put_u32(&mut out, nupdates as u32);
-    out
-}
-
-pub(crate) fn decode_tick_commit(payload: &[u8]) -> IndexResult<(usize, usize)> {
-    let mut cur = Cursor::new(payload);
-    let nparts = cur.u32()? as usize;
-    let nupdates = cur.u32()? as usize;
-    cur.done()?;
-    Ok((nparts, nupdates))
+    Ok(updates)
 }
 
 // ---------------------------------------------------------------------
@@ -698,7 +616,7 @@ fn prune_checkpoints_below(dir: &Path, seq: u64) -> IndexResult<()> {
 
 impl<I> VpIndex<I> {
     /// Builds a **durable** partitioned index: like [`VpIndex::build`],
-    /// plus a manifest and WAL streams in `config.wal_dir`. Every
+    /// plus a manifest and the log in `config.wal_dir`. Every
     /// subsequent mutation is logged; [`VpIndex::checkpoint`] (or the
     /// `checkpoint_every_ticks` cadence) bounds the log. Errors if the
     /// directory already holds a manifest — reopen an existing durable
@@ -733,7 +651,6 @@ impl<I> VpIndex<I> {
         )?;
         vp.durability = Some(Durability::open(
             &dir,
-            vp.specs.len(),
             vp.config.sync_policy,
             vp.config.checkpoint_every_ticks,
             vp.config.fault.clone(),
@@ -824,12 +741,10 @@ impl<I> VpIndex<I> {
             }
         }
 
-        // Open the streams and replay the consistent prefix above the
-        // checkpoint. The meta stream is the event order; partition
-        // streams carry the tick payloads keyed by seq.
+        // Open the log and replay its valid prefix above the
+        // checkpoint, every event through its live code path.
         let mut dur = Durability::open(
             &dir,
-            vp.specs.len(),
             vp.config.sync_policy,
             vp.config.checkpoint_every_ticks,
             // The manifest never records an injector (runtime-only);
@@ -838,75 +753,42 @@ impl<I> VpIndex<I> {
             None,
             vp.config.wal_retry,
         )?;
-        let meta_records = dur.meta.replay(ckpt_seq)?;
-        let mut tick_parts: HashMap<u64, Vec<TickPart>> = HashMap::new();
-        for wal in &dur.parts {
-            for rec in wal.replay(ckpt_seq)? {
-                if rec.kind != KIND_TICK_PART {
-                    return Err(IndexError::Wal(format!(
-                        "partition stream holds foreign record kind {}",
-                        rec.kind
-                    )));
-                }
-                tick_parts
-                    .entry(rec.seq)
-                    .or_default()
-                    .push(decode_tick_part(&rec.payload)?);
-            }
-        }
+        let records = dur.log.replay(ckpt_seq)?;
         dur.replaying = true;
         vp.durability = Some(dur);
 
         let mut last_seq = ckpt_seq;
-        let mut events = 0usize;
-        for rec in &meta_records {
+        for rec in &records {
             match rec.kind {
                 KIND_INSERT => vp.insert(decode_object_record(&rec.payload)?)?,
                 KIND_DELETE => vp.delete(decode_delete_record(&rec.payload)?)?,
                 KIND_TAU_REFRESH => {
                     vp.refresh_tau()?;
                 }
-                KIND_TICK_COMMIT => {
-                    let (nparts, _) = decode_tick_commit(&rec.payload)?;
-                    let mut parts = tick_parts.remove(&rec.seq).unwrap_or_default();
-                    if parts.len() != nparts {
-                        // The commit survived but a partition record
-                        // did not (possible only without fsync):
-                        // everything from here is inconsistent — stop
-                        // at the prefix.
-                        break;
-                    }
-                    parts.sort_unstable_by_key(|(p, _, _)| *p);
-                    vp.replay_tick(&parts)?;
-                }
+                KIND_TICK => vp.apply_updates(&decode_tick(&rec.payload)?)?,
                 k => {
                     return Err(IndexError::Wal(format!(
-                        "meta stream holds unknown record kind {k}"
+                        "log holds unknown record kind {k}"
                     )))
                 }
             }
             last_seq = rec.seq;
-            events += 1;
         }
 
         let d = vp.durability.as_mut().expect("just installed");
         d.replaying = false;
-        // Amputate the dead suffix: anything past the consistent
-        // prefix (tick batches whose commit never became durable,
-        // single records after a torn commit) is physically removed.
-        // Otherwise those records would sit ahead of everything logged
+        // Amputate the dead suffix: replay stops at the first torn or
+        // corrupt record, and anything behind it is physically
+        // removed. Otherwise it would sit ahead of everything logged
         // from now on, and the *next* recovery would stop at the same
-        // inconsistency — silently dropping events committed after
-        // this recovery succeeded.
-        d.meta.truncate_after(last_seq)?;
-        for wal in &mut d.parts {
-            wal.truncate_after(last_seq)?;
-        }
+        // spot — silently dropping events committed after this
+        // recovery succeeded.
+        d.log.truncate_after(last_seq)?;
         d.next_seq = last_seq + 1;
         let report = RecoveryReport {
             checkpoint_seq: ckpt_seq,
             last_seq,
-            events_replayed: events,
+            events_replayed: records.len(),
         };
         Ok((vp, report))
     }
@@ -956,16 +838,12 @@ impl<I> VpIndex<I> {
         // Only after the snapshot is durably published may the log
         // and older snapshots shrink.
         prune_checkpoints_below(&d.dir, seq)?;
-        // The checkpoint snapshot subsumes every meta record at or
-        // below `seq` — including single-op inserts/deletes, which are
-        // small and may never push the active segment over its roll
-        // threshold. Seal it so that dead prefix becomes a
-        // truncatable segment instead of riding along forever.
-        d.meta.seal_active()?;
-        d.meta.truncate_below(seq + 1)?;
-        for wal in &mut d.parts {
-            wal.truncate_below(seq + 1)?;
-        }
+        // The checkpoint snapshot subsumes every record at or below
+        // `seq`, which may never push the active segment over its roll
+        // threshold. Seal it so that dead prefix becomes a truncatable
+        // segment instead of riding along forever.
+        d.log.seal_active()?;
+        d.log.truncate_below(seq + 1)?;
         d.ticks_since_ckpt = 0;
         // A checkpoint leaves nothing unsynced behind it: the next
         // EveryTicks window starts fresh.
@@ -973,73 +851,66 @@ impl<I> VpIndex<I> {
         Ok(seq)
     }
 
-    /// Attaches a fault injector to every durability stream and the
-    /// checkpoint-publish path (sites `wal:meta`, `wal:part-<p>`,
-    /// `ckpt`). The injector in [`VpConfig::fault`] is wired
-    /// automatically at [`VpIndex::open`]; this setter exists for
-    /// indexes that came back through [`VpIndex::recover`], whose
-    /// manifest deliberately does not persist the handle.
+    /// Attaches a fault injector to the log and the checkpoint-publish
+    /// path (sites `wal:meta`, `ckpt`, `ckpt:dir`). The injector in
+    /// [`VpConfig::fault`] is wired automatically at
+    /// [`VpIndex::open`]; this setter exists for indexes that came back
+    /// through [`VpIndex::recover`], whose manifest deliberately does
+    /// not persist the handle.
     pub fn set_fault_injector(&mut self, handle: FaultHandle) {
         self.config.fault = Some(handle.clone());
         if let Some(d) = &mut self.durability {
-            d.meta.set_fault_injector(handle.0.clone(), "wal:meta");
-            for (p, wal) in d.parts.iter_mut().enumerate() {
-                wal.set_fault_injector(handle.0.clone(), format!("wal:part-{p}"));
-            }
+            d.log.set_fault_injector(handle.0.clone(), "wal:meta");
             d.fault = Some(handle);
         }
     }
 
-    /// Changes the transient-error retry policy on every durability
-    /// stream (see [`VpConfig::wal_retry`]).
+    /// Changes the log's transient-error retry policy (see
+    /// [`VpConfig::wal_retry`]).
     pub fn set_wal_retry(&mut self, policy: RetryPolicy) {
         self.config.wal_retry = policy;
         if let Some(d) = &mut self.durability {
-            d.meta.set_retry(policy, Arc::new(ThreadSleeper));
-            for wal in &mut d.parts {
-                wal.set_retry(policy, Arc::new(ThreadSleeper));
-            }
+            d.log.set_retry(policy, Arc::new(ThreadSleeper));
         }
     }
 
-    /// Logs a single-record event (insert/delete/τ-refresh) on the
-    /// meta stream. No-op on non-durable indexes and during replay.
+    /// The log while it records events: `None` on non-durable indexes
+    /// and during replay.
+    fn live_log(&mut self) -> Option<&mut Durability> {
+        self.durability.as_mut().filter(|d| !d.replaying)
+    }
+
+    /// Logs a single-record event (insert/delete/τ-refresh).
     pub(crate) fn log_single(&mut self, kind: u8, payload: &[u8]) -> IndexResult<()> {
-        let Some(d) = &mut self.durability else {
-            return Ok(());
-        };
-        if d.replaying {
-            return Ok(());
+        match self.live_log() {
+            Some(d) => d.append(kind, payload, d.policy),
+            None => Ok(()),
         }
-        let seq = d.next_seq;
-        d.next_seq += 1;
-        d.meta.append(seq, kind, payload)?;
-        d.meta.commit(d.policy)?;
-        Ok(())
     }
 
-    /// Applies one replayed tick: the logged per-partition batches,
-    /// fed through the same routing bookkeeping + batched index paths
-    /// the original [`VpIndex::apply_updates`] used.
-    pub(crate) fn replay_tick(&mut self, parts: &[TickPart]) -> IndexResult<()>
-    where
-        I: MovingObjectIndex,
-    {
-        for (p, _, upserts) in parts {
-            if *p >= self.specs.len() {
-                return Err(IndexError::Wal(format!("tick names unknown partition {p}")));
-            }
-            for obj in upserts {
-                self.assignment.insert(obj.id, *p);
-                std::sync::Arc::make_mut(&mut self.objects).insert(obj.id, *obj);
-                self.record_perp_speed(obj.vel);
-            }
-        }
-        for (p, removals, upserts) in parts {
-            let frame = self.specs[*p].frame;
-            let local: Vec<MovingObject> = upserts.iter().map(|o| o.to_frame(&frame)).collect();
-            Self::apply_partition(&mut self.indexes[*p], removals, &local)?;
-        }
-        Ok(())
+    /// Logs a tick every partition has applied, as one record. Returns
+    /// whether the checkpoint cadence came due. The cadence counters
+    /// move only once the record is committed, so a failed tick leaves
+    /// them as they were.
+    pub(crate) fn log_tick(&mut self, updates: &[MovingObject]) -> IndexResult<bool> {
+        let Some(d) = self.live_log() else {
+            return Ok(false);
+        };
+        // Cross-tick group commit: under `EveryTicks(n)` ordinary ticks
+        // only flush, and every n-th tick fsyncs the log — which covers
+        // every record before it.
+        let boundary = match d.policy {
+            SyncPolicy::EveryTicks(n) => d.ticks_since_sync + 1 >= u64::from(n.max(1)),
+            _ => false,
+        };
+        let policy = if boundary {
+            SyncPolicy::Always
+        } else {
+            d.policy
+        };
+        d.append(KIND_TICK, &encode_tick(updates), policy)?;
+        d.ticks_since_sync = if boundary { 0 } else { d.ticks_since_sync + 1 };
+        d.ticks_since_ckpt += 1;
+        Ok(d.checkpoint_every > 0 && d.ticks_since_ckpt >= d.checkpoint_every)
     }
 }

@@ -29,7 +29,6 @@ use std::sync::Arc;
 
 use vp_geom::{Frame, Rect, Vec2};
 use vp_storage::IoStats;
-use vp_wal::{SyncPolicy, Wal};
 
 use crate::analyzer::AnalyzerOutput;
 use crate::config::VpConfig;
@@ -72,20 +71,27 @@ pub enum Health {
 type BatchResults = Vec<Vec<ObjectId>>;
 
 /// One partition's share of a tick handed to a worker: the disjoint
-/// sub-index borrow, the ids migrating away, the upsert batch, and —
-/// for durable indexes — the partition's WAL stream plus the
-/// world-coordinate upserts to log on it.
+/// sub-index borrow, the ids migrating away, and the upsert batch.
 struct PartitionJob<'a, I> {
-    partition: usize,
     index: &'a mut I,
     removals: &'a [ObjectId],
     upserts: &'a [MovingObject],
-    wal: Option<(&'a mut Wal, &'a [MovingObject])>,
 }
 
-impl<I> PartitionJob<'_, I> {
+impl<I: MovingObjectIndex> PartitionJob<'_, I> {
     fn load(&self) -> usize {
         self.removals.len() + self.upserts.len()
+    }
+
+    /// Removals (migrations away) first, then upserts.
+    fn apply(self) -> IndexResult<()> {
+        if !self.removals.is_empty() {
+            self.index.remove_batch(self.removals)?;
+        }
+        if !self.upserts.is_empty() {
+            self.index.update_batch(self.upserts)?;
+        }
+        Ok(())
     }
 }
 
@@ -140,7 +146,7 @@ pub struct VpIndex<I> {
     pub(crate) objects: Arc<HashMap<ObjectId, MovingObject>>,
     /// Online per-DVA histograms of perpendicular speeds (Section 5.5).
     pub(crate) perp_hists: Vec<CumulativeHistogram>,
-    /// WAL streams and checkpoint bookkeeping; `Some` only for indexes
+    /// The log and checkpoint bookkeeping; `Some` only for indexes
     /// constructed through the durable lifecycle
     /// ([`VpIndex::open`] / [`VpIndex::recover`]).
     pub(crate) durability: Option<Durability>,
@@ -362,26 +368,27 @@ impl<I> VpIndex<I> {
                 spec.tau = *tau;
             }
             self.perp_hists = hist_snapshot;
-            return Err(self.handle_log_failure(Ok(()), e));
+            return Err(self.handle_failure(Ok(()), e));
         }
         Ok(taus)
     }
 
     /// Common failure handling once an event's in-memory effect has
     /// been undone (`undo` is the undo's own result): discards the
-    /// dead event's buffered WAL records, demotes to read-only when
-    /// the undo failed or a stream was poisoned by a failed fsync, and
-    /// hands the original error back for returning.
-    fn handle_log_failure(&mut self, undo: IndexResult<()>, e: IndexError) -> IndexError {
-        if let Some(d) = &mut self.durability {
-            d.meta.discard_pending();
-        }
+    /// dead event's buffered log record, demotes to read-only when the
+    /// undo failed or the log was poisoned by a failed fsync, and hands
+    /// the original error back for returning.
+    fn handle_failure(&mut self, undo: IndexResult<()>, e: IndexError) -> IndexError {
+        let poisoned = self.durability.as_mut().and_then(|d| {
+            d.log.discard_pending();
+            d.log.poisoned().map(str::to_owned)
+        });
         if let Err(re) = undo {
             self.enter_read_only(format!(
-                "rollback failed ({re}) after log error ({e}); \
+                "rollback failed ({re}) after error ({e}); \
                  in-memory state may be torn — rebuild via recovery"
             ));
-        } else if let Some(reason) = self.durability.as_ref().and_then(|d| d.poisoned_reason()) {
+        } else if let Some(reason) = poisoned {
             self.enter_read_only(format!("WAL fsync failed (durability unknown): {reason}"));
         }
         e
@@ -418,57 +425,27 @@ impl<I> VpIndex<I> {
     ///
     /// ## Durability
     ///
-    /// On a durable index ([`VpIndex::open`]) the tick is the unit of
-    /// logging: each worker writes its partition's batch (removals +
-    /// world-coordinate upserts) to **that partition's own WAL
-    /// stream** — encoding rides the same threads as application, so
-    /// logging never re-serializes a parallel tick — and the tick is
-    /// sealed afterwards by a commit record on the `meta` stream,
-    /// flushed/fsync'd per [`VpConfig::sync_policy`]. A crash before
-    /// the commit record makes the whole tick invisible to recovery.
+    /// On a durable index ([`VpIndex::open`]) a tick is one log record
+    /// holding `updates` in world coordinates, appended and committed
+    /// (flushed, and fsync'd per [`VpConfig::sync_policy`]) on the
+    /// calling thread after every partition has applied. Recovery
+    /// replays that record through this method.
     ///
     /// ## Error contract (tick atomicity)
     ///
     /// A tick either applies completely or not at all. Any error
-    /// before the tick's commit record is durably written — a WAL
-    /// append/flush failure, a sub-index storage error, the meta-seal
-    /// itself — **rolls the in-memory state back to the pre-tick
-    /// snapshot**: routing metadata, object table, online histograms,
-    /// and every touched sub-index are restored, buffered WAL records
-    /// are discarded, and the call returns a structured error with the
-    /// index still [`Health::Healthy`] and queryable. Two failures are
-    /// unrecoverable and demote the index to [`Health::ReadOnly`]
-    /// instead: a failed fsync (the poisoned stream's durability is
-    /// unknowable) and a failure during the rollback itself (the
-    /// in-memory state can no longer be trusted). Either way the
-    /// durable log never contains the failed tick, so
-    /// [`VpIndex::recover`] restores the exact pre-tick state.
+    /// before its record is committed — a sub-index storage error, a
+    /// log append or flush failure — **rolls the in-memory state back
+    /// to the pre-tick snapshot**: routing metadata, object table,
+    /// online histograms, and every touched sub-index are restored,
+    /// the buffered record is discarded, and the call returns a
+    /// structured error with the index still [`Health::Healthy`] and
+    /// queryable. Two failures are unrecoverable and demote the index
+    /// to [`Health::ReadOnly`] instead: a failed fsync (the poisoned
+    /// log's durability is unknowable) and a failure during the
+    /// rollback itself (the in-memory state can no longer be trusted).
+    /// [`VpIndex::recover`] is the way back from either.
     pub fn apply_updates(&mut self, updates: &[MovingObject]) -> IndexResult<()>
-    where
-        I: MovingObjectIndex + Send,
-    {
-        self.apply_updates_inner(updates)
-    }
-
-    /// [`VpIndex::apply_updates`] plus the tick's change set: on
-    /// success, returns the [`TickDelta`](crate::sub::TickDelta) a
-    /// subscription engine needs to re-evaluate standing queries
-    /// (last write per id wins, winners ascending by id, `time` = the
-    /// batch's newest reference time). On error nothing was applied
-    /// (same atomicity contract as `apply_updates`) and no delta is
-    /// produced.
-    pub fn apply_updates_delta(
-        &mut self,
-        updates: &[MovingObject],
-    ) -> IndexResult<crate::sub::TickDelta>
-    where
-        I: MovingObjectIndex + Send,
-    {
-        self.apply_updates_inner(updates)?;
-        Ok(crate::sub::TickDelta::from_updates(updates))
-    }
-
-    fn apply_updates_inner(&mut self, updates: &[MovingObject]) -> IndexResult<()>
     where
         I: MovingObjectIndex + Send,
     {
@@ -480,26 +457,6 @@ impl<I> VpIndex<I> {
         let mut removals: Vec<Vec<ObjectId>> = vec![Vec::new(); parts];
         let mut upserts: Vec<Vec<MovingObject>> = vec![Vec::new(); parts];
 
-        // Durable mode: reserve the tick's global event seq up front
-        // and keep the world-coordinate upserts per partition — the
-        // log records routing *decisions*, not frame-space data.
-        // The seq stays burned if the tick fails (a partition stream
-        // may already hold a flushed record under it; gaps are fine,
-        // reuse is not).
-        let log_seq = match &mut self.durability {
-            Some(d) if !d.replaying => {
-                let s = d.next_seq;
-                d.next_seq += 1;
-                Some(s)
-            }
-            _ => None,
-        };
-        let mut world: Vec<Vec<MovingObject>> = if log_seq.is_some() {
-            vec![Vec::new(); parts]
-        } else {
-            Vec::new()
-        };
-
         // Last write wins within one tick.
         let mut latest: HashMap<ObjectId, usize> = HashMap::with_capacity(updates.len());
         for (i, obj) in updates.iter().enumerate() {
@@ -508,13 +465,9 @@ impl<I> VpIndex<I> {
 
         // Pre-tick snapshot backing the rollback contract above: each
         // winning id's previous world object + partition (None = not
-        // present), the online histograms, and the durability cadence
-        // counters. Cost is proportional to the tick, not the index.
+        // present) and the online histograms. Cost is proportional to
+        // the tick, not the index.
         let hist_snapshot = self.perp_hists.clone();
-        let cadence_snapshot = self
-            .durability
-            .as_ref()
-            .map(|d| (d.ticks_since_ckpt, d.ticks_since_sync));
         let mut prior: HashMap<ObjectId, Option<(MovingObject, PartitionId)>> =
             HashMap::with_capacity(latest.len());
 
@@ -534,22 +487,22 @@ impl<I> VpIndex<I> {
                 _ => {}
             }
             upserts[p].push(obj.to_frame(&self.specs[p].frame));
-            if log_seq.is_some() {
-                world[p].push(*obj);
-            }
             self.assignment.insert(obj.id, p);
             Arc::make_mut(&mut self.objects).insert(obj.id, *obj);
             self.record_perp_speed(obj.vel);
         }
 
-        match self.run_tick(&removals, &upserts, &world, latest.len(), log_seq) {
+        match self
+            .apply_partitions(&removals, &upserts)
+            .and_then(|()| self.log_tick(updates))
+        {
             Ok(want_ckpt) => {
                 // The tick is committed: publish the sub-indexes' new
                 // state as the next snapshot epoch. Ordering matters —
-                // the WAL TICK_COMMIT record is already durable (sealed
-                // inside run_tick), so a snapshot taken from here on
-                // only ever observes logged state; the epoch publish is
-                // the snapshot-visible commit point.
+                // the tick's log record is already committed, so a
+                // snapshot taken from here on only ever observes logged
+                // state; the epoch publish is the snapshot-visible
+                // commit point.
                 for i in &self.indexes {
                     i.publish_epoch();
                 }
@@ -563,175 +516,94 @@ impl<I> VpIndex<I> {
                 Ok(())
             }
             Err(e) => {
-                if let Some(d) = &mut self.durability {
-                    d.discard_all_pending();
-                    if let Some((ckpt, sync)) = cadence_snapshot {
-                        d.ticks_since_ckpt = ckpt;
-                        d.ticks_since_sync = sync;
-                    }
-                }
                 let rollback = self.rollback_tick(&prior, hist_snapshot, &removals, &upserts);
-                let poisoned = self.durability.as_ref().and_then(|d| d.poisoned_reason());
-                if let Err(re) = rollback {
-                    self.enter_read_only(format!(
-                        "tick rollback failed ({re}) after tick error ({e}); \
-                         in-memory state may be torn — rebuild via recovery"
-                    ));
-                } else if let Some(reason) = poisoned {
-                    self.enter_read_only(format!(
-                        "WAL fsync failed (durability unknown): {reason}"
-                    ));
-                }
-                Err(e)
+                Err(self.handle_failure(rollback, e))
             }
         }
     }
 
-    /// The fallible middle of a tick: log + apply every partition's
-    /// batch (parallel per [`VpConfig::tick_workers`]), then seal the
-    /// tick with the meta commit record. Returns whether the
-    /// checkpoint cadence came due. The caller owns the rollback on
-    /// error — this method only computes.
-    fn run_tick(
+    /// [`VpIndex::apply_updates`] plus the tick's change set: on
+    /// success, returns the [`TickDelta`](crate::sub::TickDelta) a
+    /// subscription engine needs to re-evaluate standing queries
+    /// (last write per id wins, winners ascending by id, `time` = the
+    /// batch's newest reference time). On error nothing was applied
+    /// (same atomicity contract as `apply_updates`) and no delta is
+    /// produced.
+    pub fn apply_updates_delta(
         &mut self,
-        removals: &[Vec<ObjectId>],
-        upserts: &[Vec<MovingObject>],
-        world: &[Vec<MovingObject>],
-        winners: usize,
-        log_seq: Option<u64>,
-    ) -> IndexResult<bool>
+        updates: &[MovingObject],
+    ) -> IndexResult<crate::sub::TickDelta>
     where
         I: MovingObjectIndex + Send,
     {
-        let parts = self.specs.len();
-        // Pair every touched sub-index with its batches (and, when
-        // logging, its WAL stream). The zips hand out one disjoint
-        // `&mut I` / `&mut Wal` per partition, which is what lets the
-        // workers below run without any locking.
-        //
-        // Cross-tick group commit: under `SyncPolicy::EveryTicks(n)`
-        // ordinary ticks commit with a flush only, and every n-th
-        // tick escalates to a full fsync boundary — the effective
-        // policy below is what the workers and the meta seal use.
-        let policy = self.durability.as_ref().map(|d| d.policy);
-        let policy = match policy {
-            Some(SyncPolicy::EveryTicks(n)) => {
-                let d = self.durability.as_ref().expect("policy implies durability");
-                if log_seq.is_some() && d.ticks_since_sync + 1 >= u64::from(n.max(1)) {
-                    Some(SyncPolicy::Always)
-                } else {
-                    Some(SyncPolicy::Never)
-                }
-            }
-            p => p,
-        };
-        let mut wal_streams: Vec<Option<&mut Wal>> = match &mut self.durability {
-            Some(d) if log_seq.is_some() => d.parts.iter_mut().map(Some).collect(),
-            _ => (0..parts).map(|_| None).collect(),
-        };
-        let mut touched: Vec<usize> = Vec::new();
-        let mut jobs: Vec<PartitionJob<'_, I>> = Vec::new();
-        for (p, (index, (r, u))) in self
+        self.apply_updates(updates)?;
+        Ok(crate::sub::TickDelta::from_updates(updates))
+    }
+
+    /// Applies every partition's batch, parallel per
+    /// [`VpConfig::tick_workers`]. The caller owns the rollback on
+    /// error — this method only computes.
+    fn apply_partitions(
+        &mut self,
+        removals: &[Vec<ObjectId>],
+        upserts: &[Vec<MovingObject>],
+    ) -> IndexResult<()>
+    where
+        I: MovingObjectIndex + Send,
+    {
+        // Pair every touched sub-index with its batches. The zip hands
+        // out one disjoint `&mut I` per partition, which is what lets
+        // the workers below run without any locking.
+        let mut jobs: Vec<PartitionJob<'_, I>> = self
             .indexes
             .iter_mut()
             .zip(removals.iter().zip(upserts.iter()))
-            .enumerate()
-        {
-            if r.is_empty() && u.is_empty() {
-                continue;
-            }
-            touched.push(p);
-            jobs.push(PartitionJob {
-                partition: p,
+            .filter(|(_, (r, u))| !r.is_empty() || !u.is_empty())
+            .map(|(index, (removals, upserts))| PartitionJob {
                 index,
-                removals: r,
-                upserts: u,
-                wal: wal_streams[p].take().map(|w| (w, world[p].as_slice())),
-            });
-        }
+                removals,
+                upserts,
+            })
+            .collect();
 
         let workers = self.config.tick_workers.min(jobs.len()).max(1);
         if workers == 1 {
             for job in jobs {
-                Self::run_job(job, log_seq, policy)?;
+                job.apply()?;
             }
-        } else {
-            // Longest-processing-time grouping: biggest batches first,
-            // each onto the currently lightest worker. Grouping only
-            // affects the schedule, never the outcome — each
-            // partition's index *and* WAL stream travel together.
-            jobs.sort_by_key(|j| std::cmp::Reverse(j.load()));
-            let mut groups: Vec<Vec<PartitionJob<'_, I>>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            let mut loads = vec![0usize; workers];
-            for job in jobs {
-                let lightest = (0..workers)
-                    .min_by_key(|&g| loads[g])
-                    .expect("workers >= 1");
-                loads[lightest] += job.load();
-                groups[lightest].push(job);
-            }
-            let results: Vec<IndexResult<()>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .into_iter()
-                    .map(|group| {
-                        scope.spawn(move || {
-                            for job in group {
-                                Self::run_job(job, log_seq, policy)?;
-                            }
-                            Ok(())
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("partition worker panicked"))
-                    .collect()
-            });
-            results.into_iter().collect::<IndexResult<()>>()?;
+            return Ok(());
         }
-
-        // Seal the tick: every partition stream was flushed (and,
-        // under `SyncPolicy::Always`, fsync'd) by its own worker
-        // before the scope joined, so the data is durable *before*
-        // the commit record below is written — recovery trusts a
-        // commit only because of this ordering. Running the data-side
-        // fsyncs on the workers keeps the commit path from paying N
-        // serial fsyncs on the caller thread.
-        let mut want_ckpt = false;
-        if let Some(seq) = log_seq {
-            let effective = policy.expect("log_seq implies a policy");
-            let d = self
-                .durability
-                .as_mut()
-                .expect("log_seq implies durability");
-            if matches!(d.policy, SyncPolicy::EveryTicks(_)) {
-                if effective == SyncPolicy::Always {
-                    // Sync boundary: partitions this tick touched
-                    // were fsync'd by their workers; the rest may
-                    // still hold unsynced records from earlier
-                    // ticks, and the commit record below must not
-                    // become durable before they are.
-                    for (p, wal) in d.parts.iter_mut().enumerate() {
-                        if !touched.contains(&p) {
-                            wal.sync()?;
+        // Longest-processing-time grouping: biggest batches first, each
+        // onto the currently lightest worker. Grouping only affects the
+        // schedule, never the outcome.
+        jobs.sort_by_key(|j| std::cmp::Reverse(j.load()));
+        let mut groups: Vec<Vec<PartitionJob<'_, I>>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut loads = vec![0usize; workers];
+        for job in jobs {
+            let lightest = (0..workers)
+                .min_by_key(|&g| loads[g])
+                .expect("workers >= 1");
+            loads[lightest] += job.load();
+            groups[lightest].push(job);
+        }
+        let results: Vec<IndexResult<()>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = groups
+                .into_iter()
+                .map(|group| {
+                    scope.spawn(move || {
+                        for job in group {
+                            job.apply()?;
                         }
-                    }
-                    d.ticks_since_sync = 0;
-                } else {
-                    d.ticks_since_sync += 1;
-                }
-            }
-            d.meta.append(
-                seq,
-                durable::KIND_TICK_COMMIT,
-                &durable::encode_tick_commit(touched.len(), winners),
-            )?;
-            d.meta.commit(effective)?;
-            d.ticks_since_ckpt += 1;
-            want_ckpt = d.checkpoint_every > 0 && d.ticks_since_ckpt >= d.checkpoint_every;
-        }
-        Ok(want_ckpt)
+                        Ok(())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("partition worker panicked"))
+                .collect()
+        });
+        results.into_iter().collect()
     }
 
     /// Restores the pre-tick state captured by
@@ -789,50 +661,6 @@ impl<I> VpIndex<I> {
             }
         }
         self.perp_hists = hist_snapshot;
-        Ok(())
-    }
-
-    /// One worker's handling of one partition: log *and commit* the
-    /// batch on the partition's stream (durable mode), then apply it.
-    /// Committing here — on the worker, concurrently across
-    /// partitions — is what keeps an fsync-per-partition policy from
-    /// serializing on the coordinator.
-    fn run_job(
-        job: PartitionJob<'_, I>,
-        seq: Option<u64>,
-        policy: Option<SyncPolicy>,
-    ) -> IndexResult<()>
-    where
-        I: MovingObjectIndex,
-    {
-        if let Some((wal, world)) = job.wal {
-            let payload = durable::encode_tick_part(job.partition, job.removals, world);
-            wal.append(
-                seq.expect("a WAL stream implies a reserved seq"),
-                durable::KIND_TICK_PART,
-                &payload,
-            )?;
-            wal.commit(policy.expect("a WAL stream implies a policy"))?;
-        }
-        Self::apply_partition(job.index, job.removals, job.upserts)
-    }
-
-    /// Applies one partition's share of a tick: removals (migrations
-    /// away) first, then upserts.
-    pub(crate) fn apply_partition(
-        index: &mut I,
-        removals: &[ObjectId],
-        upserts: &[MovingObject],
-    ) -> IndexResult<()>
-    where
-        I: MovingObjectIndex,
-    {
-        if !removals.is_empty() {
-            index.remove_batch(removals)?;
-        }
-        if !upserts.is_empty() {
-            index.update_batch(upserts)?;
-        }
         Ok(())
     }
 
@@ -972,7 +800,7 @@ impl<I: MovingObjectIndex + Send + Sync> MovingObjectIndex for VpIndex<I> {
             if let Some((i, d)) = sample {
                 self.perp_hists[i].remove(d);
             }
-            return Err(self.handle_log_failure(undo, e));
+            return Err(self.handle_failure(undo, e));
         }
         Ok(())
     }
@@ -999,7 +827,7 @@ impl<I: MovingObjectIndex + Send + Sync> MovingObjectIndex for VpIndex<I> {
                 }
                 None => Ok(()),
             };
-            return Err(self.handle_log_failure(undo, e));
+            return Err(self.handle_failure(undo, e));
         }
         Ok(())
     }

@@ -156,8 +156,8 @@ pub trait MovingObjectIndex {
     /// snapshot epoch: everything written so far becomes visible to
     /// snapshots taken from now on, and pre-images pinned only by
     /// departed readers become reclaimable. Called by the VP manager
-    /// at each tick commit point (after the WAL `TICK_COMMIT` record
-    /// is durable). The default is a no-op for indexes without
+    /// at each tick commit point (after the tick's log record is
+    /// committed). The default is a no-op for indexes without
     /// versioned storage.
     fn publish_epoch(&self) {}
 }

@@ -19,9 +19,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::disk::DiskManager;
 use crate::fault::FaultInjector;
@@ -134,6 +132,15 @@ struct ShardInner {
 struct Shard {
     inner: Mutex<ShardInner>,
     stats: AtomicIoStats,
+}
+
+impl Shard {
+    /// Locks the frames. A page-accessor closure that panics unwinds
+    /// through this guard after [`with_pinned`] has cleared its pin, so
+    /// the shard stays consistent and the poison flag is ignored.
+    fn lock(&self) -> MutexGuard<'_, ShardInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A page cache in front of a [`DiskManager`], sharded for concurrency.
@@ -264,7 +271,7 @@ impl BufferPool {
     /// Attaches a fault injector to the underlying disk under `site`
     /// (see [`crate::fault`]).
     pub fn set_fault_injector(&self, inj: Arc<FaultInjector>, site: impl Into<String>) {
-        self.disk.lock().set_fault_injector(inj, site);
+        self.disk.lock().unwrap().set_fault_injector(inj, site);
     }
 
     /// The page size of the underlying disk.
@@ -317,7 +324,7 @@ impl BufferPool {
     pub fn pinned_frames(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.inner.lock().frames.iter().filter(|f| f.pinned).count())
+            .map(|s| s.lock().frames.iter().filter(|f| f.pinned).count())
             .sum()
     }
 
@@ -375,7 +382,7 @@ impl BufferPool {
         // so a concurrent snapshot registration either lands before
         // (and pins its epoch's versions against this prune) or after
         // (and observes the new epoch) — never in between.
-        let readers = self.readers.lock();
+        let readers = self.readers.lock().unwrap();
         let now = self.committed.fetch_add(1, Ordering::SeqCst) + 1;
         self.prune_overlays(&readers, now);
         now
@@ -388,12 +395,12 @@ impl BufferPool {
     ///
     /// [`commit_epoch`]: BufferPool::commit_epoch
     pub(crate) fn register_reader(&self) -> (u64, HashMap<PageId, Arc<Vec<u8>>>) {
-        let mut readers = self.readers.lock();
+        let mut readers = self.readers.lock().unwrap();
         let epoch = self.committed.load(Ordering::SeqCst);
         *readers.entry(epoch).or_insert(0) += 1;
         let mut captured = HashMap::new();
         for shard in self.shards.iter() {
-            let g = shard.inner.lock();
+            let g = shard.lock();
             for (&pid, &idx) in &g.map {
                 if g.frames[idx].epoch <= epoch {
                     captured.insert(pid, Arc::clone(&g.frames[idx].data));
@@ -406,7 +413,7 @@ impl BufferPool {
     /// Drops one reader registration at `epoch` and reclaims overlay
     /// versions that became unobservable.
     pub(crate) fn release_reader(&self, epoch: u64) {
-        let mut readers = self.readers.lock();
+        let mut readers = self.readers.lock().unwrap();
         match readers.get_mut(&epoch) {
             Some(n) if *n > 1 => *n -= 1,
             _ => {
@@ -435,7 +442,7 @@ impl BufferPool {
         tally: &AtomicIoStats,
     ) -> StorageResult<Arc<Vec<u8>>> {
         let shard = self.shard_for(pid);
-        let g = shard.inner.lock();
+        let g = shard.lock();
         // Newest overlay version at or below the epoch (later entries
         // of a tag tie are newer).
         let best = g
@@ -464,7 +471,7 @@ impl BufferPool {
                     return Ok(Arc::clone(&g.frames[idx].data));
                 }
                 let mut buf = vec![0u8; self.page_size];
-                self.disk.lock().read(pid, &mut buf)?;
+                self.disk.lock().unwrap().read(pid, &mut buf)?;
                 tally.bump_physical_reads();
                 return Ok(Arc::new(buf));
             }
@@ -486,7 +493,7 @@ impl BufferPool {
             .unwrap_or(u64::MAX)
             .min(committed);
         for shard in self.shards.iter() {
-            shard.inner.lock().prune_overlay(floor);
+            shard.lock().prune_overlay(floor);
         }
     }
 
@@ -495,7 +502,7 @@ impl BufferPool {
     pub fn overlay_versions(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.inner.lock().overlay.values().map(Vec::len).sum::<usize>())
+            .map(|s| s.lock().overlay.values().map(Vec::len).sum::<usize>())
             .sum()
     }
 
@@ -503,9 +510,9 @@ impl BufferPool {
     /// The new page is dirty (it must eventually reach the disk).
     pub fn new_page(&self) -> StorageResult<PageId> {
         let ver = self.version_ctx();
-        let pid = self.disk.lock().allocate()?;
+        let pid = self.disk.lock().unwrap().allocate()?;
         let shard = self.shard_for(pid);
-        let mut g = shard.inner.lock();
+        let mut g = shard.lock();
         let idx = match g.acquire_frame(
             &self.disk,
             &shard.stats,
@@ -517,7 +524,7 @@ impl BufferPool {
             Ok(idx) => idx,
             Err(e) => {
                 // Don't leak the just-allocated disk page.
-                let _ = self.disk.lock().deallocate(pid);
+                let _ = self.disk.lock().unwrap().deallocate(pid);
                 return Err(e);
             }
         };
@@ -541,7 +548,7 @@ impl BufferPool {
     pub fn free_page(&self, pid: PageId) -> StorageResult<()> {
         let ver = self.version_ctx();
         let shard = self.shard_for(pid);
-        let mut g = shard.inner.lock();
+        let mut g = shard.lock();
         if let Some(cur) = ver {
             // Snapshots below the current epoch must keep seeing the
             // page: freeze its committed pre-image (from the frame, or
@@ -562,7 +569,7 @@ impl BufferPool {
                         let mut buf = vec![0u8; self.page_size];
                         // An unreadable page has no pre-image to keep
                         // (the deallocate below reports the bug).
-                        if self.disk.lock().read(pid, &mut buf).is_ok() {
+                        if self.disk.lock().unwrap().read(pid, &mut buf).is_ok() {
                             g.overlay.entry(pid).or_default().push(PageVersion::Data {
                                 tag,
                                 data: Arc::new(buf),
@@ -585,14 +592,14 @@ impl BufferPool {
             g.frames[idx].pid = PageId::INVALID;
             g.frames[idx].dirty = false;
         }
-        self.disk.lock().deallocate(pid)
+        self.disk.lock().unwrap().deallocate(pid)
     }
 
     /// Runs `f` with read access to the page contents.
     pub fn with_page<R>(&self, pid: PageId, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
         let ver = self.version_ctx();
         let shard = self.shard_for(pid);
-        let mut g = shard.inner.lock();
+        let mut g = shard.lock();
         let idx = g.fetch(
             &self.disk,
             &shard.stats,
@@ -613,7 +620,7 @@ impl BufferPool {
     ) -> StorageResult<R> {
         let ver = self.version_ctx();
         let shard = self.shard_for(pid);
-        let mut g = shard.inner.lock();
+        let mut g = shard.lock();
         let idx = g.fetch(
             &self.disk,
             &shard.stats,
@@ -645,7 +652,7 @@ impl BufferPool {
     ) -> StorageResult<R> {
         let ver = self.version_ctx();
         let shard = self.shard_for(pid);
-        let mut g = shard.inner.lock();
+        let mut g = shard.lock();
         let idx = g.fetch(
             &self.disk,
             &shard.stats,
@@ -682,7 +689,6 @@ impl BufferPool {
         let ver = self.version_ctx();
         for shard in self.shards.iter() {
             shard
-                .inner
                 .lock()
                 .flush(&self.disk, &shard.stats, self.retry, &*self.sleeper, ver)?;
         }
@@ -696,7 +702,7 @@ impl BufferPool {
     /// self-consistent snapshot that a crashed process can reopen.
     pub fn checkpoint(&self) -> StorageResult<()> {
         self.flush_all()?;
-        self.disk.lock().sync()
+        self.disk.lock().unwrap().sync()
     }
 
     /// Drops every cached page (flushing dirty ones), so the next access
@@ -707,7 +713,7 @@ impl BufferPool {
     pub fn clear_cache(&self) -> StorageResult<()> {
         let ver = self.version_ctx();
         for shard in self.shards.iter() {
-            let mut g = shard.inner.lock();
+            let mut g = shard.lock();
             g.flush(&self.disk, &shard.stats, self.retry, &*self.sleeper, ver)?;
             g.map.clear();
             g.frames.clear();
@@ -717,7 +723,7 @@ impl BufferPool {
 
     /// Number of live pages on the underlying disk.
     pub fn live_pages(&self) -> usize {
-        self.disk.lock().live_pages()
+        self.disk.lock().unwrap().live_pages()
     }
 }
 
@@ -791,7 +797,7 @@ impl ShardInner {
                 // failure the frame stays cached *and dirty*, so no
                 // update is lost and a later flush can still succeed.
                 let data = Arc::clone(&self.frames[idx].data);
-                with_retry(retry, sleeper, || disk.lock().write(pid, &data))?;
+                with_retry(retry, sleeper, || disk.lock().unwrap().write(pid, &data))?;
                 self.frames[idx].dirty = false;
                 if ver.is_some() {
                     // The disk now holds this frame's version.
@@ -830,7 +836,7 @@ impl ShardInner {
             self.frames[idx].data = Arc::new(vec![0u8; self.page_size]);
         }
         let buf = Arc::get_mut(&mut self.frames[idx].data).expect("frame buffer is unshared");
-        let res = disk.lock().read(pid, buf.as_mut_slice());
+        let res = disk.lock().unwrap().read(pid, buf.as_mut_slice());
         if let Err(e) = res {
             // The frame was already registered for `pid`; un-register
             // it, or the next access would hit garbage data. (The
@@ -901,7 +907,9 @@ impl ShardInner {
             if self.frames[idx].dirty {
                 let old_pid = self.frames[idx].pid;
                 let data = Arc::clone(&self.frames[idx].data);
-                let res = with_retry(retry, sleeper, || disk.lock().write(old_pid, &data));
+                let res = with_retry(retry, sleeper, || {
+                    disk.lock().unwrap().write(old_pid, &data)
+                });
                 match res {
                     Ok(()) => {
                         if ver.is_some() {

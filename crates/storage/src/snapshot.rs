@@ -11,9 +11,7 @@
 //! epoch so the pool can reclaim the overlay versions it pinned.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::buffer::BufferPool;
 use crate::stats::{AtomicIoStats, IoStats};
@@ -76,12 +74,12 @@ impl PageSnapshot {
         if let Some(data) = self.captured.get(&pid) {
             return Ok(f(data));
         }
-        let memoized = self.extra.lock().get(&pid).cloned();
+        let memoized = self.extra.lock().unwrap().get(&pid).cloned();
         let data = match memoized {
             Some(data) => data,
             None => {
                 let data = self.pool.snapshot_read(pid, self.epoch, &self.stats)?;
-                self.extra.lock().insert(pid, Arc::clone(&data));
+                self.extra.lock().unwrap().insert(pid, Arc::clone(&data));
                 data
             }
         };

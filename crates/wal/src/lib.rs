@@ -48,11 +48,10 @@
 //!
 //! ## Sequence numbers
 //!
-//! Callers assign strictly increasing `seq` numbers. The VP manager
-//! runs one stream per partition plus a metadata stream and stamps
-//! every logged *event* with one global seq, so a multi-stream log
-//! merges back into a total order on replay. Segments are named by the
-//! first seq they hold, which makes checkpoint truncation
+//! Callers assign strictly increasing `seq` numbers; the VP manager
+//! stamps every logged event on its one stream with the next one.
+//! Segments are named by the first seq they hold, which makes
+//! checkpoint truncation
 //! ([`Wal::truncate_below`]) a pure directory operation: drop every
 //! segment whose successor starts at or below the checkpoint.
 //!

@@ -429,10 +429,9 @@ impl Wal {
     /// already on it become reclaimable by [`Wal::truncate_below`].
     ///
     /// `truncate_below` only deletes whole *non-active* segments; a
-    /// stream dominated by small records (the meta stream's single-op
-    /// inserts/deletes and tick-commit markers) may never reach the
-    /// roll threshold, leaving every dead record below a checkpoint
-    /// pinned on the active segment forever. The checkpoint path calls
+    /// stream dominated by small records (single-op inserts/deletes)
+    /// may never reach the roll threshold, leaving every dead record
+    /// below a checkpoint pinned on the active segment forever. The checkpoint path calls
     /// this before truncating so the dead prefix lives in a sealed
     /// segment that truncation can drop.
     ///
@@ -461,9 +460,8 @@ impl Wal {
     }
 
     /// Physically discards every record with `seq > cutoff` — the
-    /// recovery path's amputation of a dead log suffix (records beyond
-    /// the consistent prefix, e.g. tick batches whose commit marker
-    /// never became durable). Without this, later appends would sit
+    /// recovery path's amputation of a dead log suffix (records behind
+    /// the first torn or corrupt one). Without this, later appends would sit
     /// *behind* the dead records in seq order and a future replay
     /// would stop at the same inconsistency forever, silently dropping
     /// them. Must be called with no pending appends (recovery calls it

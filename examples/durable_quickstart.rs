@@ -91,9 +91,8 @@ fn main() {
         .collect();
 
     // 2. Open the durable index and run ticks. Every tick is one WAL
-    //    event: per-partition batch records + a commit marker; every
-    //    4th tick auto-checkpoints (object-table snapshot + log
-    //    truncation).
+    //    record holding its updates; every 4th tick auto-checkpoints
+    //    (object-table snapshot + log truncation).
     let before;
     {
         let mut index =

@@ -69,17 +69,17 @@
 //! toward production scale, and production indexes survive crashes.
 //! A [`VpIndex`] constructed through the durable lifecycle —
 //! [`VpIndex::open`] with `VpConfig::wal_dir` set — write-ahead logs
-//! every mutation through the [`vp_wal`] crate: each tick batch is
-//! logged as per-partition records on **per-partition WAL streams**
-//! (written from the same worker threads that apply the batches, so
-//! logging scales with `tick_workers`), sealed by a commit record,
-//! and fsync'd per `VpConfig::sync_policy`. Sub-index pages can live
-//! in real page files ([`DiskManager::create_file`]), and
+//! every mutation through the [`vp_wal`] crate on **one log stream**:
+//! each tick is one record holding its updates, committed once every
+//! partition has applied and fsync'd per `VpConfig::sync_policy`;
+//! recovery replays it through `apply_updates` itself. Sub-index
+//! pages can live in real page files ([`DiskManager::create_file`]),
+//! and
 //! [`VpIndex::checkpoint`] — manual or every
 //! `VpConfig::checkpoint_every_ticks` ticks — flushes dirty
 //! buffer-pool shards, snapshots the object table atomically, and
 //! truncates the log. After a crash, [`VpIndex::recover`] rebuilds
-//! from manifest + latest checkpoint + the log's longest consistent
+//! from manifest + latest checkpoint + the log's longest valid
 //! prefix, reproducing the pre-crash query results exactly (property
 //! tested against random crash points in `tests/recovery.rs`).
 //!
@@ -123,7 +123,7 @@
 //! backoff ([`RetryPolicy`]); a tick that still fails **rolls back**
 //! to the pre-tick snapshot and returns a structured error with the
 //! index unchanged and queryable; a failed fsync poisons the WAL
-//! stream (its durability is unknowable — it is never retried) and
+//! (its durability is unknowable — it is never retried) and
 //! demotes the index to an explicit read-only mode
 //! ([`vp_core::Health`]); and [`VpIndex::recover`] is the way back
 //! from there. The whole ladder is exercised by a scriptable fault

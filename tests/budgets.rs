@@ -2,9 +2,10 @@
 //!
 //! Wall-clock drifts on a shared host; `io_stats().logical_reads`
 //! repeats bit for bit per seed, and so do the server's window
-//! counters. Each page budget here is a named constant whose doc
-//! comment records the values measured when it was set; the batch
-//! former's budgets are counts of windows from [`StatsReply`].
+//! counters and the fault injector's per-site operation counts. Each
+//! budget here is a named constant whose doc comment records the
+//! values measured when it was set; the batch former's budgets are
+//! counts of windows from [`StatsReply`].
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, Barrier};
@@ -12,6 +13,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use velocity_partitioning::prelude::*;
+use velocity_partitioning::vp_core::AnalyzerOutput;
 use velocity_partitioning::vp_workload::scenarios::generate;
 use vp_server::protocol::StatsReply;
 use vp_server::{spawn, ServerConfig, ServerHandle, VpClient};
@@ -44,24 +46,36 @@ fn hotspot_trace() -> ScenarioTrace {
     )
 }
 
+fn vp_config(trace: &ScenarioTrace) -> VpConfig {
+    VpConfig {
+        k: 4,
+        domain: trace.domain,
+        ..VpConfig::default()
+    }
+}
+
+fn analyze(trace: &ScenarioTrace, cfg: &VpConfig) -> AnalyzerOutput {
+    let sample: Vec<Point> = trace.ticks[0]
+        .iter()
+        .take(cfg.sample_size)
+        .map(|o| o.vel)
+        .collect();
+    VelocityAnalyzer::new(cfg.clone()).analyze(&sample)
+}
+
+fn pool() -> Arc<BufferPool> {
+    Arc::new(BufferPool::with_capacity(DiskManager::new(), 4096))
+}
+
 /// A VP index over the trace's first tick; `sub_index` makes one
 /// partition's index on the shared pool.
 fn build<I: MovingObjectIndex + Send>(
     trace: &ScenarioTrace,
     sub_index: impl Fn(&PartitionSpec, Arc<BufferPool>) -> I,
 ) -> VpIndex<I> {
-    let cfg = VpConfig {
-        k: 4,
-        domain: trace.domain,
-        ..VpConfig::default()
-    };
-    let sample: Vec<Point> = trace.ticks[0]
-        .iter()
-        .take(cfg.sample_size)
-        .map(|o| o.vel)
-        .collect();
-    let analysis = VelocityAnalyzer::new(cfg.clone()).analyze(&sample);
-    let pool = Arc::new(BufferPool::with_capacity(DiskManager::new(), 4096));
+    let cfg = vp_config(trace);
+    let analysis = analyze(trace, &cfg);
+    let pool = pool();
     let mut vp = VpIndex::build(cfg, &analysis, |spec| sub_index(spec, Arc::clone(&pool)))
         .expect("vp index");
     vp.apply_updates(&trace.ticks[0]).expect("initial load");
@@ -214,6 +228,71 @@ fn incremental_on_tick_reads_fewer_pages_than_full_reevaluation_bx() {
 #[test]
 fn incremental_on_tick_reads_fewer_pages_than_full_reevaluation_tpr() {
     assert_incremental_reads_fewer_pages("tpr", pages_read(tpr));
+}
+
+// --- the durable tick: fsyncs per tick -------------------------------------
+
+/// WAL fsyncs one [`SyncPolicy::Always`] tick pays: one log, one record,
+/// one fsync. The count sums the log's site (`wal:meta`) and every
+/// per-partition site (`wal:part-<p>`), so a second log path cannot
+/// hide its fsyncs.
+///
+/// Measured when set (the hotspot trace above, k = 4): 1 per tick. A
+/// stream per partition plus `meta` paid 6 per tick, and under
+/// `EveryTicks(4)` 0, 0, 0, 6.
+const ALWAYS_TICK_FSYNCS: u64 = 1;
+
+/// Ticks the hotspot trace through a durable Bx(VP) index under
+/// `policy` with a counting (never failing) fault injector, and returns
+/// the WAL fsyncs each tick paid.
+fn fsyncs_per_tick(policy: SyncPolicy, name: &str) -> Vec<u64> {
+    let trace = hotspot_trace();
+    let dir = std::env::temp_dir().join(format!("vp-budgets-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let inj = FaultInjector::new();
+    let cfg = vp_config(&trace)
+        .with_wal_dir(&dir)
+        .with_sync_policy(policy)
+        .with_fault_injector(FaultHandle::new(Arc::clone(&inj)));
+    let analysis = analyze(&trace, &cfg);
+    let pool = pool();
+    let mut vp =
+        VpIndex::open(cfg, &analysis, |spec| bx(spec, Arc::clone(&pool))).expect("durable index");
+    let sites: Vec<String> = std::iter::once("wal:meta".to_owned())
+        .chain((0..vp.specs().len()).map(|p| format!("wal:part-{p}")))
+        .collect();
+    let fsyncs = || -> u64 {
+        sites
+            .iter()
+            .map(|site| inj.op_count(site, FaultOp::Sync))
+            .sum()
+    };
+    let per_tick = trace
+        .ticks
+        .iter()
+        .map(|tick| {
+            let before = fsyncs();
+            vp.apply_updates(tick).expect("durable tick");
+            fsyncs() - before
+        })
+        .collect();
+    drop(vp);
+    let _ = std::fs::remove_dir_all(&dir);
+    per_tick
+}
+
+#[test]
+fn an_always_tick_pays_one_fsync() {
+    let per_tick = fsyncs_per_tick(SyncPolicy::Always, "always");
+    assert_eq!(per_tick, vec![ALWAYS_TICK_FSYNCS; per_tick.len()]);
+}
+
+/// Cross-tick group commit: three ticks only flush, the fourth pays
+/// the one fsync that makes all four durable.
+#[test]
+fn every_fourth_tick_pays_the_one_fsync() {
+    let per_tick = fsyncs_per_tick(SyncPolicy::EveryTicks(4), "every4");
+    assert_eq!(per_tick[..4], [0, 0, 0, ALWAYS_TICK_FSYNCS]);
 }
 
 // --- the batch former: windows per request --------------------------------

@@ -6,9 +6,9 @@
 //!
 //! 1. every operation under injected faults returns `Ok` or a
 //!    *structured* error — never a panic, never silent corruption;
-//! 2. a tick that fails before its WAL commit record **rolls back**:
-//!    the index answers every query exactly as it did before the tick
-//!    and stays writable;
+//! 2. a tick that fails before its log record is committed **rolls
+//!    back**: the index answers every query exactly as it did before
+//!    the tick and stays writable;
 //! 3. a failed fsync (fsyncgate semantics: durability unknowable)
 //!    demotes the index to explicit read-only mode — queries keep
 //!    working, mutations return `IndexError::ReadOnly`;
@@ -67,19 +67,37 @@ fn sample() -> Vec<Point> {
 fn bx_factory(dir: Option<&Path>) -> impl FnMut(&PartitionSpec) -> BxTree + '_ {
     move |spec| {
         let disk = match dir {
-            Some(d) => {
-                DiskManager::create_file(d.join(format!("part-{}.pages", spec.id)), 1024).unwrap()
-            }
+            Some(d) => page_file(d, spec),
             None => DiskManager::with_page_size(1024),
         };
-        let pool = Arc::new(BufferPool::with_capacity(disk, 256));
-        let config = BxConfig {
-            domain: spec.domain,
-            update_interval: 120.0,
-            ..BxConfig::default()
-        };
-        BxTree::new(pool, config).unwrap()
+        bx_over(spec, BufferPool::with_capacity(disk, 256))
     }
+}
+
+/// Durable partitions with four-frame pools wired to the injector at
+/// `disk:part-<id>`, so applying a batch reads pages from disk.
+fn small_pool_factory<'a>(
+    dir: &'a Path,
+    inj: &'a Arc<FaultInjector>,
+) -> impl FnMut(&PartitionSpec) -> BxTree + 'a {
+    move |spec| {
+        let pool = BufferPool::with_capacity(page_file(dir, spec), 4);
+        pool.set_fault_injector(Arc::clone(inj), format!("disk:part-{}", spec.id));
+        bx_over(spec, pool)
+    }
+}
+
+fn page_file(dir: &Path, spec: &PartitionSpec) -> DiskManager {
+    DiskManager::create_file(dir.join(format!("part-{}.pages", spec.id)), 1024).unwrap()
+}
+
+fn bx_over(spec: &PartitionSpec, pool: BufferPool) -> BxTree {
+    let config = BxConfig {
+        domain: spec.domain,
+        update_interval: 120.0,
+        ..BxConfig::default()
+    };
+    BxTree::new(Arc::new(pool), config).unwrap()
 }
 
 fn analysis(cfg: &VpConfig) -> velocity_partitioning::vp_core::AnalyzerOutput {
@@ -253,9 +271,9 @@ fn next_op(inj: &FaultInjector, site: &str, op: FaultOp, kind: FaultKind) {
 // Tick atomicity under WAL faults
 // ---------------------------------------------------------------------
 
-/// The tentpole contract, at the meta-seal fault point: partition
-/// batches were logged *and applied* when the commit-record flush
-/// fails, so the rollback has real sub-index work to undo.
+/// Tick atomicity at the log-commit fault point: every partition has
+/// applied its batch when the tick record's flush fails, so the
+/// rollback has real sub-index work to undo.
 #[test]
 fn meta_commit_write_failure_rolls_back_the_whole_tick() {
     let t = TempDir::new("meta-eio");
@@ -281,8 +299,8 @@ fn meta_commit_write_failure_rolls_back_the_whole_tick() {
     let pre = oracle_over(&cfg, &ticks, &prefix(5, 3));
     assert_same_state(&vp, &pre, "post-fault = pre-tick");
 
-    // The same tick applies cleanly on retry (fresh seq; the orphaned
-    // partition records of the dead attempt are ignored by recovery).
+    // The same tick applies cleanly on retry (the dead attempt's
+    // record never reached the log).
     vp.apply_updates(&ticks[3]).unwrap();
     vp.apply_updates(&ticks[4]).unwrap();
     let post = oracle_over(&cfg, &ticks, &prefix(5, 5));
@@ -295,9 +313,8 @@ fn meta_commit_write_failure_rolls_back_the_whole_tick() {
     assert_same_state(&recovered, &post, "recovery");
 }
 
-/// ENOSPC on a partition stream: the fault fires *before* that
-/// partition applies its batch, while sibling partitions may already
-/// have applied theirs — rollback must reconcile the mixed state.
+/// ENOSPC on the log: the fault fires after every partition applied
+/// its batch — rollback must undo all of them.
 #[test]
 fn enospc_on_partition_stream_rolls_back_and_clears() {
     let t = TempDir::new("part-enospc");
@@ -309,11 +326,7 @@ fn enospc_on_partition_stream_rolls_back_and_clears() {
         vp.apply_updates(tick).unwrap();
     }
 
-    // Tick 3 moves every id ≡ 0 (mod 3); whichever partition currently
-    // holds id 0 is guaranteed a WAL record (an upsert if it stays, a
-    // removal if it migrates out), so its stream sees a Write.
-    let site = format!("wal:part-{}", vp.partition_of(0).unwrap());
-    next_op(&inj, &site, FaultOp::Write, FaultKind::NoSpace);
+    next_op(&inj, "wal:meta", FaultOp::Write, FaultKind::NoSpace);
     let err = vp.apply_updates(&ticks[3]).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("ENOSPC"), "classified as out-of-space: {msg}");
@@ -333,9 +346,9 @@ fn enospc_on_partition_stream_rolls_back_and_clears() {
     );
 }
 
-/// A torn write inside a partition batch: a record prefix lands on
-/// disk, the tick errors, the stream amputates the torn bytes — and
-/// both the live index and recovery stay at the pre-tick state.
+/// A torn write of the tick record: a record prefix lands on disk, the
+/// tick errors, the log amputates the torn bytes — and both the live
+/// index and recovery stay at the pre-tick state.
 #[test]
 fn torn_partition_write_rolls_back_live_and_recovered_state() {
     let t = TempDir::new("part-torn");
@@ -347,8 +360,12 @@ fn torn_partition_write_rolls_back_live_and_recovered_state() {
         for tick in &ticks[..3] {
             vp.apply_updates(tick).unwrap();
         }
-        let site = format!("wal:part-{}", vp.partition_of(0).unwrap());
-        next_op(&inj, &site, FaultOp::Write, FaultKind::Torn { keep: 13 });
+        next_op(
+            &inj,
+            "wal:meta",
+            FaultOp::Write,
+            FaultKind::Torn { keep: 13 },
+        );
         vp.apply_updates(&ticks[3]).unwrap_err();
         assert!(!vp.is_read_only());
         assert_same_state(
@@ -372,17 +389,27 @@ fn torn_partition_write_rolls_back_live_and_recovered_state() {
 // Fsync failure: poisoning and read-only degradation
 // ---------------------------------------------------------------------
 
-/// Satellite 4's core-level case: the fsync that fails sits exactly
-/// between the partition data flush and the durable TICK_COMMIT. The
-/// live index rolls back and demotes to read-only; the commit record
-/// *did* reach the OS before the failed fsync, so recovery — which
-/// reads what the OS kept — legitimately returns the tick. What it
-/// must never return is a torn state.
+/// The tick record's fsync fails after its flush. The live index rolls
+/// back and demotes to read-only; the record *did* reach the OS before
+/// the failed fsync, so recovery — which reads what the OS kept —
+/// legitimately returns the tick. What it must never return is a torn
+/// state.
 #[test]
 fn fsync_failure_between_data_flush_and_commit_demotes_to_read_only() {
-    let t = TempDir::new("fsyncgate");
+    fsync_failure_demotes_then_recovers(1);
+}
+
+/// The same fsync failure with two tick workers demotes just the same —
+/// the poison must not hide behind the parallel fan-out.
+#[test]
+fn partition_fsync_failure_also_demotes() {
+    fsync_failure_demotes_then_recovers(2);
+}
+
+fn fsync_failure_demotes_then_recovers(workers: usize) {
+    let t = TempDir::new(&format!("fsyncgate-{workers}"));
     let inj = FaultInjector::new();
-    let cfg = faulty_config(&t.0, SyncPolicy::Always, &inj);
+    let cfg = faulty_config(&t.0, SyncPolicy::Always, &inj).with_tick_workers(workers);
     let ticks = make_ticks(0xF5C, 4);
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
@@ -413,13 +440,13 @@ fn fsync_failure_between_data_flush_and_commit_demotes_to_read_only() {
         assert_same_state(
             &vp,
             &oracle_over(&cfg, &ticks, &prefix(4, 3)),
-            "read-only view",
+            &format!("read-only view, {workers} workers"),
         );
     }
     // Recovery is the way back. The Schrödinger tick resurfaces here
-    // (its commit was flushed before the fsync failed and this
-    // process never actually crashed), and the recovered index is
-    // writable again.
+    // (its record was flushed before the fsync failed and this process
+    // never actually crashed), and the recovered index is writable
+    // again.
     inj.set_enabled(false);
     let (mut recovered, report) = VpIndex::<BxTree>::recover(&t.0, bx_factory(Some(&t.0))).unwrap();
     assert_eq!(report.events_replayed, 4);
@@ -427,7 +454,7 @@ fn fsync_failure_between_data_flush_and_commit_demotes_to_read_only() {
     assert_same_state(
         &recovered,
         &oracle_over(&cfg, &ticks, &prefix(4, 4)),
-        "recovered",
+        &format!("recovered, {workers} workers"),
     );
     recovered
         .insert(MovingObject::new(
@@ -439,28 +466,52 @@ fn fsync_failure_between_data_flush_and_commit_demotes_to_read_only() {
         .unwrap();
 }
 
-/// A failed fsync on a *partition* stream (from the tick worker)
-/// demotes just the same — the poison must not hide behind the
-/// parallel fan-out.
+// ---------------------------------------------------------------------
+// Storage faults mid-apply
+// ---------------------------------------------------------------------
+
+/// A disk read error in the last partition, after the earlier
+/// partitions applied their batches: the tick is half applied and not
+/// yet logged. The rollback must reconcile the mixed state, leave the
+/// index healthy, and let the same tick through on retry.
 #[test]
-fn partition_fsync_failure_also_demotes() {
-    let t = TempDir::new("part-fsync");
+fn half_applied_tick_rolls_back_on_a_partition_read_error() {
+    let t = TempDir::new("half-applied");
     let inj = FaultInjector::new();
-    let cfg = faulty_config(&t.0, SyncPolicy::Always, &inj).with_tick_workers(2);
-    let ticks = make_ticks(0xAB5, 4);
-    let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
+    let cfg = faulty_config(&t.0, SyncPolicy::Always, &inj);
+    let ticks = make_ticks(0x4A1F, 5);
+    let mut vp =
+        VpIndex::open(cfg.clone(), &analysis(&cfg), small_pool_factory(&t.0, &inj)).unwrap();
     for tick in &ticks[..3] {
         vp.apply_updates(tick).unwrap();
     }
-    let site = format!("wal:part-{}", vp.partition_of(0).unwrap());
-    next_op(&inj, &site, FaultOp::Sync, FaultKind::SyncFail);
-    vp.apply_updates(&ticks[3]).unwrap_err();
-    assert!(vp.is_read_only());
+
+    // One worker applies partitions in ascending order, so a fault in
+    // the last one strikes after the others touched by the tick applied.
+    let last = vp.specs().len() - 1;
+    assert!(
+        ticks[3].iter().any(|o| vp.choose_partition(o.vel) < last),
+        "the tick must reach an earlier partition"
+    );
+    let site = format!("disk:part-{last}");
+    next_op(&inj, &site, FaultOp::Read, FaultKind::Eio);
+    let err = vp.apply_updates(&ticks[3]).unwrap_err();
+    assert!(
+        matches!(err, IndexError::Storage(_)),
+        "structured error: {err:?}"
+    );
+    let fired: Vec<String> = inj.fired().into_iter().map(|f| f.site).collect();
+    assert_eq!(fired, [site], "the scripted fault fired");
+    assert_eq!(vp.health(), &Health::Healthy);
     assert_same_state(
         &vp,
-        &oracle_over(&cfg, &ticks, &prefix(4, 3)),
-        "read-only view",
+        &oracle_over(&cfg, &ticks, &prefix(5, 3)),
+        "post-fault = pre-tick",
     );
+
+    vp.apply_updates(&ticks[3]).unwrap();
+    vp.apply_updates(&ticks[4]).unwrap();
+    assert_same_state(&vp, &oracle_over(&cfg, &ticks, &prefix(5, 5)), "post-retry");
 }
 
 // ---------------------------------------------------------------------

@@ -401,37 +401,57 @@ fn recovery_amputates_the_dead_suffix_so_later_events_survive() {
             vp.apply_updates(tick).unwrap();
         }
     }
-    // Emulate the no-fsync OS-crash torture case: a commit record made
-    // it to disk but its partition batch did not. Recovery must stop
-    // before it — and must also *remove* it, or every future recovery
-    // would stop at the same spot and silently drop everything logged
-    // after this one.
-    {
-        use velocity_partitioning::vp_wal::Wal;
-        let mut meta = Wal::open(&t.0, "meta").unwrap();
-        let seq = meta.last_seq() + 1;
-        // KIND_TICK_COMMIT (4) claiming one partition record that
-        // does not exist.
-        meta.append(seq, 4, &[1, 0, 0, 0, 9, 0, 0, 0]).unwrap();
-        meta.sync().unwrap();
-    }
+    // Crash mid-write: the last tick record is torn. Recovery must stop
+    // before it — and must also *remove* it, or the ticks logged after
+    // this recovery would sit behind garbage that the next recovery
+    // stops at.
+    let files = list_segment_files(&t.0);
+    assert_eq!(files.len(), 1, "one log stream: {files:?}");
+    let len = fs::metadata(&files[0]).unwrap().len();
+    fs::OpenOptions::new()
+        .write(true)
+        .open(&files[0])
+        .unwrap()
+        .set_len(len - 20)
+        .unwrap();
     let (mut recovered, report) = VpIndex::<BxTree>::recover(&t.0, bx_factory(Some(&t.0))).unwrap();
-    assert_eq!(report.last_seq, 3, "stops before the ghost commit");
-    assert_matches_oracle(&recovered, &oracle_at(&cfg, &ticks, 3), "ghost commit");
+    assert_eq!(report.last_seq, 2, "stops before the torn tick");
+    assert_matches_oracle(&recovered, &oracle_at(&cfg, &ticks, 2), "torn tick");
 
     // Life goes on: two more ticks, committed and acknowledged.
+    recovered.apply_updates(&ticks[2]).unwrap();
     recovered.apply_updates(&ticks[3]).unwrap();
-    recovered.apply_updates(&ticks[4]).unwrap();
     drop(recovered);
 
-    // A second recovery must see them — the ghost is gone for good.
+    // A second recovery must see them.
     let (recovered, report) = VpIndex::<BxTree>::recover(&t.0, bx_factory(Some(&t.0))).unwrap();
-    assert_eq!(report.last_seq, 5, "post-recovery events survived");
+    assert_eq!(report.last_seq, 4, "post-recovery events survived");
     assert_matches_oracle(
         &recovered,
-        &oracle_at(&cfg, &ticks, 5),
+        &oracle_at(&cfg, &ticks, 4),
         "events after an amputated suffix",
     );
+}
+
+/// A directory written by another on-disk format is refused, not
+/// misread. Format 2 kept one log stream per partition; replaying only
+/// its `meta` stream would silently drop every tick.
+#[test]
+fn manifest_of_another_format_version_is_refused() {
+    let t = TempDir::new("format-version");
+    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    drop(VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap());
+    // The version word (bytes 8..12) sits outside the CRC.
+    let path = t.0.join("MANIFEST");
+    let mut bytes = fs::read(&path).unwrap();
+    assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "current format");
+    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    fs::write(&path, &bytes).unwrap();
+    match VpIndex::<BxTree>::recover(&t.0, bx_factory(Some(&t.0))) {
+        Err(IndexError::Wal(msg)) => assert!(msg.contains("unsupported version 2"), "{msg}"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a format-2 directory was recovered"),
+    }
 }
 
 #[test]
@@ -550,11 +570,19 @@ fn parallel_ticks_with_wal_are_bit_identical_to_sequential() {
         vp.checkpoint().unwrap();
     }
 
-    // The WAL streams — and even the checkpoint snapshot — must be
+    // The log — and even the checkpoint snapshot — must be
     // byte-identical: logging is schedule-invariant.
     let seq_files = list_segment_files(&t_seq.0);
     let par_files = list_segment_files(&t_par.0);
     assert!(!seq_files.is_empty());
+    assert!(
+        seq_files.iter().all(|p| p
+            .file_name()
+            .unwrap()
+            .to_string_lossy()
+            .starts_with("meta-")),
+        "one log stream: {seq_files:?}"
+    );
     assert_eq!(
         seq_files
             .iter()
@@ -640,9 +668,9 @@ fn tpr_backed_index_recovers_through_the_batched_path() {
 }
 
 /// The WAL is schedule- and backend-invariant: a TPR\*-backed durable
-/// run logs byte-identical streams whether ticks are applied
+/// run logs a byte-identical stream whether ticks are applied
 /// sequentially or by 4 workers, and recovery of either lands in the
-/// same logical state. (Log records carry routing decisions in world
+/// same logical state. (A tick record carries its input in world
 /// coordinates, never index-specific bytes — so the batched TPR path
 /// replays bit-identically.)
 #[test]
@@ -826,8 +854,8 @@ proptest! {
 
     /// Random crash injection: run `n_ticks` (optionally checkpointing
     /// mid-run), drop, then truncate the tails of 1–3 randomly chosen
-    /// stream files by random amounts — torn final records, lost
-    /// commits, lost partition batches, even decapitated segments.
+    /// segment files by random amounts — torn final records, whole
+    /// lost records, even decapitated segments.
     /// Recovery must come back to *some* tick boundary `S` (at or
     /// after the checkpoint) and match the oracle replayed to exactly
     /// `S` ticks.
