@@ -707,7 +707,7 @@ impl<I> VpIndex<I> {
             .map(|&b| CumulativeHistogram::new(config.tau_buckets, b))
             .collect();
         let indexes: Vec<I> = specs.iter().map(factory).collect();
-        let mut vp = VpIndex::from_recovered_parts(config, specs, indexes, perp_hists);
+        let mut vp = VpIndex::from_parts(config, specs, indexes, perp_hists);
 
         // Load the newest valid checkpoint.
         let mut ckpt_seq = 0;

@@ -1,21 +1,16 @@
-//! Shared longest-processing-time fan-out for read-only query work.
-//!
-//! The write side's tick workers ([`crate::VpIndex::apply_updates`])
-//! keep their own scheduler because their jobs carry disjoint `&mut`
-//! borrows and a torn-tick error contract; the read side's fan-outs
-//! (batched range queries per partition, kNN searches per query) are
-//! plain `Fn` jobs over `&self` and share this one.
+//! Shared longest-processing-time fan-out: tick workers (one job per
+//! touched partition, each owning its disjoint `&mut` sub-index) and
+//! read batches (range queries per partition, kNN searches per query).
 
-/// Runs one read-only job per item on up to `workers` scoped threads
-/// and returns the results **in input order** — the output is
-/// identical to `items.into_iter().map(run).collect()` regardless of
-/// the worker count or schedule, which is what lets callers promise
+/// Runs one job per item on up to `workers` scoped threads and returns
+/// the results **in input order** — the output is identical to
+/// `items.into_iter().map(run).collect()` regardless of the worker
+/// count or schedule, which is what lets callers promise
 /// schedule-invariant results.
 ///
 /// Items are distributed longest-first (by `load`) onto the currently
-/// lightest worker — the same LPT heuristic as the tick workers.
-/// `workers <= 1` (or a single item) runs everything on the calling
-/// thread.
+/// lightest worker. `workers <= 1` (or a single item) runs everything
+/// on the calling thread.
 pub(crate) fn lpt_fan_out<T, R, L, F>(items: Vec<T>, workers: usize, load: L, run: F) -> Vec<R>
 where
     T: Send,

@@ -16,7 +16,9 @@
 //!   thread per group of partitions ([`VpIndex::apply_updates`]);
 //! * executes range queries by transforming the query into every DVA
 //!   frame (Algorithm 3), running the underlying index's query, and
-//!   exact-filtering the merged candidates in world space;
+//!   exact-filtering the merged candidates in world space — written
+//!   once, in `VpView`, through which both `VpIndex` and its
+//!   [`VpSnapshot`] answer every query;
 //! * maintains online perpendicular-speed histograms so τ can be
 //!   recomputed cheaply as speed distributions drift (Section 5.5,
 //!   [`VpIndex::refresh_tau`]).
@@ -25,6 +27,7 @@
 //! index is a drop-in replacement for its unpartitioned counterpart.
 
 use std::collections::HashMap;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use vp_geom::{Frame, Rect, Vec2};
@@ -206,22 +209,12 @@ impl<I> VpIndex<I> {
             })
             .collect();
 
-        Ok(VpIndex {
-            config,
-            specs,
-            indexes,
-            assignment: HashMap::new(),
-            objects: Arc::new(HashMap::new()),
-            perp_hists,
-            durability: None,
-            health: Health::Healthy,
-        })
+        Ok(VpIndex::from_parts(config, specs, indexes, perp_hists))
     }
 
-    /// Assembles an empty index from already-reconstructed parts (the
-    /// recovery path, which rebuilds specs from the manifest instead
-    /// of re-running the analyzer).
-    pub(crate) fn from_recovered_parts(
+    /// Assembles an empty index from its parts (recovery rebuilds
+    /// them from the manifest instead of re-running the analyzer).
+    pub(crate) fn from_parts(
         config: VpConfig,
         specs: Vec<PartitionSpec>,
         indexes: Vec<I>,
@@ -317,10 +310,29 @@ impl<I> VpIndex<I> {
         &self.indexes[p]
     }
 
+    fn view(&self) -> VpView<'_, I, Live> {
+        VpView {
+            specs: &self.specs,
+            parts: &self.indexes,
+            objects: &self.objects,
+            workers: self.config.tick_workers,
+            read: PhantomData,
+        }
+    }
+
     /// Chooses the partition for a velocity: the DVA with the smallest
     /// perpendicular distance, or the outlier partition when that
     /// distance exceeds the DVA's τ (Section 5.3).
     pub fn choose_partition(&self, vel: Vec2) -> PartitionId {
+        match self.nearest_dva(vel) {
+            Some((p, d)) if d <= self.specs[p].tau => p,
+            _ => self.specs.len() - 1,
+        }
+    }
+
+    /// The DVA partition whose axis is perpendicularly closest to
+    /// `vel`, with that distance (first wins ties).
+    fn nearest_dva(&self, vel: Vec2) -> Option<(PartitionId, f64)> {
         let outlier = self.specs.len() - 1;
         let mut best: Option<(PartitionId, f64)> = None;
         for spec in &self.specs[..outlier] {
@@ -330,10 +342,7 @@ impl<I> VpIndex<I> {
                 _ => best = Some((spec.id, d)),
             }
         }
-        match best {
-            Some((p, d)) if d <= self.specs[p].tau => p,
-            _ => outlier,
-        }
+        best
     }
 
     /// Recomputes each DVA partition's τ from the online histograms
@@ -554,7 +563,7 @@ impl<I> VpIndex<I> {
         // Pair every touched sub-index with its batches. The zip hands
         // out one disjoint `&mut I` per partition, which is what lets
         // the workers below run without any locking.
-        let mut jobs: Vec<PartitionJob<'_, I>> = self
+        let jobs: Vec<PartitionJob<'_, I>> = self
             .indexes
             .iter_mut()
             .zip(removals.iter().zip(upserts.iter()))
@@ -566,44 +575,20 @@ impl<I> VpIndex<I> {
             })
             .collect();
 
-        let workers = self.config.tick_workers.min(jobs.len()).max(1);
-        if workers == 1 {
-            for job in jobs {
-                job.apply()?;
-            }
-            return Ok(());
+        // Sequentially, the first error stops the tick; in parallel,
+        // every job runs through the shared LPT fan-out. Either way the
+        // caller's rollback reconciles whatever was applied.
+        if self.config.tick_workers == 1 {
+            return jobs.into_iter().try_for_each(PartitionJob::apply);
         }
-        // Longest-processing-time grouping: biggest batches first, each
-        // onto the currently lightest worker. Grouping only affects the
-        // schedule, never the outcome.
-        jobs.sort_by_key(|j| std::cmp::Reverse(j.load()));
-        let mut groups: Vec<Vec<PartitionJob<'_, I>>> = (0..workers).map(|_| Vec::new()).collect();
-        let mut loads = vec![0usize; workers];
-        for job in jobs {
-            let lightest = (0..workers)
-                .min_by_key(|&g| loads[g])
-                .expect("workers >= 1");
-            loads[lightest] += job.load();
-            groups[lightest].push(job);
-        }
-        let results: Vec<IndexResult<()>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
-                .into_iter()
-                .map(|group| {
-                    scope.spawn(move || {
-                        for job in group {
-                            job.apply()?;
-                        }
-                        Ok(())
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("partition worker panicked"))
-                .collect()
-        });
-        results.into_iter().collect()
+        crate::fanout::lpt_fan_out(
+            jobs,
+            self.config.tick_workers,
+            PartitionJob::load,
+            PartitionJob::apply,
+        )
+        .into_iter()
+        .collect()
     }
 
     /// Restores the pre-tick state captured by
@@ -664,70 +649,22 @@ impl<I> VpIndex<I> {
         Ok(())
     }
 
-    /// Answers a whole batch of range queries with per-partition
-    /// fan-out: every partition transforms the full batch into its
-    /// frame once and answers it through the sub-index's batched path
-    /// ([`MovingObjectIndex::range_query_batch`] — one shared leaf
-    /// sweep / traversal per partition instead of one scan per
-    /// query), then exact-filters its candidates in world space.
+    /// Answers a whole batch of range queries: every partition
+    /// transforms the batch into its frame once, answers it through the
+    /// sub-index's batched path ([`MovingObjectIndex::range_query_batch`]
+    /// — one shared sweep per partition instead of one scan per query)
+    /// and exact-filters its candidates in world space.
     ///
-    /// ## Parallelism
-    ///
-    /// Partitions are read-only and disjoint, so partition groups are
-    /// dispatched onto up to [`VpConfig::tick_workers`] scoped worker
-    /// threads (grouped longest-first by partition size, like the
-    /// tick workers). With `tick_workers == 1` everything runs
-    /// sequentially on the calling thread. Results are **identical
-    /// either way**: each partition's answer is computed by exactly
-    /// one thread and the per-query merges concatenate in ascending
-    /// partition order, so the output is schedule-invariant —
-    /// bit-identical to the sequential run, and set-equal to looping
-    /// [`MovingObjectIndex::range_query`].
+    /// Partitions are dispatched longest-first onto up to
+    /// [`VpConfig::tick_workers`] scoped threads. Each partition is
+    /// answered by one thread and the merge concatenates in ascending
+    /// partition order, so the output is bit-identical for any worker
+    /// count and set-equal to looping [`MovingObjectIndex::range_query`].
     pub fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>>
     where
         I: MovingObjectIndex + Sync,
     {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let parts = self.specs.len();
-        // One partition's share: transform, batched sub-query, exact
-        // world-space filter (on the worker, where the parallelism is).
-        let run = |p: usize| -> IndexResult<BatchResults> {
-            let spec = &self.specs[p];
-            let local: Vec<RangeQuery> = queries.iter().map(|q| spec.query_in_frame(q)).collect();
-            let candidates = self.indexes[p].range_query_batch(&local)?;
-            let mut out: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
-            for (qi, ids) in candidates.into_iter().enumerate() {
-                for id in ids {
-                    if let Some(obj) = self.objects.get(&id) {
-                        if queries[qi].matches(obj) {
-                            out[qi].push(id);
-                        }
-                    }
-                }
-            }
-            Ok(out)
-        };
-
-        // LPT by partition population — the same schedule-only
-        // heuristic as the tick workers, through the shared read-side
-        // fan-out (results come back in partition order).
-        let per_part: Vec<IndexResult<BatchResults>> = crate::fanout::lpt_fan_out(
-            (0..parts).collect(),
-            self.config.tick_workers,
-            |&p| self.indexes[p].len(),
-            run,
-        );
-
-        // Merge in ascending partition order: schedule-invariant.
-        let mut merged: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
-        for part in per_part {
-            for (qi, ids) in part?.into_iter().enumerate() {
-                merged[qi].extend(ids);
-            }
-        }
-        Ok(merged)
+        self.view().range_query_batch(queries)
     }
 
     /// Answers a batch of kNN queries, dispatching query groups onto
@@ -754,15 +691,7 @@ impl<I> VpIndex<I> {
     pub(crate) fn record_perp_speed(&mut self, vel: Vec2) -> Option<(usize, f64)> {
         // Track the perpendicular speed against the *closest* DVA — the
         // candidate population of that DVA's τ decision.
-        let outlier = self.specs.len() - 1;
-        let mut best: Option<(usize, f64)> = None;
-        for (i, spec) in self.specs[..outlier].iter().enumerate() {
-            let d = vel.perp_distance_to_axis(spec.frame.axis());
-            match best {
-                Some((_, bd)) if bd <= d => {}
-                _ => best = Some((i, d)),
-            }
-        }
+        let best = self.nearest_dva(vel);
         if let Some((i, d)) = best {
             self.perp_hists[i].add(d);
         }
@@ -851,59 +780,31 @@ impl<I: MovingObjectIndex + Send + Sync> MovingObjectIndex for VpIndex<I> {
     }
 
     fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
-        // Algorithm 3: query every partition in its own frame, merge,
-        // and exact-filter in world space.
-        let mut results = Vec::new();
-        for (spec, index) in self.specs.iter().zip(&self.indexes) {
-            let local = spec.query_in_frame(query);
-            for id in index.range_query(&local)? {
-                if let Some(obj) = self.objects.get(&id) {
-                    if query.matches(obj) {
-                        results.push(id);
-                    }
-                }
-            }
-        }
-        Ok(results)
+        self.view().range_query(query)
     }
 
-    /// The batched fan-out path — see [`VpIndex::range_query_batch`].
-    fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
-        VpIndex::range_query_batch(self, queries)
+    fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<BatchResults> {
+        self.view().range_query_batch(queries)
     }
 
-    /// Incremental kNN candidates: each partition answers the probe
-    /// chain in its own frame through the sub-index's delta-ring path
-    /// (the frame transform is deterministic, so a partition sees a
-    /// consistent chain), unfiltered — the kNN driver evaluates every
-    /// candidate's exact world-space distance itself.
     fn knn_candidates(
         &self,
         query: &RangeQuery,
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>> {
-        let mut out = Vec::new();
-        for (spec, index) in self.specs.iter().zip(&self.indexes) {
-            let local = spec.query_in_frame(query);
-            let local_covered = covered.map(|c| spec.query_in_frame(c));
-            out.extend(index.knn_candidates(&local, local_covered.as_ref())?);
-        }
-        Ok(out)
+        self.view().knn_candidates(query, covered)
     }
 
     fn get_object(&self, id: ObjectId) -> IndexResult<Option<MovingObject>> {
-        Ok(self.objects.get(&id).copied())
+        self.view().get_object(id)
     }
 
     fn len(&self) -> usize {
-        self.assignment.len()
+        self.view().len()
     }
 
     fn io_stats(&self) -> IoStats {
-        self.indexes
-            .iter()
-            .map(|i| i.io_stats())
-            .fold(IoStats::zero(), |a, b| a + b)
+        self.view().io_stats()
     }
 
     fn reset_io_stats(&self) {
@@ -939,10 +840,10 @@ impl<I: MovingObjectIndex + Send + Sync> MovingObjectIndex for VpIndex<I> {
 /// **no tick coordination**: a concurrent [`VpIndex::apply_updates`]
 /// on another thread neither blocks the snapshot's readers nor leaks
 /// into their results — every query batch answers bit-identically to
-/// the same batch against the (quiesced) live index at capture time.
-/// The query hot path acquires no shared locks for pages resident at
-/// capture; storage reclaims the page versions the snapshot pins once
-/// it is dropped.
+/// the same batch against the (quiesced) live index at capture time,
+/// because both answer through the same `VpView`. The query hot path
+/// acquires no shared locks for pages resident at capture; storage
+/// reclaims the page versions the snapshot pins once it is dropped.
 ///
 /// `VpSnapshot` also implements [`MovingObjectIndex`] (mutations
 /// return [`IndexError::ReadOnly`]) so the incremental kNN driver
@@ -956,44 +857,20 @@ pub struct VpSnapshot<S> {
 }
 
 impl<S: IndexSnapshot> VpSnapshot<S> {
-    /// Batched range queries with the same per-partition fan-out —
-    /// and the same schedule-invariant, bit-identical results — as
-    /// [`VpIndex::range_query_batch`], evaluated on the captured
-    /// state.
+    fn view(&self) -> VpView<'_, S, Snap> {
+        VpView {
+            specs: &self.specs,
+            parts: &self.indexes,
+            objects: &self.objects,
+            workers: self.workers,
+            read: PhantomData,
+        }
+    }
+
+    /// Batched range queries over the captured state — same contract
+    /// as [`VpIndex::range_query_batch`].
     pub fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<BatchResults> {
-        if queries.is_empty() {
-            return Ok(Vec::new());
-        }
-        let parts = self.specs.len();
-        let run = |p: usize| -> IndexResult<BatchResults> {
-            let spec = &self.specs[p];
-            let local: Vec<RangeQuery> = queries.iter().map(|q| spec.query_in_frame(q)).collect();
-            let candidates = self.indexes[p].range_query_batch(&local)?;
-            let mut out: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
-            for (qi, ids) in candidates.into_iter().enumerate() {
-                for id in ids {
-                    if let Some(obj) = self.objects.get(&id) {
-                        if queries[qi].matches(obj) {
-                            out[qi].push(id);
-                        }
-                    }
-                }
-            }
-            Ok(out)
-        };
-        let per_part: Vec<IndexResult<BatchResults>> = crate::fanout::lpt_fan_out(
-            (0..parts).collect(),
-            self.workers,
-            |&p| self.indexes[p].len(),
-            run,
-        );
-        let mut merged: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
-        for part in per_part {
-            for (qi, ids) in part?.into_iter().enumerate() {
-                merged[qi].extend(ids);
-            }
-        }
-        Ok(merged)
+        self.view().range_query_batch(queries)
     }
 
     /// Batched kNN over the captured state — same contract as
@@ -1009,58 +886,27 @@ impl<S: IndexSnapshot> VpSnapshot<S> {
     /// Page reads this snapshot has served, summed over its
     /// partitions. The live index's counters never see them.
     pub fn io_stats(&self) -> IoStats {
-        self.indexes
-            .iter()
-            .map(|i| i.io_stats())
-            .fold(IoStats::zero(), |a, b| a + b)
+        self.view().io_stats()
     }
 }
 
+/// Writes are refused; `update`, `update_batch` and `remove_batch`
+/// keep their trait defaults, which go through these two.
 impl<S: IndexSnapshot> MovingObjectIndex for VpSnapshot<S> {
-    fn insert(&mut self, obj: MovingObject) -> IndexResult<()> {
-        let _ = obj;
+    fn insert(&mut self, _: MovingObject) -> IndexResult<()> {
         Err(IndexError::ReadOnly("snapshot is read-only".into()))
     }
 
-    fn delete(&mut self, id: ObjectId) -> IndexResult<()> {
-        let _ = id;
+    fn delete(&mut self, _: ObjectId) -> IndexResult<()> {
         Err(IndexError::ReadOnly("snapshot is read-only".into()))
     }
 
-    fn update(&mut self, obj: MovingObject) -> IndexResult<()> {
-        let _ = obj;
-        Err(IndexError::ReadOnly("snapshot is read-only".into()))
-    }
-
-    fn update_batch(&mut self, updates: &[MovingObject]) -> IndexResult<()> {
-        let _ = updates;
-        Err(IndexError::ReadOnly("snapshot is read-only".into()))
-    }
-
-    fn remove_batch(&mut self, ids: &[ObjectId]) -> IndexResult<()> {
-        let _ = ids;
-        Err(IndexError::ReadOnly("snapshot is read-only".into()))
-    }
-
-    /// Algorithm 3 on the captured state: query every partition in its
-    /// own frame, merge, exact-filter in world space.
     fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
-        let mut results = Vec::new();
-        for (spec, index) in self.specs.iter().zip(&self.indexes) {
-            let local = spec.query_in_frame(query);
-            for id in index.range_query(&local)? {
-                if let Some(obj) = self.objects.get(&id) {
-                    if query.matches(obj) {
-                        results.push(id);
-                    }
-                }
-            }
-        }
-        Ok(results)
+        self.view().range_query(query)
     }
 
-    fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
-        VpSnapshot::range_query_batch(self, queries)
+    fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<BatchResults> {
+        self.view().range_query_batch(queries)
     }
 
     fn knn_candidates(
@@ -1068,11 +914,179 @@ impl<S: IndexSnapshot> MovingObjectIndex for VpSnapshot<S> {
         query: &RangeQuery,
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>> {
+        self.view().knn_candidates(query, covered)
+    }
+
+    fn get_object(&self, id: ObjectId) -> IndexResult<Option<MovingObject>> {
+        self.view().get_object(id)
+    }
+
+    fn len(&self) -> usize {
+        self.view().len()
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.view().io_stats()
+    }
+
+    /// A snapshot's tally only grows; take deltas instead.
+    fn reset_io_stats(&self) {}
+}
+
+impl<S: IndexSnapshot> IndexSnapshot for VpSnapshot<S> {
+    fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
+        self.view().range_query(query)
+    }
+
+    fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<BatchResults> {
+        self.view().range_query_batch(queries)
+    }
+
+    fn knn_candidates(
+        &self,
+        query: &RangeQuery,
+        covered: Option<&RangeQuery>,
+    ) -> IndexResult<Vec<ObjectId>> {
+        self.view().knn_candidates(query, covered)
+    }
+
+    fn len(&self) -> usize {
+        self.view().len()
+    }
+
+    fn io_stats(&self) -> IoStats {
+        self.view().io_stats()
+    }
+}
+
+/// How [`VpView`] reads one sub-index: [`Live`] through
+/// [`MovingObjectIndex`], [`Snap`] through [`IndexSnapshot`]. Selector
+/// types rather than a blanket impl per trait, which would conflict on
+/// types implementing both (`ScanIndex` does).
+pub(crate) trait SubRead<X> {
+    fn range_query(x: &X, query: &RangeQuery) -> IndexResult<Vec<ObjectId>>;
+    fn range_query_batch(x: &X, queries: &[RangeQuery]) -> IndexResult<BatchResults>;
+    fn knn_candidates(
+        x: &X,
+        query: &RangeQuery,
+        covered: Option<&RangeQuery>,
+    ) -> IndexResult<Vec<ObjectId>>;
+    fn len(x: &X) -> usize;
+    fn io_stats(x: &X) -> IoStats;
+}
+
+/// Reads a live sub-index ([`MovingObjectIndex`]).
+pub(crate) struct Live;
+
+/// Reads a sub-index snapshot ([`IndexSnapshot`]).
+pub(crate) struct Snap;
+
+macro_rules! sub_read {
+    ($selector:ident, $read:ident) => {
+        impl<X: $read> SubRead<X> for $selector {
+            fn range_query(x: &X, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
+                $read::range_query(x, query)
+            }
+            fn range_query_batch(x: &X, queries: &[RangeQuery]) -> IndexResult<BatchResults> {
+                $read::range_query_batch(x, queries)
+            }
+            fn knn_candidates(
+                x: &X,
+                query: &RangeQuery,
+                covered: Option<&RangeQuery>,
+            ) -> IndexResult<Vec<ObjectId>> {
+                $read::knn_candidates(x, query, covered)
+            }
+            fn len(x: &X) -> usize {
+                $read::len(x)
+            }
+            fn io_stats(x: &X) -> IoStats {
+                $read::io_stats(x)
+            }
+        }
+    };
+}
+
+sub_read!(Live, MovingObjectIndex);
+sub_read!(Snap, IndexSnapshot);
+
+/// The partition layer's one read path, shared by [`VpIndex`] and
+/// [`VpSnapshot`]: the partition specs, one sub-index (or sub-index
+/// snapshot) per partition, the world-space object table and the read
+/// fan-out's worker count, all borrowed.
+pub(crate) struct VpView<'a, X, R> {
+    specs: &'a [PartitionSpec],
+    parts: &'a [X],
+    objects: &'a HashMap<ObjectId, MovingObject>,
+    workers: usize,
+    read: PhantomData<fn() -> R>,
+}
+
+impl<X, R: SubRead<X>> VpView<'_, X, R> {
+    /// The exact world-space filter of a candidate.
+    fn matches(&self, query: &RangeQuery, id: &ObjectId) -> bool {
+        self.objects.get(id).is_some_and(|o| query.matches(o))
+    }
+
+    /// Algorithm 3: query every partition in its own frame, exact-filter
+    /// in world space, concatenate in partition order.
+    fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
+        let mut results = Vec::new();
+        for (spec, part) in self.specs.iter().zip(self.parts) {
+            let candidates = R::range_query(part, &spec.query_in_frame(query))?;
+            results.extend(candidates.into_iter().filter(|id| self.matches(query, id)));
+        }
+        Ok(results)
+    }
+
+    /// Algorithm 3 for a batch, one fan-out job per partition — see
+    /// [`VpIndex::range_query_batch`].
+    fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<BatchResults>
+    where
+        X: Sync,
+    {
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
+        let run = |p: usize| -> IndexResult<BatchResults> {
+            let spec = &self.specs[p];
+            let local: Vec<RangeQuery> = queries.iter().map(|q| spec.query_in_frame(q)).collect();
+            let candidates = R::range_query_batch(&self.parts[p], &local)?;
+            Ok(candidates
+                .into_iter()
+                .zip(queries)
+                .map(|(ids, q)| ids.into_iter().filter(|id| self.matches(q, id)).collect())
+                .collect())
+        };
+        let per_part = crate::fanout::lpt_fan_out(
+            (0..self.parts.len()).collect(),
+            self.workers,
+            |&p| R::len(&self.parts[p]),
+            run,
+        );
+        let mut merged: BatchResults = vec![Vec::new(); queries.len()];
+        for part in per_part {
+            for (qi, ids) in part?.into_iter().enumerate() {
+                merged[qi].extend(ids);
+            }
+        }
+        Ok(merged)
+    }
+
+    /// Incremental kNN candidates: each partition answers the probe
+    /// chain in its own frame (the transform is deterministic, so a
+    /// partition sees a consistent chain), unfiltered — the kNN driver
+    /// evaluates every candidate's exact world-space distance itself.
+    fn knn_candidates(
+        &self,
+        query: &RangeQuery,
+        covered: Option<&RangeQuery>,
+    ) -> IndexResult<Vec<ObjectId>> {
         let mut out = Vec::new();
-        for (spec, index) in self.specs.iter().zip(&self.indexes) {
+        for (spec, part) in self.specs.iter().zip(self.parts) {
             let local = spec.query_in_frame(query);
             let local_covered = covered.map(|c| spec.query_in_frame(c));
-            out.extend(index.knn_candidates(&local, local_covered.as_ref())?);
+            out.extend(R::knn_candidates(part, &local, local_covered.as_ref())?);
         }
         Ok(out)
     }
@@ -1085,37 +1099,12 @@ impl<S: IndexSnapshot> MovingObjectIndex for VpSnapshot<S> {
         self.objects.len()
     }
 
+    /// Summed over the partitions.
     fn io_stats(&self) -> IoStats {
-        VpSnapshot::io_stats(self)
-    }
-
-    /// A snapshot's tally only grows; take deltas instead.
-    fn reset_io_stats(&self) {}
-}
-
-impl<S: IndexSnapshot> IndexSnapshot for VpSnapshot<S> {
-    fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
-        MovingObjectIndex::range_query(self, query)
-    }
-
-    fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
-        VpSnapshot::range_query_batch(self, queries)
-    }
-
-    fn knn_candidates(
-        &self,
-        query: &RangeQuery,
-        covered: Option<&RangeQuery>,
-    ) -> IndexResult<Vec<ObjectId>> {
-        MovingObjectIndex::knn_candidates(self, query, covered)
-    }
-
-    fn len(&self) -> usize {
-        self.objects.len()
-    }
-
-    fn io_stats(&self) -> IoStats {
-        VpSnapshot::io_stats(self)
+        self.parts
+            .iter()
+            .map(R::io_stats)
+            .fold(IoStats::zero(), |a, b| a + b)
     }
 }
 

@@ -38,8 +38,26 @@ use vp_core::{
 use vp_storage::RetryPolicy;
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, Request, Response, ResumeFrom, StatsReply, SubscribeSpec,
+    is_timeout, write_frame, ErrorCode, FrameReader, Request, Response, ResumeFrom, StatsReply,
+    SubscribeSpec,
 };
+
+/// The failure a reply other than the expected one stands for: the
+/// server's typed error, or else a protocol violation.
+fn unexpected(reply: Response) -> ClientError {
+    match reply {
+        Response::Error {
+            code,
+            message,
+            retry_after_us,
+        } => ClientError::Server {
+            code,
+            message,
+            retry_after_us,
+        },
+        other => ClientError::Protocol(format!("unexpected reply {other:?}")),
+    }
+}
 
 /// Client-side failure: transport, codec, or a typed server error.
 #[derive(Debug)]
@@ -138,6 +156,10 @@ pub struct VpClient {
     addr: SocketAddr,
     stream: TcpStream,
     reader: BufReader<TcpStream>,
+    /// Partial-frame state of `reader`: a read timeout in
+    /// [`VpClient::wait_events`] can fire mid-frame, and the next read
+    /// must resume where it stopped.
+    frames: FrameReader,
     writer: BufWriter<TcpStream>,
     /// Event frames the server pushed while we were waiting for some
     /// other response; drained by [`VpClient::take_events`] /
@@ -165,6 +187,7 @@ impl VpClient {
             addr,
             stream,
             reader,
+            frames: FrameReader::new(),
             writer,
             pending_events: VecDeque::new(),
             subs: HashMap::new(),
@@ -219,6 +242,7 @@ impl VpClient {
             }
         };
         (self.stream, self.reader, self.writer) = conn;
+        self.frames = FrameReader::new();
         // Resume subscriptions under their original ids. The server
         // replays missed batches (dropped here if it over-replays) or
         // pushes a reset backfill.
@@ -288,30 +312,33 @@ impl VpClient {
         });
     }
 
-    /// Receives the next *non-event* response; pushed [`Response::Events`]
-    /// frames that arrive in between are stashed for
-    /// [`VpClient::take_events`].
+    /// Reads one frame: a pushed [`Response::Events`] frame is stashed
+    /// for [`VpClient::take_events`] (`None`), any other response is
+    /// returned.
+    fn recv_frame(&mut self) -> ClientResult<Option<Response>> {
+        let Some(payload) = self.frames.read_frame(&mut self.reader)? else {
+            return Err(ClientError::Protocol("server closed the connection".into()));
+        };
+        match Response::decode(&payload)? {
+            Response::Events {
+                sub,
+                time,
+                seq,
+                reset,
+                fin,
+                events,
+            } => self.ingest_events(sub, time, seq, reset, fin, events),
+            other => return Ok(Some(other)),
+        }
+        Ok(None)
+    }
+
+    /// Receives the next *non-event* response, stashing the event
+    /// frames that arrive in between.
     fn recv(&mut self) -> ClientResult<Response> {
         loop {
-            match read_frame(&mut self.reader)? {
-                Some(payload) => match Response::decode(&payload)? {
-                    Response::Events {
-                        sub,
-                        time,
-                        seq,
-                        reset,
-                        fin,
-                        events,
-                    } => {
-                        self.ingest_events(sub, time, seq, reset, fin, events);
-                    }
-                    other => return Ok(other),
-                },
-                None => {
-                    return Err(ClientError::Protocol(
-                        "server closed connection mid-request".into(),
-                    ))
-                }
+            if let Some(response) = self.recv_frame()? {
+                return Ok(response);
             }
         }
     }
@@ -319,16 +346,7 @@ impl VpClient {
     fn expect_ok(&mut self) -> ClientResult<()> {
         match self.recv()? {
             Response::Ok => Ok(()),
-            Response::Error {
-                code,
-                message,
-                retry_after_us,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after_us,
-            }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -373,20 +391,7 @@ impl VpClient {
                             return Ok(frames);
                         }
                     }
-                    Response::Error {
-                        code,
-                        message,
-                        retry_after_us,
-                    } => {
-                        return Err(ClientError::Server {
-                            code,
-                            message,
-                            retry_after_us,
-                        })
-                    }
-                    other => {
-                        return Err(ClientError::Protocol(format!("unexpected reply {other:?}")))
-                    }
+                    other => return Err(unexpected(other)),
                 }
             }
         })
@@ -399,16 +404,7 @@ impl VpClient {
             c.send(&Request::Knn(query))?;
             match c.recv()? {
                 Response::Neighbors(ns) => Ok(ns),
-                Response::Error {
-                    code,
-                    message,
-                    retry_after_us,
-                } => Err(ClientError::Server {
-                    code,
-                    message,
-                    retry_after_us,
-                }),
-                other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+                other => Err(unexpected(other)),
             }
         })
     }
@@ -438,16 +434,7 @@ impl VpClient {
             c.send(&Request::GetObject(id))?;
             match c.recv()? {
                 Response::Object(o) => Ok(o),
-                Response::Error {
-                    code,
-                    message,
-                    retry_after_us,
-                } => Err(ClientError::Server {
-                    code,
-                    message,
-                    retry_after_us,
-                }),
-                other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+                other => Err(unexpected(other)),
             }
         })
     }
@@ -458,16 +445,7 @@ impl VpClient {
             c.send(&Request::Stats)?;
             match c.recv()? {
                 Response::Stats(s) => Ok(s),
-                Response::Error {
-                    code,
-                    message,
-                    retry_after_us,
-                } => Err(ClientError::Server {
-                    code,
-                    message,
-                    retry_after_us,
-                }),
-                other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+                other => Err(unexpected(other)),
             }
         })
     }
@@ -484,16 +462,7 @@ impl VpClient {
             Response::Pong(n) => Err(ClientError::Protocol(format!(
                 "pong nonce mismatch: sent {nonce}, got {n}"
             ))),
-            Response::Error {
-                code,
-                message,
-                retry_after_us,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after_us,
-            }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -522,16 +491,7 @@ impl VpClient {
                     .or_insert(SubState { spec, last_seq: 0 });
                 Ok(id)
             }
-            Response::Error {
-                code,
-                message,
-                retry_after_us,
-            } => Err(ClientError::Server {
-                code,
-                message,
-                retry_after_us,
-            }),
-            other => Err(ClientError::Protocol(format!("unexpected reply {other:?}"))),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -603,41 +563,19 @@ impl VpClient {
                 break;
             }
             self.stream.set_read_timeout(Some(deadline - now))?;
-            let got = read_frame(&mut self.reader);
+            let got = self.recv_frame();
             self.stream.set_read_timeout(None)?;
             match got {
-                Ok(Some(payload)) => match Response::decode(&payload)? {
-                    Response::Events {
-                        sub,
-                        time,
-                        seq,
-                        reset,
-                        fin,
-                        events,
-                    } => {
-                        self.ingest_events(sub, time, seq, reset, fin, events);
-                    }
-                    // A stray Pong (e.g. from a keepalive whose reply
-                    // raced an event wait) is dropped, not an error.
-                    Response::Pong(_) => {}
-                    other => {
-                        return Err(ClientError::Protocol(format!(
-                            "unsolicited non-event frame {other:?}"
-                        )))
-                    }
-                },
-                Ok(None) => {
-                    return Err(ClientError::Protocol(
-                        "server closed connection while waiting for events".into(),
-                    ))
+                // A stray Pong (e.g. from a keepalive whose reply
+                // raced an event wait) is dropped, not an error.
+                Ok(None | Some(Response::Pong(_))) => {}
+                Ok(Some(other)) => {
+                    return Err(ClientError::Protocol(format!(
+                        "unsolicited non-event frame {other:?}"
+                    )))
                 }
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    break;
-                }
-                Err(e) => return Err(e.into()),
+                Err(ClientError::Io(e)) if is_timeout(&e) => break,
+                Err(e) => return Err(e),
             }
         }
         Ok(self.take_events())

@@ -263,31 +263,11 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
-/// Reads one length-prefixed frame. `Ok(None)` means the peer closed
-/// the connection cleanly at a frame boundary.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len = [0u8; 4];
-    match r.read_exact(&mut len) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {MAX_FRAME_BYTES}"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    Ok(Some(payload))
-}
-
-/// Incremental frame reader for sockets with read timeouts.
+/// Reads length-prefixed frames, including from sockets with read
+/// timeouts.
 ///
-/// [`read_frame`]'s `read_exact` is only safe on a blocking stream: if
-/// the socket has a read timeout and it fires mid-frame, `read_exact`
+/// A `read_exact` loop is only safe on a blocking stream: if the
+/// socket has a read timeout and it fires mid-frame, `read_exact`
 /// returns an error *after having consumed some bytes*, desynchronizing
 /// the stream. `FrameReader` instead accumulates partial progress
 /// across calls — a `WouldBlock`/`TimedOut` from the underlying reader
@@ -1068,27 +1048,28 @@ mod tests {
         write_frame(&mut buf, &Request::Stats.encode()).unwrap();
         write_frame(&mut buf, &Request::Delete(3).encode()).unwrap();
         let mut r = &buf[..];
+        let mut fr = FrameReader::new();
         assert_eq!(
-            Request::decode(&read_frame(&mut r).unwrap().unwrap()).unwrap(),
+            Request::decode(&fr.read_frame(&mut r).unwrap().unwrap()).unwrap(),
             Request::Stats
         );
         assert_eq!(
-            Request::decode(&read_frame(&mut r).unwrap().unwrap()).unwrap(),
+            Request::decode(&fr.read_frame(&mut r).unwrap().unwrap()).unwrap(),
             Request::Delete(3)
         );
-        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+        assert!(fr.read_frame(&mut r).unwrap().is_none(), "clean EOF");
 
         // A garbled length prefix fails fast instead of allocating.
         let huge = (MAX_FRAME_BYTES + 1).to_le_bytes();
         let mut r = &huge[..];
-        assert!(read_frame(&mut r).is_err());
+        assert!(FrameReader::new().read_frame(&mut r).is_err());
 
         // Truncation inside a payload is an error, not a hang.
         let mut buf = Vec::new();
         write_frame(&mut buf, &Request::Delete(3).encode()).unwrap();
         buf.truncate(buf.len() - 2);
         let mut r = &buf[..];
-        assert!(read_frame(&mut r).is_err());
+        assert!(FrameReader::new().read_frame(&mut r).is_err());
     }
 
     #[test]

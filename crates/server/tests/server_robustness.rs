@@ -22,11 +22,14 @@
 //!    backfill equivalent to a fresh registration.
 //! 6. **Back-off hints** — `Overloaded` carries a non-zero
 //!    `retry_after_us`.
+//! 7. **Client read timeouts** — a `wait_events` timeout that fires
+//!    mid-frame loses no bytes: the frame completes on the next wait
+//!    and the stream stays in sync.
 
 use std::collections::HashSet;
 use std::fs;
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -40,8 +43,8 @@ use vp_core::{
     SubEventKind, VelocityAnalyzer, VpConfig, VpIndex,
 };
 use vp_geom::{Point, Rect};
-use vp_server::protocol::{write_frame, ErrorCode, Request};
-use vp_server::{spawn, ClientError, ServerConfig, SubscribeSpec, VpClient};
+use vp_server::protocol::{write_frame, ErrorCode, FrameReader, Request, Response};
+use vp_server::{spawn, ClientError, EventBatch, ServerConfig, SubscribeSpec, VpClient};
 use vp_storage::{BufferPool, DiskManager};
 
 // ---------------------------------------------------------------------
@@ -612,4 +615,52 @@ fn overloaded_rejections_carry_retry_after_hints() {
     });
     assert!(hits > 0, "burst never tripped the admission queue");
     handle.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// 7. Client read timeouts
+// ---------------------------------------------------------------------
+
+#[test]
+fn wait_events_timeout_mid_frame_keeps_the_stream_in_sync() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let batch = EventBatch {
+        sub: 7,
+        time: 3.0,
+        seq: 1,
+        reset: false,
+        fin: false,
+        events: vec![(SubEventKind::Enter, 42), (SubEventKind::Leave, 43)],
+    };
+    let mut frame = Vec::new();
+    let events = Response::Events {
+        sub: batch.sub,
+        time: batch.time,
+        seq: batch.seq,
+        reset: batch.reset,
+        fin: batch.fin,
+        events: batch.events.clone(),
+    };
+    write_frame(&mut frame, &events.encode()).unwrap();
+    let peer = thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let (head, tail) = frame.split_at(frame.len() / 2);
+        s.write_all(head).unwrap();
+        thread::sleep(Duration::from_millis(400));
+        s.write_all(tail).unwrap();
+        // Then answer one ordinary request.
+        let req = FrameReader::new().read_frame(&mut s).unwrap().unwrap();
+        let Request::Ping(nonce) = Request::decode(&req).unwrap() else {
+            panic!("expected a ping");
+        };
+        write_frame(&mut s, &Response::Pong(nonce).encode()).unwrap();
+    });
+
+    let mut c = VpClient::connect(addr).unwrap();
+    let timed_out = c.wait_events(Duration::from_millis(100)).unwrap();
+    assert!(timed_out.is_empty(), "half a frame is not a batch");
+    assert_eq!(c.wait_events(Duration::from_secs(5)).unwrap(), [batch]);
+    c.ping().unwrap();
+    peer.join().unwrap();
 }

@@ -538,6 +538,44 @@ fn snapshot_page_counts_match_the_quiesced_live_index() {
         );
         assert_eq!((tally.logical_writes, tally.physical_writes), (0, 0));
         assert_eq!(vp.io_stats(), live, "{label}: live counters untouched");
+
+        // The single-query paths too: every range alone, then one kNN
+        // probe chain (probe n covered by probe n - 1).
+        let probes: Vec<RangeQuery> = (0..4)
+            .map(|n| {
+                let c = Circle::new(
+                    Point::new(DOMAIN / 2.0, DOMAIN / 2.0),
+                    1_500.0 * 2f64.powi(n),
+                );
+                RangeQuery::time_slice(QueryRegion::Circle(c), 20.0)
+            })
+            .collect();
+        fn singles<X: MovingObjectIndex>(
+            x: &X,
+            ranges: &[RangeQuery],
+            probes: &[RangeQuery],
+        ) -> Vec<Vec<ObjectId>> {
+            let mut out: Vec<Vec<ObjectId>> =
+                ranges.iter().map(|q| x.range_query(q).unwrap()).collect();
+            for (n, probe) in probes.iter().enumerate() {
+                let covered = n.checked_sub(1).map(|c| &probes[c]);
+                out.push(x.knn_candidates(probe, covered).unwrap());
+            }
+            out
+        }
+        let live_singles = singles(&vp, &ranges, &probes);
+        let live_reads = vp.io_stats().logical_reads - live.logical_reads;
+        assert!(live_reads > 0, "{label}: the single queries read pages");
+        assert_eq!(
+            singles(&snap, &ranges, &probes),
+            live_singles,
+            "{label}: single-query ids"
+        );
+        assert_eq!(
+            snap.io_stats().logical_reads - tally.logical_reads,
+            live_reads,
+            "{label}: single-query logical page reads, snapshot vs live"
+        );
     }
     check("bx", build_bx(2));
     check("tpr", build_tpr(2));

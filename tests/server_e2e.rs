@@ -9,7 +9,7 @@ use std::net::TcpStream;
 
 use velocity_partitioning::prelude::*;
 use velocity_partitioning::vp_core::traits::reference::ScanIndex;
-use vp_server::protocol::{read_frame, write_frame, ErrorCode, Response};
+use vp_server::protocol::{write_frame, ErrorCode, FrameReader, Response};
 use vp_server::{spawn, ServerConfig, VpClient};
 
 fn sample() -> Vec<Point> {
@@ -85,14 +85,16 @@ fn full_lifecycle_over_the_wire() {
     let mut raw = TcpStream::connect(addr).unwrap();
     write_frame(&mut raw, &[0xFF, 0x01, 0x02]).unwrap();
     raw.flush().unwrap();
-    let payload = read_frame(&mut raw).unwrap().expect("a reply frame");
+    let mut frames = FrameReader::new();
+    let payload = frames.read_frame(&mut raw).unwrap().expect("a reply frame");
     let Response::Error { code, .. } = Response::decode(&payload).unwrap() else {
         panic!("expected an error response");
     };
     assert_eq!(code, ErrorCode::BadRequest);
     write_frame(&mut raw, &vp_server::Request::Stats.encode()).unwrap();
     raw.flush().unwrap();
-    let payload = read_frame(&mut raw)
+    let payload = frames
+        .read_frame(&mut raw)
         .unwrap()
         .expect("stats after bad frame");
     let Response::Stats(stats) = Response::decode(&payload).unwrap() else {
