@@ -10,7 +10,8 @@
 //!
 //! Features: recursive insert with node splits, full deletion with
 //! sibling borrowing and merging, point lookups, and ordered range
-//! scans over the leaf chain. All node accesses go through the shared
+//! scans — one left-to-right sweep per batch of ranges that reads each
+//! page at most once. All node accesses go through the shared
 //! `vp-storage` buffer pool and are attributed to the tree's own I/O
 //! counters, matching the accounting discipline of the other indexes.
 //!

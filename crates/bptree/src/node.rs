@@ -472,6 +472,13 @@ impl<'a> InternalView<'a> {
         self.buf[1]
     }
 
+    /// The encoded node — header, separators and child ids — without
+    /// the page's unused tail; it parses back into the same view.
+    #[inline]
+    pub(crate) fn encoded_bytes(&self) -> &'a [u8] {
+        &self.buf[..INT_KEYS + self.count * KEY_LEN + (self.count + 1) * 8]
+    }
+
     /// Separator key `i`.
     #[inline]
     pub fn key_at(&self, i: usize) -> Key128 {

@@ -767,7 +767,8 @@ impl BPlusTree {
     /// * every subtree's keys respect the parent separator bounds;
     /// * occupancy limits for non-root nodes;
     /// * uniform leaf depth;
-    /// * leaf chain visits exactly the tree's key count in order.
+    /// * the leaf chain, followed by its `next` pointers from the
+    ///   leftmost leaf, visits exactly the tree's key count in order.
     pub fn check_invariants(&self) -> StorageResult<Result<(), String>> {
         // Recursive structural walk with key-range bounds.
         fn walk(
@@ -853,26 +854,43 @@ impl BPlusTree {
         if count != self.len {
             return Ok(Err(format!("structural count {count} != len {}", self.len)));
         }
-        // Leaf chain: ordered, complete.
-        let mut chained = 0usize;
+        // Leaf chain: walked by its `next` pointers from the leftmost
+        // leaf, ordered and complete. Every non-root leaf holds a key,
+        // so a sound chain has at most `max(len, 1)` leaves; the bound
+        // stops a cycle.
+        let mut pid = self.descend_to_leaf(Key128::MIN)?;
+        let max_leaves = self.len.max(1);
+        let (mut chained, mut leaves) = (0usize, 0usize);
         let mut prev: Option<Key128> = None;
-        let n = self.range_scan(Key128::MIN, Key128::MAX, |k, _| {
-            if let Some(p) = prev {
-                debug_assert!(p < k);
+        while pid.is_valid() {
+            leaves += 1;
+            if leaves > max_leaves {
+                return Ok(Err(format!("leaf chain has over {max_leaves} leaves")));
             }
-            prev = Some(k);
-            chained += 1;
-        })?;
-        if n != self.len {
-            return Ok(Err(format!("leaf chain visits {n}, len {}", self.len)));
+            let BNode::Leaf { next, keys, .. } = self.read_node(pid)? else {
+                return Ok(Err(format!("leaf chain reaches internal node {pid}")));
+            };
+            for k in keys {
+                if prev.is_some_and(|p| p >= k) {
+                    return Ok(Err(format!("leaf chain out of order at leaf {pid}")));
+                }
+                prev = Some(k);
+                chained += 1;
+            }
+            pid = next;
+        }
+        if chained != self.len {
+            let len = self.len;
+            return Ok(Err(format!("leaf chain visits {chained}, len {len}")));
         }
         Ok(Ok(()))
     }
 
     // ----- scans ----------------------------------------------------------
 
-    /// Visits every `(key, value)` with `lo <= key <= hi` in key order.
-    /// Returns the number of entries visited.
+    /// Visits every `(key, value)` with `lo <= key <= hi` in key order:
+    /// the one-range case of [`BPlusTree::range_scan_batch`]. Returns
+    /// the number of entries visited.
     ///
     /// Zero-copy: values are handed to `f` as borrows into the page
     /// buffer, and entries outside the range are never touched — the
@@ -888,13 +906,16 @@ impl BPlusTree {
     }
 
     /// Answers many `[lo, hi]` key ranges in **one shared sweep**:
-    /// the ranges are ordered by `lo`, and the leaf chain is walked
-    /// left to right with the set of currently *active* ranges — every
-    /// touched leaf page is fetched and parsed exactly once for all
-    /// ranges overlapping it, instead of once per range as a loop of
-    /// [`BPlusTree::range_scan`] calls would. Gaps no active range
-    /// covers are skipped by a fresh root descent rather than chained
-    /// through.
+    /// the ranges are ordered by `lo`, and the leaves are visited left
+    /// to right with the set of currently *active* ranges. The sweep
+    /// keeps its root-to-leaf path cached — each internal node's
+    /// separators, child ids and key fences `[lo, hi)`, copied once —
+    /// and finds the next leaf, or the leaf past a gap no active range
+    /// covers, by descending from the lowest cached node whose fences
+    /// cover the key it needs, never from the root again. So **each
+    /// page is read at most once per sweep**, however many ranges
+    /// overlap it, and the leaves read are exactly those whose fences
+    /// meet a range. Memory is one node per tree level.
     ///
     /// `f` is invoked as `f(range_index, key, value)` for every entry
     /// of every range, in ascending key order per range. An entry in
@@ -1982,13 +2003,18 @@ mod tests {
         assert_eq!(t.io_stats(), IoStats::zero());
     }
 
+    /// Each range of a batch answers what the same range of a
+    /// `BTreeMap` holds (`range_scan` is the one-range sweep itself,
+    /// so it cannot be the oracle).
     #[test]
     fn range_scan_batch_matches_looped_scans() {
         let mut t = BPlusTree::new(pool(512)).unwrap();
+        let mut reference = BTreeMap::new();
         let mut rng = Rng(0xBA7C4);
         for _ in 0..1_500 {
             let k = rng.next() % 20_000;
             t.insert(key(k), val(k)).unwrap();
+            reference.insert(key(k), val(k));
         }
         // Random, heavily overlapping range batches.
         for round in 0..20 {
@@ -2004,9 +2030,9 @@ mod tests {
             t.range_scan_batch(&ranges, |r, k, v| batched[r].push((k, *v)))
                 .unwrap();
             for (r, &(lo, hi)) in ranges.iter().enumerate() {
-                let mut looped = Vec::new();
-                t.range_scan(lo, hi, |k, v| looped.push((k, *v))).unwrap();
-                assert_eq!(batched[r], looped, "round {round}, range {r}");
+                let want: Vec<(Key128, Value)> =
+                    reference.range(lo..=hi).map(|(k, v)| (*k, *v)).collect();
+                assert_eq!(batched[r], want, "round {round}, range {r}");
             }
         }
     }

@@ -4,8 +4,10 @@
 //! `BxView` (crate-private) bundles the query planner's state
 //! (configuration, curve, velocity histogram, bucket census) with any
 //! `BtreeRead`
-//! implementor and runs the window-enlargement planning and the
-//! single/batched/incremental query paths against it. The live
+//! implementor and runs the window-enlargement planning against it.
+//! A single query, a batch and a kNN ring are all read the same way:
+//! their curve ranges in every live bucket feed one B+-tree sweep that
+//! reads each page at most once. The live
 //! [`BxTree`] builds a view over its own `BPlusTree` for every query;
 //! [`BxSnapshot`] owns a clone of the planner state plus a
 //! [`BPlusTreeSnapshot`], so its queries touch no shared mutable state
@@ -28,56 +30,30 @@ use crate::tree::{subtract_ranges, BxConfig, BxEnlargement, BxTree, CellSpan, Cu
 /// [`BPlusTree`] and by [`BPlusTreeSnapshot`], so the Bx-tree query
 /// paths are written once and run against either.
 pub(crate) trait BtreeRead {
-    /// Visits every `(key, value)` with `lo <= key <= hi` in key order.
-    fn scan(
-        &self,
-        lo: Key128,
-        hi: Key128,
-        f: &mut dyn FnMut(Key128, &Value),
-    ) -> StorageResult<usize>;
-
-    /// Answers many key ranges in one shared leaf-chain sweep; contract
-    /// as [`BPlusTree::range_scan_batch`].
+    /// Answers many key ranges in one shared sweep that reads each
+    /// page at most once; contract as [`BPlusTree::range_scan_batch`].
     fn scan_batch(
         &self,
         ranges: &[(Key128, Key128)],
-        f: &mut dyn FnMut(usize, Key128, &Value),
+        f: impl FnMut(usize, Key128, &Value),
     ) -> StorageResult<usize>;
 }
 
 impl BtreeRead for BPlusTree {
-    fn scan(
-        &self,
-        lo: Key128,
-        hi: Key128,
-        f: &mut dyn FnMut(Key128, &Value),
-    ) -> StorageResult<usize> {
-        BPlusTree::range_scan(self, lo, hi, f)
-    }
-
     fn scan_batch(
         &self,
         ranges: &[(Key128, Key128)],
-        f: &mut dyn FnMut(usize, Key128, &Value),
+        f: impl FnMut(usize, Key128, &Value),
     ) -> StorageResult<usize> {
         BPlusTree::range_scan_batch(self, ranges, f)
     }
 }
 
 impl BtreeRead for BPlusTreeSnapshot {
-    fn scan(
-        &self,
-        lo: Key128,
-        hi: Key128,
-        f: &mut dyn FnMut(Key128, &Value),
-    ) -> StorageResult<usize> {
-        BPlusTreeSnapshot::range_scan(self, lo, hi, f)
-    }
-
     fn scan_batch(
         &self,
         ranges: &[(Key128, Key128)],
-        f: &mut dyn FnMut(usize, Key128, &Value),
+        f: impl FnMut(usize, Key128, &Value),
     ) -> StorageResult<usize> {
         BPlusTreeSnapshot::range_scan_batch(self, ranges, f)
     }
@@ -261,89 +237,73 @@ impl<'a, B> BxView<'a, B> {
 }
 
 impl<'a, B: BtreeRead> BxView<'a, B> {
-    /// Exact range query; contract as
-    /// [`vp_core::MovingObjectIndex::range_query`].
-    pub fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
-        let mut out = Vec::new();
-        for &seq in self.buckets.keys() {
-            let Some(ranges) = self.scan_ranges(query, seq) else {
-                continue;
-            };
-            let seq_base = seq << (2 * self.config.lambda);
-            for (a, b) in ranges {
-                let lo = Key128::new(seq_base | a, 0);
-                let hi = Key128::new(seq_base | b, u64::MAX);
-                self.btree
-                    .scan(lo, hi, &mut |k, v| {
-                        let (pos, vel, lab) = BxTree::decode_value(v);
-                        let obj = MovingObject::new(k.lo, pos, vel, lab);
-                        if query.matches(&obj) {
-                            out.push(k.lo);
-                        }
-                    })
-                    .map_err(IndexError::from)?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Shared leaf sweep over the whole batch: every query's curve
-    /// ranges are gathered per time bucket and answered through one
-    /// [`BPlusTree::range_scan_batch`]-style call, so a leaf page
-    /// holding candidates for N overlapping queries is fetched and
-    /// decoded once, not N times. Per query the result is identical to
-    /// [`BxView::range_query`] — same candidates, same exact filter,
-    /// same (key-ascending per bucket) order.
-    pub fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
-        let mut results: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
+    /// The one read path: gathers the key ranges of `probes` probes
+    /// across **all** live buckets — probe `p`'s curve ranges in bucket
+    /// `seq` are `ranges_of(p, seq)` — and answers them in one
+    /// [`BPlusTree::range_scan_batch`] sweep, which reads each page at
+    /// most once however many ranges, probes and buckets share it.
+    /// `f(probe, key, value)` sees each probe's entries in ascending
+    /// key order, which (the bucket being the key's high part) is
+    /// bucket-ascending too. `ranges_of` must yield disjoint ranges
+    /// per probe and bucket, so no entry is reported twice to a probe.
+    fn sweep(
+        &self,
+        probes: usize,
+        ranges_of: impl Fn(usize, u64) -> Option<Vec<(u64, u64)>>,
+        mut f: impl FnMut(usize, Key128, &Value),
+    ) -> IndexResult<()> {
+        let mut key_ranges: Vec<(Key128, Key128)> = Vec::new();
+        let mut owner: Vec<usize> = Vec::new();
         for &seq in self.buckets.keys() {
             let seq_base = seq << (2 * self.config.lambda);
-            let mut key_ranges: Vec<(Key128, Key128)> = Vec::new();
-            let mut owner: Vec<usize> = Vec::new();
-            for (qi, query) in queries.iter().enumerate() {
-                let Some(ranges) = self.scan_ranges(query, seq) else {
-                    continue;
-                };
-                for (a, b) in ranges {
+            for p in 0..probes {
+                for (a, b) in ranges_of(p, seq).into_iter().flatten() {
                     key_ranges.push((
                         Key128::new(seq_base | a, 0),
                         Key128::new(seq_base | b, u64::MAX),
                     ));
-                    owner.push(qi);
+                    owner.push(p);
                 }
             }
-            if key_ranges.is_empty() {
-                continue;
-            }
-            // The sweep reports an entry shared by several queries as
-            // consecutive calls with the same key: decode it once.
-            let mut last: Option<(Key128, MovingObject)> = None;
-            self.btree
-                .scan_batch(&key_ranges, &mut |ri, k, v| {
-                    let qi = owner[ri];
-                    let obj = match &last {
-                        Some((lk, obj)) if *lk == k => *obj,
-                        _ => {
-                            let (pos, vel, lab) = BxTree::decode_value(v);
-                            let obj = MovingObject::new(k.lo, pos, vel, lab);
-                            last = Some((k, obj));
-                            obj
-                        }
-                    };
-                    if queries[qi].matches(&obj) {
-                        results[qi].push(k.lo);
-                    }
-                })
-                .map_err(IndexError::from)?;
         }
+        self.btree
+            .scan_batch(&key_ranges, |ri, k, v| f(owner[ri], k, v))
+            .map_err(IndexError::from)?;
+        Ok(())
+    }
+
+    /// Exact range query: a batch of one; contract as
+    /// [`vp_core::MovingObjectIndex::range_query`].
+    pub fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
+        let mut results = self.range_query_batch(std::slice::from_ref(query))?;
+        Ok(results.pop().unwrap_or_default())
+    }
+
+    /// Every query's curve ranges in every bucket, answered by one
+    /// shared sweep: a leaf holding candidates for N overlapping
+    /// queries is fetched once, not N times. Per query the result is
+    /// identical to [`BxView::range_query`] — same candidates, same
+    /// exact filter, same key-ascending order.
+    pub fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
+        let mut results: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
+        self.sweep(
+            queries.len(),
+            |qi, seq| self.scan_ranges(&queries[qi], seq),
+            |qi, k, v| {
+                let (pos, vel, lab) = BxTree::decode_value(v);
+                if queries[qi].matches(&MovingObject::new(k.lo, pos, vel, lab)) {
+                    results[qi].push(k.lo);
+                }
+            },
+        )?;
         Ok(results)
     }
 
-    /// Incremental kNN candidates: scans only the **delta ring** — the
+    /// Incremental kNN candidates: sweeps only the **delta ring** — the
     /// current probe's curve ranges minus the ranges the `covered`
     /// probe already swept (recomputed, deterministically, rather than
-    /// remembered) — and reports every id in it without exact
-    /// filtering; contract as
+    /// remembered), in every bucket at once — and reports every id in
+    /// it without exact filtering; contract as
     /// [`vp_core::MovingObjectIndex::knn_candidates`].
     pub fn knn_candidates(
         &self,
@@ -351,23 +311,17 @@ impl<'a, B: BtreeRead> BxView<'a, B> {
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>> {
         let mut out = Vec::new();
-        for &seq in self.buckets.keys() {
-            let Some(ranges) = self.scan_ranges(query, seq) else {
-                continue;
-            };
-            let ranges = match covered.and_then(|c| self.scan_ranges(c, seq)) {
-                Some(done) => subtract_ranges(&ranges, &done),
-                None => ranges,
-            };
-            let seq_base = seq << (2 * self.config.lambda);
-            for (a, b) in ranges {
-                let lo = Key128::new(seq_base | a, 0);
-                let hi = Key128::new(seq_base | b, u64::MAX);
-                self.btree
-                    .scan(lo, hi, &mut |k, _v| out.push(k.lo))
-                    .map_err(IndexError::from)?;
-            }
-        }
+        self.sweep(
+            1,
+            |_, seq| {
+                let ranges = self.scan_ranges(query, seq)?;
+                Some(match covered.and_then(|c| self.scan_ranges(c, seq)) {
+                    Some(done) => subtract_ranges(&ranges, &done),
+                    None => ranges,
+                })
+            },
+            |_, k, _| out.push(k.lo),
+        )?;
         Ok(out)
     }
 }
@@ -578,5 +532,96 @@ mod tests {
             }
         });
         assert_eq!(t.len(), 400);
+    }
+
+    /// The read entry points and the logical page counter of the live
+    /// tree or of a snapshot.
+    trait Reads {
+        fn range(&self, q: &RangeQuery) -> Vec<ObjectId>;
+        fn batch(&self, qs: &[RangeQuery]) -> Vec<Vec<ObjectId>>;
+        fn knn(&self, q: &RangeQuery, covered: Option<&RangeQuery>) -> Vec<ObjectId>;
+        fn reads(&self) -> u64;
+    }
+
+    impl Reads for BxTree {
+        fn range(&self, q: &RangeQuery) -> Vec<ObjectId> {
+            MovingObjectIndex::range_query(self, q).unwrap()
+        }
+        fn batch(&self, qs: &[RangeQuery]) -> Vec<Vec<ObjectId>> {
+            MovingObjectIndex::range_query_batch(self, qs).unwrap()
+        }
+        fn knn(&self, q: &RangeQuery, covered: Option<&RangeQuery>) -> Vec<ObjectId> {
+            MovingObjectIndex::knn_candidates(self, q, covered).unwrap()
+        }
+        fn reads(&self) -> u64 {
+            MovingObjectIndex::io_stats(self).logical_reads
+        }
+    }
+
+    impl Reads for BxSnapshot {
+        fn range(&self, q: &RangeQuery) -> Vec<ObjectId> {
+            IndexSnapshot::range_query(self, q).unwrap()
+        }
+        fn batch(&self, qs: &[RangeQuery]) -> Vec<Vec<ObjectId>> {
+            IndexSnapshot::range_query_batch(self, qs).unwrap()
+        }
+        fn knn(&self, q: &RangeQuery, covered: Option<&RangeQuery>) -> Vec<ObjectId> {
+            IndexSnapshot::knn_candidates(self, q, covered).unwrap()
+        }
+        fn reads(&self) -> u64 {
+            IndexSnapshot::io_stats(self).logical_reads
+        }
+    }
+
+    /// A single query is a batch of one — same ids, same order, same
+    /// logical page reads — and a kNN probe chain (probe n covered by
+    /// probe n − 1) reports exactly the union of its probes' standalone
+    /// candidates.
+    fn assert_one_read_path(label: &str, x: &impl Reads, qs: &[RangeQuery], probes: &[RangeQuery]) {
+        let mut answered = 0;
+        for (qi, q) in qs.iter().enumerate() {
+            let r0 = x.reads();
+            let single = x.range(q);
+            let r1 = x.reads();
+            let batch = x.batch(std::slice::from_ref(q)).pop().unwrap();
+            let r2 = x.reads();
+            assert_eq!(single, batch, "{label}: query {qi} ids");
+            assert_eq!(r1 - r0, r2 - r1, "{label}: query {qi} logical reads");
+            answered += usize::from(!single.is_empty());
+        }
+        assert!(answered > qs.len() / 2, "{label}: most queries answer ids");
+        let mut chain = std::collections::BTreeSet::new();
+        let mut standalone = std::collections::BTreeSet::new();
+        for (n, probe) in probes.iter().enumerate() {
+            chain.extend(x.knn(probe, n.checked_sub(1).map(|c| &probes[c])));
+            standalone.extend(x.knn(probe, None));
+            assert_eq!(chain, standalone, "{label}: kNN chain through probe {n}");
+        }
+        assert!(!chain.is_empty(), "{label}: the probes found candidates");
+    }
+
+    #[test]
+    fn every_query_shape_reads_through_one_sweep() {
+        let objs = random_objects(3_000, 0x0E5, 60.0, 0.0);
+        let mut t = BxTree::bulk_load(pool(), small_config(), &objs).unwrap();
+        // A third of the fleet reports again in the next time bucket.
+        let later: Vec<MovingObject> = objs
+            .iter()
+            .step_by(3)
+            .map(|o| MovingObject::new(o.id, o.position_at(70.0), o.vel, 70.0))
+            .collect();
+        t.update_batch(&later).unwrap();
+        let snap = t.snapshot().unwrap();
+        assert!(snap.buckets.len() >= 2, "several live buckets");
+        assert!(t.btree_height() >= 3, "height {}", t.btree_height());
+
+        let qs = queries(24, 0x0F1E, 75.0);
+        let center = Point::new(5_000.0, 5_000.0);
+        let probes: Vec<RangeQuery> = [250.0, 600.0, 1_400.0, 3_000.0]
+            .iter()
+            .map(|&r| RangeQuery::time_slice(QueryRegion::Circle(Circle::new(center, r)), 75.0))
+            .collect();
+        assert_one_read_path("live", &t, &qs, &probes);
+        assert_one_read_path("snapshot", &snap, &qs, &probes);
     }
 }

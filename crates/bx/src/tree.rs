@@ -48,6 +48,8 @@ pub struct BxConfig {
     /// Velocity histogram cells per axis (paper: 1000).
     pub hist_cells: usize,
     /// Budget of contiguous curve ranges scanned per bucket per query.
+    /// A range is one segment of the query's shared leaf sweep, not a
+    /// root-to-leaf descent of its own.
     pub max_scan_ranges: usize,
     /// How the enlarged region is turned into B+-tree scans.
     pub enlargement: BxEnlargement,
@@ -532,26 +534,12 @@ impl MovingObjectIndex for BxTree {
         self.view().range_query(query)
     }
 
-    /// Shared leaf sweep over the whole batch: every query's curve
-    /// ranges are gathered per time bucket and answered through one
-    /// [`BPlusTree::range_scan_batch`] call, so a leaf page holding
-    /// candidates for N overlapping queries is fetched and decoded
-    /// once, not N times. Per query the result is identical to
-    /// [`MovingObjectIndex::range_query`] — same candidates, same
-    /// exact filter, same (key-ascending per bucket) order.
+    /// One shared sweep for the whole batch; see `BxView::range_query_batch`.
     fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
         self.view().range_query_batch(queries)
     }
 
-    /// Incremental kNN candidates: scans only the **delta ring** —
-    /// the current probe's curve ranges minus the ranges the
-    /// `covered` probe already swept (recomputed, deterministically,
-    /// rather than remembered) — and reports every id in it without
-    /// exact filtering. Everything inside the covered ranges was
-    /// already reported by the earlier rounds of the chain, so the
-    /// union-over-rounds contract of
-    /// [`MovingObjectIndex::knn_candidates`] holds while each
-    /// enlargement round reads only the pages of its ring.
+    /// One sweep of the delta ring; see `BxView::knn_candidates`.
     fn knn_candidates(
         &self,
         query: &RangeQuery,

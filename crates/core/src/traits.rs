@@ -79,9 +79,9 @@ pub trait MovingObjectIndex {
     ///
     /// The default loops the single-query path. Indexes with a
     /// cheaper shared plan override it: the Bx-tree merges every
-    /// query's decomposed curve ranges into **one shared leaf sweep**
-    /// per time bucket (each touched leaf page is fetched and decoded
-    /// once for all queries overlapping it), and the TPR-tree runs
+    /// query's decomposed curve ranges in every time bucket into **one
+    /// shared sweep** (each page is read at most once for all queries
+    /// overlapping it), and the TPR-tree runs
     /// one top-down traversal carrying the set of still-alive queries
     /// per subtree (each node page is read once for the whole batch).
     /// Callers holding several concurrent queries should prefer this

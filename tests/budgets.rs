@@ -28,6 +28,8 @@ use vp_server::{spawn, ServerConfig, ServerHandle, VpClient};
 /// subscriptions, horizon 25 s at a 10 s tick): Bx 242 full / 76
 /// incremental pages = 3.18×, TPR\* 192 / 63 = 3.05×. The floor is
 /// 0.8 × the smaller ratio, as the CI guard this test replaces had it.
+/// Since every Bx read is one sweep that reads each page at most once,
+/// Bx reads 222 / 71 = 3.13×; TPR\* is unchanged at 192 / 63.
 const FULL_OVER_INCREMENTAL_PAGES_MIN: f64 = 2.4;
 
 /// Short enough that predictive windows expire mid-run, so the
@@ -68,14 +70,14 @@ fn pool() -> Arc<BufferPool> {
 }
 
 /// A VP index over the trace's first tick; `sub_index` makes one
-/// partition's index on the shared pool.
+/// partition's index on the shared `pool`.
 fn build<I: MovingObjectIndex + Send>(
     trace: &ScenarioTrace,
+    pool: Arc<BufferPool>,
     sub_index: impl Fn(&PartitionSpec, Arc<BufferPool>) -> I,
 ) -> VpIndex<I> {
     let cfg = vp_config(trace);
     let analysis = analyze(trace, &cfg);
-    let pool = pool();
     let mut vp = VpIndex::build(cfg, &analysis, |spec| sub_index(spec, Arc::clone(&pool)))
         .expect("vp index");
     vp.apply_updates(&trace.ticks[0]).expect("initial load");
@@ -146,7 +148,10 @@ fn pages_read<I: MovingObjectIndex + Send + Sync>(
 ) -> (u64, u64) {
     let trace = hotspot_trace();
     let specs = range_specs(&trace);
-    let (mut inc_vp, mut full_vp) = (build(&trace, &sub_index), build(&trace, &sub_index));
+    let (mut inc_vp, mut full_vp) = (
+        build(&trace, pool(), &sub_index),
+        build(&trace, pool(), &sub_index),
+    );
 
     let mut subs =
         SubscriptionSet::new(SubscriptionConfig::new(trace.domain).with_horizon(HORIZON));
@@ -228,6 +233,80 @@ fn incremental_on_tick_reads_fewer_pages_than_full_reevaluation_bx() {
 #[test]
 fn incremental_on_tick_reads_fewer_pages_than_full_reevaluation_tpr() {
     assert_incremental_reads_fewer_pages("tpr", pages_read(tpr));
+}
+
+// --- Bx reads: pages per range query and per kNN search -------------------
+
+/// Logical pages one Bx(VP) range query reads, on average over the
+/// sixteen 5 km circles of [`served_queries`] on the hotspot fleet
+/// over 512-byte pages, where the Bx sub-trees have three levels.
+///
+/// Measured when set: 307.6 → 81.8 per query, once every curve range
+/// of every bucket stopped paying its own root-to-leaf descent and all
+/// of them became one sweep that reads each page at most once.
+/// TPR\*(VP) reads 63.4 per query on the same circles, before and
+/// after.
+const BX_RANGE_PAGES_MAX: u64 = 82;
+
+/// Logical pages one Bx(VP) kNN search ([`knn_at`]) reads, on average
+/// over the sixteen searches of [`knn_searches`] on the same fixture.
+///
+/// Measured when set: 297.9 → 70.7 per search, once each ring of the
+/// expanding probe chain became one sweep. TPR\*(VP) reads 51.3 per
+/// search, before and after.
+const BX_KNN_PAGES_MAX: u64 = 71;
+
+fn small_page_pool() -> Arc<BufferPool> {
+    Arc::new(BufferPool::with_capacity(
+        DiskManager::with_page_size(512),
+        4096,
+    ))
+}
+
+/// Range queries and kNN searches the page budgets average over.
+const READS: usize = 16;
+
+/// [`READS`] kNN searches round the scenario's focus points, `k` from
+/// 1 to 10.
+fn knn_searches(trace: &ScenarioTrace) -> Vec<(Point, usize)> {
+    (0..READS)
+        .map(|i| {
+            let f = trace.focus[i % trace.focus.len()];
+            let center = Point::new(f.x - 700.0 * i as f64, f.y + 400.0 * i as f64);
+            (center, 1 + 3 * (i % 4))
+        })
+        .collect()
+}
+
+#[test]
+fn bx_range_and_knn_pages_within_budget() {
+    let trace = hotspot_trace();
+    let vp = build(&trace, small_page_pool(), bx);
+    for p in 0..vp.specs().len() {
+        let height = vp.partition_index(p).btree_height();
+        assert!(height >= 3, "partition {p}: Bx sub-tree of height {height}");
+    }
+    let reads = || vp.io_stats().logical_reads;
+
+    let before = reads();
+    for q in &served_queries(&trace, READS) {
+        vp.range_query(q).expect("range");
+    }
+    let range = reads() - before;
+    assert!(
+        range <= BX_RANGE_PAGES_MAX * READS as u64,
+        "{READS} range queries read {range} pages, over {BX_RANGE_PAGES_MAX} each"
+    );
+
+    let before = reads();
+    for (center, k) in knn_searches(&trace) {
+        knn_at(&vp, center, k, trace.tick_time(0), &trace.domain).expect("knn");
+    }
+    let knn = reads() - before;
+    assert!(
+        knn <= BX_KNN_PAGES_MAX * READS as u64,
+        "{READS} kNN searches read {knn} pages, over {BX_KNN_PAGES_MAX} each"
+    );
 }
 
 // --- the durable tick: fsyncs per tick -------------------------------------
@@ -325,7 +404,7 @@ fn expected(oracle: &impl IndexSnapshot, q: &RangeQuery) -> Vec<u64> {
 /// snapshot every served answer must equal, and the server.
 fn serve_hotspot(config: ServerConfig) -> (ScenarioTrace, impl IndexSnapshot, ServerHandle) {
     let trace = hotspot_trace();
-    let index = build(&trace, bx);
+    let index = build(&trace, pool(), bx);
     let oracle = index.snapshot().expect("quiesced snapshot");
     let handle = spawn(index, "127.0.0.1:0", config).expect("spawn");
     (trace, oracle, handle)
