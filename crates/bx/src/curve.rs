@@ -8,10 +8,11 @@
 //!
 //! Both curves share the property that any *aligned* `2^k × 2^k` quad
 //! maps to one contiguous, `4^k`-aligned block of curve values, so the
-//! decomposition is a quadtree descent. The descent is budgeted: when
-//! the range budget runs out, partially covered quads are accepted
-//! whole. That only over-approximates the window — harmless, since
-//! query results are exact-filtered at the leaves.
+//! decomposition is a quadtree descent. It is exact: the ranges cover
+//! the window's cells and nothing else. A query reads all of its
+//! ranges in one shared leaf sweep, so each range is one segment of
+//! that sweep rather than a descent of its own, and more ranges cost
+//! no extra pages.
 
 /// Curve selection for [`crate::BxConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,25 +41,23 @@ pub trait SpaceFillingCurve {
     fn decode(&self, d: u64) -> (u32, u32);
 
     /// Decomposes the inclusive cell window `[x0, x1] × [y0, y1]` into
-    /// at most `max_ranges` disjoint, sorted, inclusive curve ranges
-    /// whose union covers the window (and possibly a little more when
-    /// the budget forces coarsening).
-    fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32, max_ranges: usize) -> Vec<(u64, u64)> {
+    /// sorted, disjoint, inclusive curve ranges whose union is exactly
+    /// the window's cells. Adjacent ranges are merged, so consecutive
+    /// ranges never touch.
+    fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)> {
         debug_assert!(x0 <= x1 && y0 <= y1);
         let side = self.side();
         debug_assert!(x1 < side && y1 < side);
         let mut out: Vec<(u64, u64)> = Vec::new();
         // Quadtree descent. Each frame: an aligned quad (qx, qy, size).
         let mut stack = vec![(0u32, 0u32, side)];
-        let mut budget_frames = max_ranges.max(4).saturating_mul(4);
         while let Some((qx, qy, size)) = stack.pop() {
             // Disjoint?
             if qx > x1 || qy > y1 || qx + size - 1 < x0 || qy + size - 1 < y0 {
                 continue;
             }
-            let fully_inside = qx >= x0 && qy >= y0 && qx + size - 1 <= x1 && qy + size - 1 <= y1;
-            let exhausted = budget_frames == 0 || size == 1;
-            if fully_inside || (exhausted && size >= 1) {
+            // Fully inside? (A single cell always is, once not disjoint.)
+            if qx >= x0 && qy >= y0 && qx + size - 1 <= x1 && qy + size - 1 <= y1 {
                 // An aligned quad is one contiguous 4^k-aligned block.
                 let k2 = (size.trailing_zeros() * 2) as u64;
                 let block = 1u64 << k2;
@@ -66,7 +65,6 @@ pub trait SpaceFillingCurve {
                 out.push((base, base + block - 1));
                 continue;
             }
-            budget_frames -= 1;
             let h = size / 2;
             stack.push((qx, qy, h));
             stack.push((qx + h, qy, h));
@@ -74,31 +72,20 @@ pub trait SpaceFillingCurve {
             stack.push((qx + h, qy + h, h));
         }
         out.sort_unstable();
-        // Merge adjacent/overlapping ranges and enforce the budget by
-        // bridging the smallest gaps if still over (rare).
-        let mut merged: Vec<(u64, u64)> = Vec::with_capacity(out.len());
-        for (a, b) in out {
-            match merged.last_mut() {
-                Some((_, pb)) if a <= *pb + 1 => *pb = (*pb).max(b),
-                _ => merged.push((a, b)),
-            }
-        }
-        while merged.len() > max_ranges.max(1) {
-            // Bridge the smallest gap.
-            let mut best = 1usize;
-            let mut best_gap = u64::MAX;
-            for i in 1..merged.len() {
-                let gap = merged[i].0 - merged[i - 1].1;
-                if gap < best_gap {
-                    best_gap = gap;
-                    best = i;
-                }
-            }
-            let (_, b) = merged.remove(best);
-            merged[best - 1].1 = merged[best - 1].1.max(b);
-        }
-        merged
+        merge_sorted(out)
     }
+}
+
+/// Merges sorted inclusive ranges that overlap or touch.
+pub(crate) fn merge_sorted(sorted: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
+    let mut merged: Vec<(u64, u64)> = Vec::new();
+    for (a, b) in sorted {
+        match merged.last_mut() {
+            Some((_, pb)) if a <= *pb + 1 => *pb = (*pb).max(b),
+            _ => merged.push((a, b)),
+        }
+    }
+    merged
 }
 
 /// Z-order (Morton) curve: bit interleaving.
@@ -271,26 +258,22 @@ mod tests {
         assert_eq!(c.encode(2, 0), 4);
     }
 
-    fn check_ranges_cover(c: &impl SpaceFillingCurve, x0: u32, y0: u32, x1: u32, y1: u32) {
-        let ranges = c.ranges(x0, y0, x1, y1, usize::MAX);
-        // Disjoint + sorted.
+    /// The decomposition against brute force: the ranges, expanded
+    /// value by value, are exactly the sorted curve values of every
+    /// window cell, and no two consecutive ranges touch (each is
+    /// maximal).
+    fn check_ranges_exact(c: &impl SpaceFillingCurve, x0: u32, y0: u32, x1: u32, y1: u32) {
+        let ranges = c.ranges(x0, y0, x1, y1);
+        let at = format!("window ({x0},{y0})-({x1},{y1}) at order {}", c.order());
         for w in ranges.windows(2) {
-            assert!(w[0].1 < w[1].0, "ranges overlap or unsorted");
+            assert!(w[0].1 + 1 < w[1].0, "{at}: ranges {w:?} touch or overlap");
         }
-        // Exact cover (unbudgeted): every in-window cell in some range,
-        // every range value in the window.
-        let total: u64 = ranges.iter().map(|(a, b)| b - a + 1).sum();
-        let expect = ((x1 - x0 + 1) as u64) * ((y1 - y0 + 1) as u64);
-        assert_eq!(total, expect, "cover size mismatch");
-        for x in x0..=x1 {
-            for y in y0..=y1 {
-                let d = c.encode(x, y);
-                assert!(
-                    ranges.iter().any(|(a, b)| d >= *a && d <= *b),
-                    "cell ({x},{y}) missing"
-                );
-            }
-        }
+        let mut cells: Vec<u64> = (x0..=x1)
+            .flat_map(|x| (y0..=y1).map(move |y| c.encode(x, y)))
+            .collect();
+        cells.sort_unstable();
+        let covered: Vec<u64> = ranges.iter().flat_map(|&(a, b)| a..=b).collect();
+        assert_eq!(covered, cells, "{at}: ranges are not the window's cells");
     }
 
     #[test]
@@ -305,24 +288,27 @@ mod tests {
             (0, 14, 15, 15),
             (5, 0, 5, 15),
         ] {
-            check_ranges_cover(&h, x0, y0, x1, y1);
-            check_ranges_cover(&z, x0, y0, x1, y1);
+            check_ranges_exact(&h, x0, y0, x1, y1);
+            check_ranges_exact(&z, x0, y0, x1, y1);
         }
-    }
-
-    #[test]
-    fn budgeted_ranges_are_supersets() {
-        let h = HilbertCurve::new(6);
-        let exact = h.ranges(5, 9, 40, 47, usize::MAX);
-        let budgeted = h.ranges(5, 9, 40, 47, 8);
-        assert!(budgeted.len() <= 8);
-        // Every exact value is inside some budgeted range.
-        for (a, b) in &exact {
-            for d in [*a, *b] {
-                assert!(
-                    budgeted.iter().any(|(x, y)| d >= *x && d <= *y),
-                    "budgeted ranges dropped value {d}"
-                );
+        // Seeded random windows up to 64 cells a side, on grids from
+        // 2 × 2 to 1024 × 1024.
+        let mut state = 0x0DEC_0DE5u64;
+        let mut below = |n: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as u32
+        };
+        for order in [1, 4, 7, 10] {
+            let (h, z) = (HilbertCurve::new(order), ZCurve::new(order));
+            let side = h.side();
+            for _ in 0..40 {
+                // Window extents minus one, then a corner that fits.
+                let (w, ht) = (below(side.min(64)), below(side.min(64)));
+                let (x0, y0) = (below(side - w), below(side - ht));
+                check_ranges_exact(&h, x0, y0, x0 + w, y0 + ht);
+                check_ranges_exact(&z, x0, y0, x0 + w, y0 + ht);
             }
         }
     }
@@ -337,8 +323,8 @@ mod tests {
         let mut z_span = 0u64;
         for x in (10..200).step_by(37) {
             for y in (10..200).step_by(41) {
-                let hr = h.ranges(x, y, x + 6, y + 6, usize::MAX);
-                let zr = z.ranges(x, y, x + 6, y + 6, usize::MAX);
+                let hr = h.ranges(x, y, x + 6, y + 6);
+                let zr = z.ranges(x, y, x + 6, y + 6);
                 h_span += hr.last().unwrap().1 - hr.first().unwrap().0;
                 z_span += zr.last().unwrap().1 - zr.first().unwrap().0;
             }

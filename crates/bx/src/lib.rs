@@ -7,8 +7,8 @@
 //! improvement of Jensen et al. (MDM 2006).
 //!
 //! * [`curve`] — Hilbert and Z-order curves with exact decomposition of
-//!   a cell window into contiguous curve ranges (budgeted, so a query
-//!   never degenerates into thousands of tiny scans).
+//!   a cell window into contiguous curve ranges; each range is one
+//!   segment of the query's shared leaf sweep, not a scan of its own.
 //! * [`grid`] — the velocity histogram: per-cell min/max velocity
 //!   components used to bound the enlargement (the paper's setup keeps
 //!   a 1000×1000-cell histogram).

@@ -23,6 +23,7 @@ use vp_core::{IndexError, IndexResult, IndexSnapshot, MovingObject, ObjectId, Ra
 use vp_geom::{Point, Rect};
 use vp_storage::{IoStats, StorageResult};
 
+use crate::curve::merge_sorted;
 use crate::grid::VelocityGrid;
 use crate::tree::{subtract_ranges, BxConfig, BxEnlargement, BxTree, CellSpan, Curve};
 
@@ -176,7 +177,9 @@ impl<'a, B> BxView<'a, B> {
     /// query paths (all three must agree exactly: the incremental kNN
     /// path subtracts an earlier probe's ranges by recomputing them
     /// through this function). Ranges are disjoint, merged, and
-    /// ascending. `None` when no cell qualifies.
+    /// ascending, and cover exactly the strategy's cells: nothing
+    /// outside the enlarged window is scanned. `None` when no cell
+    /// qualifies.
     fn scan_ranges(&self, query: &RangeQuery, seq: u64) -> Option<Vec<(u64, u64)>> {
         let label = self.label_of(seq);
         let (spans, _bbox) = self.qualifying_regions(query, label)?;
@@ -192,13 +195,11 @@ impl<'a, B> BxView<'a, B> {
                     cx1 = cx1.max(ax1);
                     cy1 = cy1.max(ay1);
                 }
-                self.curve
-                    .ranges(cx0, cy0, cx1, cy1, self.config.max_scan_ranges)
+                self.curve.ranges(cx0, cy0, cx1, cy1)
             }
             BxEnlargement::CellSet => {
                 // Ablation: linearize exactly the qualifying cells
-                // (merge adjacent values; bridge the smallest gaps
-                // down to the scan budget).
+                // (cells shared by several spans merge away).
                 let mut values: Vec<u64> = Vec::new();
                 for &(ax0, ay0, ax1, ay1) in &spans {
                     for cy in ay0..=ay1 {
@@ -208,28 +209,7 @@ impl<'a, B> BxView<'a, B> {
                     }
                 }
                 values.sort_unstable();
-                values.dedup();
-                let mut ranges: Vec<(u64, u64)> = Vec::new();
-                for v in values {
-                    match ranges.last_mut() {
-                        Some((_, b)) if v <= *b + 1 => *b = (*b).max(v),
-                        _ => ranges.push((v, v)),
-                    }
-                }
-                while ranges.len() > self.config.max_scan_ranges.max(1) {
-                    let mut best = 1usize;
-                    let mut best_gap = u64::MAX;
-                    for i in 1..ranges.len() {
-                        let gap = ranges[i].0 - ranges[i - 1].1;
-                        if gap < best_gap {
-                            best_gap = gap;
-                            best = i;
-                        }
-                    }
-                    let (_, b) = ranges.remove(best);
-                    ranges[best - 1].1 = ranges[best - 1].1.max(b);
-                }
-                ranges
+                merge_sorted(values.into_iter().map(|v| (v, v)))
             }
         };
         Some(ranges)
@@ -600,17 +580,23 @@ mod tests {
         assert!(!chain.is_empty(), "{label}: the probes found candidates");
     }
 
-    #[test]
-    fn every_query_shape_reads_through_one_sweep() {
+    /// 3 000 objects, of which a third report again in the next time
+    /// bucket, so several buckets are live.
+    fn two_bucket_tree() -> BxTree {
         let objs = random_objects(3_000, 0x0E5, 60.0, 0.0);
         let mut t = BxTree::bulk_load(pool(), small_config(), &objs).unwrap();
-        // A third of the fleet reports again in the next time bucket.
         let later: Vec<MovingObject> = objs
             .iter()
             .step_by(3)
             .map(|o| MovingObject::new(o.id, o.position_at(70.0), o.vel, 70.0))
             .collect();
         t.update_batch(&later).unwrap();
+        t
+    }
+
+    #[test]
+    fn every_query_shape_reads_through_one_sweep() {
+        let t = two_bucket_tree();
         let snap = t.snapshot().unwrap();
         assert!(snap.buckets.len() >= 2, "several live buckets");
         assert!(t.btree_height() >= 3, "height {}", t.btree_height());
@@ -623,5 +609,36 @@ mod tests {
             .collect();
         assert_one_read_path("live", &t, &qs, &probes);
         assert_one_read_path("snapshot", &snap, &qs, &probes);
+    }
+
+    /// In `Window` mode the curve values a query plans in a bucket are
+    /// exactly the cells of that bucket's enlarged window, enumerated
+    /// cell by cell: the sweep reads no leaf for a cell outside it.
+    #[test]
+    fn a_query_plans_exactly_its_enlarged_window() {
+        let t = two_bucket_tree();
+        let snap = t.snapshot().unwrap();
+        let view = snap.view();
+        assert_eq!(view.config.enlargement, BxEnlargement::Window);
+        for (qi, q) in queries(24, 0x3A7E, 75.0).iter().enumerate() {
+            let windows = t.enlarged_windows(q);
+            assert_eq!(windows.len(), view.buckets.len(), "query {qi}");
+            for w in &windows {
+                let at = format!("query {qi}, bucket {}", w.bucket_seq);
+                let ranges = view.scan_ranges(q, w.bucket_seq).expect(&at);
+                let planned: Vec<u64> = ranges.into_iter().flat_map(|(a, b)| a..=b).collect();
+                let (cx0, cy0) = view.cell_of(w.enlarged.lo);
+                let (cx1, cy1) = view.cell_of(w.enlarged.hi);
+                let mut cells = Vec::new();
+                for cy in cy0..=cy1 {
+                    for cx in cx0..=cx1 {
+                        cells.push(view.curve.encode(cx, cy));
+                    }
+                }
+                cells.sort_unstable();
+                assert_eq!(planned.len(), cells.len(), "{at}: planned values");
+                assert!(planned == cells, "{at}: planned values differ");
+            }
+        }
     }
 }

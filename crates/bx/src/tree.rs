@@ -47,10 +47,6 @@ pub struct BxConfig {
     pub update_interval: f64,
     /// Velocity histogram cells per axis (paper: 1000).
     pub hist_cells: usize,
-    /// Budget of contiguous curve ranges scanned per bucket per query.
-    /// A range is one segment of the query's shared leaf sweep, not a
-    /// root-to-leaf descent of its own.
-    pub max_scan_ranges: usize,
     /// How the enlarged region is turned into B+-tree scans.
     pub enlargement: BxEnlargement,
 }
@@ -77,7 +73,6 @@ impl Default for BxConfig {
             num_buckets: 2,
             update_interval: 120.0,
             hist_cells: 1000,
-            max_scan_ranges: 16,
             enlargement: BxEnlargement::Window,
         }
     }
@@ -96,10 +91,10 @@ impl Curve {
         }
     }
 
-    pub(crate) fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32, max: usize) -> Vec<(u64, u64)> {
+    pub(crate) fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)> {
         match self {
-            Curve::Hilbert(c) => c.ranges(x0, y0, x1, y1, max),
-            Curve::Z(c) => c.ranges(x0, y0, x1, y1, max),
+            Curve::Hilbert(c) => c.ranges(x0, y0, x1, y1),
+            Curve::Z(c) => c.ranges(x0, y0, x1, y1),
         }
     }
 }

@@ -30,6 +30,8 @@ use vp_server::{spawn, ServerConfig, ServerHandle, VpClient};
 /// 0.8 × the smaller ratio, as the CI guard this test replaces had it.
 /// Since every Bx read is one sweep that reads each page at most once,
 /// Bx reads 222 / 71 = 3.13×; TPR\* is unchanged at 192 / 63.
+/// Decomposing each enlarged window exactly (no range budget) leaves
+/// both unchanged: Bx 222 / 71, TPR\* 192 / 63, so the floor stays.
 const FULL_OVER_INCREMENTAL_PAGES_MIN: f64 = 2.4;
 
 /// Short enough that predictive windows expire mid-run, so the
@@ -245,16 +247,20 @@ fn incremental_on_tick_reads_fewer_pages_than_full_reevaluation_tpr() {
 /// of every bucket stopped paying its own root-to-leaf descent and all
 /// of them became one sweep that reads each page at most once.
 /// TPR\*(VP) reads 63.4 per query on the same circles, before and
-/// after.
-const BX_RANGE_PAGES_MAX: u64 = 82;
+/// after. Then 81.8 → 64.00 per query, once each bucket's enlarged
+/// window was decomposed exactly instead of coarsened to at most 16
+/// curve ranges, so the sweep reads no leaf outside the window (budget
+/// 82 → 64). TPR\*(VP) stays at 63.4.
+const BX_RANGE_PAGES_MAX: u64 = 64;
 
 /// Logical pages one Bx(VP) kNN search ([`knn_at`]) reads, on average
 /// over the sixteen searches of [`knn_searches`] on the same fixture.
 ///
 /// Measured when set: 297.9 → 70.7 per search, once each ring of the
 /// expanding probe chain became one sweep. TPR\*(VP) reads 51.3 per
-/// search, before and after.
-const BX_KNN_PAGES_MAX: u64 = 71;
+/// search, before and after. Then 70.7 → 52.69 per search with exact
+/// window decomposition (budget 71 → 53). TPR\*(VP) stays at 51.3.
+const BX_KNN_PAGES_MAX: u64 = 53;
 
 fn small_page_pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::with_capacity(
