@@ -8,11 +8,15 @@
 //!
 //! Both curves share the property that any *aligned* `2^k × 2^k` quad
 //! maps to one contiguous, `4^k`-aligned block of curve values, so the
-//! decomposition is a quadtree descent. It is exact: the ranges cover
-//! the window's cells and nothing else. A query reads all of its
-//! ranges in one shared leaf sweep, so each range is one segment of
-//! that sweep rather than a descent of its own, and more ranges cost
-//! no extra pages.
+//! decomposition is a quadtree descent. The descent visits a quad's
+//! four children in curve order — a fixed order for the Z curve, and
+//! for the Hilbert curve an order chosen by a 4-state table (Lawder and
+//! King, SIGMOD Record 30(1), 2001) — so blocks come out ascending and
+//! merge as they are emitted, with no per-quad `encode` and no sort.
+//! It is exact: the ranges cover the window's cells and nothing else.
+//! A query reads all of its ranges in one shared leaf sweep, so each
+//! range is one segment of that sweep rather than a descent of its
+//! own, and more ranges cost no extra pages.
 
 /// Curve selection for [`crate::BxConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,49 +47,126 @@ pub trait SpaceFillingCurve {
     /// Decomposes the inclusive cell window `[x0, x1] × [y0, y1]` into
     /// sorted, disjoint, inclusive curve ranges whose union is exactly
     /// the window's cells. Adjacent ranges are merged, so consecutive
-    /// ranges never touch.
-    fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)> {
-        debug_assert!(x0 <= x1 && y0 <= y1);
-        let side = self.side();
-        debug_assert!(x1 < side && y1 < side);
-        let mut out: Vec<(u64, u64)> = Vec::new();
-        // Quadtree descent. Each frame: an aligned quad (qx, qy, size).
-        let mut stack = vec![(0u32, 0u32, side)];
-        while let Some((qx, qy, size)) = stack.pop() {
-            // Disjoint?
-            if qx > x1 || qy > y1 || qx + size - 1 < x0 || qy + size - 1 < y0 {
-                continue;
+    /// ranges never touch. Both curves walk the window's quadtree in
+    /// curve order, so the ranges come out sorted and merged as they
+    /// are found.
+    fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)>;
+}
+
+/// Ascending inclusive ranges in, maximal ones out: a range that
+/// overlaps or touches the one before it extends it, and `emit` sees
+/// each merged range once it can grow no further.
+pub(crate) struct Merge<F: FnMut(u64, u64)> {
+    run: Option<(u64, u64)>,
+    emit: F,
+}
+
+impl<F: FnMut(u64, u64)> Merge<F> {
+    pub(crate) fn new(emit: F) -> Self {
+        Merge { run: None, emit }
+    }
+
+    /// Adds `[a, b]`; `a` must not be below the previous range's start.
+    pub(crate) fn push(&mut self, a: u64, b: u64) {
+        match &mut self.run {
+            Some((_, pb)) if a <= *pb + 1 => *pb = (*pb).max(b),
+            run => {
+                if let Some((ra, rb)) = run.replace((a, b)) {
+                    (self.emit)(ra, rb);
+                }
             }
-            // Fully inside? (A single cell always is, once not disjoint.)
-            if qx >= x0 && qy >= y0 && qx + size - 1 <= x1 && qy + size - 1 <= y1 {
-                // An aligned quad is one contiguous 4^k-aligned block.
-                let k2 = (size.trailing_zeros() * 2) as u64;
-                let block = 1u64 << k2;
-                let base = self.encode(qx, qy) & !(block - 1);
-                out.push((base, base + block - 1));
-                continue;
-            }
-            let h = size / 2;
-            stack.push((qx, qy, h));
-            stack.push((qx + h, qy, h));
-            stack.push((qx, qy + h, h));
-            stack.push((qx + h, qy + h, h));
         }
-        out.sort_unstable();
-        merge_sorted(out)
+    }
+
+    /// Emits the last merged range.
+    pub(crate) fn finish(mut self) {
+        if let Some((a, b)) = self.run.take() {
+            (self.emit)(a, b);
+        }
     }
 }
 
-/// Merges sorted inclusive ranges that overlap or touch.
-pub(crate) fn merge_sorted(sorted: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
-    let mut merged: Vec<(u64, u64)> = Vec::new();
-    for (a, b) in sorted {
-        match merged.last_mut() {
-            Some((_, pb)) if a <= *pb + 1 => *pb = (*pb).max(b),
-            _ => merged.push((a, b)),
+/// One child of a quad in curve order: its half along x and along y
+/// (0 or 1), and the state its own children are ordered by.
+type Child = (u32, u32, usize);
+
+/// Z order visits the halves in bit-interleaving order, x bit lowest,
+/// and needs one state.
+const Z_ORDER: [[Child; 4]; 1] = [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]];
+
+/// Hilbert order as a 4-state table. A state is how a quad's pattern
+/// is mirrored against the curve's base pattern (which visits the
+/// halves (0, 0), (0, 1), (1, 1), (1, 0)): bit 0 swaps x and y, bit 1
+/// flips both. The first child swaps, the last swaps and flips, and
+/// the middle two keep their parent's state — the rotations of
+/// [`HilbertCurve::encode`].
+const HILBERT_ORDER: [[Child; 4]; 4] = [
+    [(0, 0, 1), (0, 1, 0), (1, 1, 0), (1, 0, 3)],
+    [(0, 0, 0), (1, 0, 1), (1, 1, 1), (0, 1, 2)],
+    [(1, 1, 3), (1, 0, 2), (0, 0, 2), (0, 1, 1)],
+    [(1, 1, 2), (0, 1, 3), (0, 0, 3), (1, 0, 0)],
+];
+
+/// The inclusive cell window a quadtree walk decomposes, and the
+/// child-order table of the curve it walks.
+struct Walk<'a> {
+    table: &'a [[Child; 4]],
+    x0: u32,
+    y0: u32,
+    x1: u32,
+    y1: u32,
+}
+
+impl Walk<'_> {
+    /// Visits the aligned `2^k × 2^k` quad at `(qx, qy)`, whose curve
+    /// values start at `base`, in curve order: a quad inside the window
+    /// is one block of `4^k` values, a quad across its edge recurses.
+    fn quad<F: FnMut(u64, u64)>(
+        &self,
+        qx: u32,
+        qy: u32,
+        k: u32,
+        state: usize,
+        base: u64,
+        out: &mut Merge<F>,
+    ) {
+        let last = (1u32 << k) - 1;
+        if qx > self.x1 || qy > self.y1 || qx + last < self.x0 || qy + last < self.y0 {
+            return;
+        }
+        // A single cell is always inside once it is not disjoint.
+        if qx >= self.x0 && qy >= self.y0 && qx + last <= self.x1 && qy + last <= self.y1 {
+            out.push(base, base + ((1u64 << (2 * k)) - 1));
+            return;
+        }
+        let (h, block) = (1u32 << (k - 1), 1u64 << (2 * (k - 1)));
+        for (i, &(hx, hy, next)) in self.table[state].iter().enumerate() {
+            let child_base = base + i as u64 * block;
+            self.quad(qx + hx * h, qy + hy * h, k - 1, next, child_base, out);
         }
     }
-    merged
+}
+
+/// Hands the curve ranges of the inclusive cell window `[x0, x1] ×
+/// [y0, y1]` on a `2^order` grid to `emit`, ascending and merged.
+fn walk_ranges(
+    table: &[[Child; 4]],
+    order: u32,
+    (x0, y0, x1, y1): (u32, u32, u32, u32),
+    emit: impl FnMut(u64, u64),
+) {
+    debug_assert!(x0 <= x1 && y0 <= y1);
+    debug_assert!(x1 >> order == 0 && y1 >> order == 0);
+    let mut out = Merge::new(emit);
+    Walk {
+        table,
+        x0,
+        y0,
+        x1,
+        y1,
+    }
+    .quad(0, 0, order, 0, 0, &mut out);
+    out.finish();
 }
 
 /// Z-order (Morton) curve: bit interleaving.
@@ -99,6 +180,11 @@ impl ZCurve {
     pub fn new(order: u32) -> ZCurve {
         assert!((1..=31).contains(&order), "order out of range");
         ZCurve { order }
+    }
+
+    /// [`SpaceFillingCurve::ranges`], handed to `emit` range by range.
+    pub(crate) fn for_each_range(&self, window: (u32, u32, u32, u32), emit: impl FnMut(u64, u64)) {
+        walk_ranges(&Z_ORDER, self.order, window, emit);
     }
 }
 
@@ -139,6 +225,12 @@ impl SpaceFillingCurve for ZCurve {
     fn decode(&self, d: u64) -> (u32, u32) {
         (compact_even_bits(d), compact_even_bits(d >> 1))
     }
+
+    fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        self.for_each_range((x0, y0, x1, y1), |a, b| out.push((a, b)));
+        out
+    }
 }
 
 /// Hilbert curve via the classic rotate-and-accumulate algorithm.
@@ -152,6 +244,11 @@ impl HilbertCurve {
     pub fn new(order: u32) -> HilbertCurve {
         assert!((1..=31).contains(&order), "order out of range");
         HilbertCurve { order }
+    }
+
+    /// [`SpaceFillingCurve::ranges`], handed to `emit` range by range.
+    pub(crate) fn for_each_range(&self, window: (u32, u32, u32, u32), emit: impl FnMut(u64, u64)) {
+        walk_ranges(&HILBERT_ORDER, self.order, window, emit);
     }
 
     #[inline]
@@ -202,6 +299,12 @@ impl SpaceFillingCurve for HilbertCurve {
             s *= 2;
         }
         (x, y)
+    }
+
+    fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        self.for_each_range((x0, y0, x1, y1), |a, b| out.push((a, b)));
+        out
     }
 }
 
@@ -292,7 +395,7 @@ mod tests {
             check_ranges_exact(&z, x0, y0, x1, y1);
         }
         // Seeded random windows up to 64 cells a side, on grids from
-        // 2 × 2 to 1024 × 1024.
+        // 2 × 2 to 2^20 × 2^20 (the largest `BxConfig::lambda`).
         let mut state = 0x0DEC_0DE5u64;
         let mut below = |n: u32| {
             state ^= state << 13;
@@ -300,7 +403,7 @@ mod tests {
             state ^= state << 17;
             (state % n as u64) as u32
         };
-        for order in [1, 4, 7, 10] {
+        for order in [1, 4, 7, 10, 16, 20] {
             let (h, z) = (HilbertCurve::new(order), ZCurve::new(order));
             let side = h.side();
             for _ in 0..40 {
@@ -311,6 +414,11 @@ mod tests {
                 check_ranges_exact(&z, x0, y0, x0 + w, y0 + ht);
             }
         }
+        // The whole order-20 grid is one range on either curve.
+        let all = (1u64 << 40) - 1;
+        let side = (1u32 << 20) - 1;
+        assert_eq!(HilbertCurve::new(20).ranges(0, 0, side, side), [(0, all)]);
+        assert_eq!(ZCurve::new(20).ranges(0, 0, side, side), [(0, all)]);
     }
 
     #[test]

@@ -7,12 +7,25 @@
 //! implementor and runs the window-enlargement planning against it.
 //! A single query, a batch and a kNN ring are all read the same way:
 //! their curve ranges in every live bucket feed one B+-tree sweep that
-//! reads each page at most once. The live
-//! [`BxTree`] builds a view over its own `BPlusTree` for every query;
-//! [`BxSnapshot`] owns a clone of the planner state plus a
-//! [`BPlusTreeSnapshot`], so its queries touch no shared mutable state
-//! at all and need no coordination with writers mutating the live
-//! tree.
+//! reads each page at most once.
+//!
+//! Planning a probe is one descent of the velocity-bounds pyramid for
+//! all live buckets at once (a kNN ring's covered probe rides in the
+//! same descent). Each pyramid cell carries a bitmask of the (probe,
+//! bucket) pairs still alive under it; a pair keeps its own enlarged
+//! window, and in `CellSet` mode its own qualifying cells. The buckets
+//! share one grid and differ only in label time, so a cell's bounds
+//! are read once for all of them, and each pair's plan is exactly what
+//! a descent of its own would find. The curve ranges are then walked
+//! in curve order straight into the sweep's key ranges. One scratch
+//! per sweep holds the stack and the pairs, so planning allocates
+//! nothing per bucket or per cell.
+//!
+//! The live [`BxTree`] builds a view over its own `BPlusTree` for
+//! every query; [`BxSnapshot`] owns a clone of the planner state plus
+//! a [`BPlusTreeSnapshot`], so its queries touch no shared mutable
+//! state at all and need no coordination with writers mutating the
+//! live tree.
 //!
 //! [`BxTree`]: crate::tree::BxTree
 
@@ -20,12 +33,12 @@ use std::collections::BTreeMap;
 
 use vp_bptree::{BPlusTree, BPlusTreeSnapshot, Key128, Value};
 use vp_core::{IndexError, IndexResult, IndexSnapshot, MovingObject, ObjectId, RangeQuery};
-use vp_geom::{Point, Rect};
+use vp_geom::{Point, Rect, Vec2};
 use vp_storage::{IoStats, StorageResult};
 
-use crate::curve::merge_sorted;
+use crate::curve::Merge;
 use crate::grid::VelocityGrid;
-use crate::tree::{subtract_ranges, BxConfig, BxEnlargement, BxTree, CellSpan, Curve};
+use crate::tree::{subtract_ranges, BxConfig, BxEnlargement, BxTree, Curve, EnlargedWindow};
 
 /// Ordered key access to a B+-tree — implemented by the live
 /// [`BPlusTree`] and by [`BPlusTreeSnapshot`], so the Bx-tree query
@@ -71,6 +84,43 @@ pub(crate) struct BxView<'a, B> {
     pub btree: &'a B,
 }
 
+/// (Probe, bucket) pairs one descent carries: one bit each of a
+/// pyramid cell's alive mask.
+const PAIRS_PER_DESCENT: usize = u64::BITS as usize;
+
+/// One (probe, bucket) pair of a descent.
+struct Pair {
+    seq: u64,
+    label: f64,
+    /// The probe's sample rectangles at `label`, the first `samples.1`
+    /// of them; see [`BxTree::sample_rects`].
+    samples: ([(f64, Rect); 3], usize),
+    /// Bounding box of the pair's qualifying regions, clamped into the
+    /// domain: its enlarged window. Empty when no cell qualifies.
+    bbox: Rect,
+}
+
+/// A pyramid cell on the descent stack: the pairs still alive at it,
+/// and its velocity bounds, read before it was pushed.
+struct Frame {
+    level: usize,
+    hx: usize,
+    hy: usize,
+    alive: u64,
+    bounds: (Vec2, Vec2),
+}
+
+/// Scratch that every plan of one sweep reuses.
+#[derive(Default)]
+struct Plan {
+    /// The current descent's pairs, bucket-major.
+    pairs: Vec<Pair>,
+    stack: Vec<Frame>,
+    /// `CellSet` only: `(pair, curve value)` of every qualifying curve
+    /// cell, sorted when the descent ends.
+    cells: Vec<(usize, u64)>,
+}
+
 impl<'a, B> BxView<'a, B> {
     fn label_of(&self, seq: u64) -> f64 {
         BxTree::label_cfg(self.config, seq)
@@ -90,161 +140,254 @@ impl<'a, B> BxView<'a, B> {
         }
     }
 
-    /// The domain rectangle of a histogram cell at a pyramid level,
-    /// with edge cells extended to infinity — positions outside the
-    /// domain clamp onto the boundary cells of both grids, so those
-    /// cells stand in for everything beyond the edge.
-    fn hist_cell_rect_extended(&self, level: usize, hx: usize, hy: usize) -> Rect {
-        let mut r = self.hist.cell_rect_at(level, hx, hy);
-        let n = self.hist.cells_per_axis_at(level);
-        if hx == 0 {
-            r.lo.x = f64::NEG_INFINITY;
-        }
-        if hy == 0 {
-            r.lo.y = f64::NEG_INFINITY;
-        }
-        if hx + 1 == n {
-            r.hi.x = f64::INFINITY;
-        }
-        if hy + 1 == n {
-            r.hi.y = f64::INFINITY;
-        }
-        r
-    }
-
-    /// Collects the curve-grid regions that could hold a candidate for
-    /// one bucket — see the long-form discussion on
+    /// One descent of the histogram's bounds pyramid for every pair of
+    /// `plan` — see the long-form discussion on
     /// [`BxTree::enlarged_windows`] and the module docs of
-    /// [`crate::tree`]. Descends the histogram's bounds pyramid,
-    /// pruning regions whose coarse velocity bounds cannot reach the
-    /// query, and yields each qualifying finest-level cell's curve
-    /// cells as one inclusive rectangle.
-    ///
-    /// Returns `(cell rectangles, bounding box in domain space)`, or
-    /// `None` when nothing qualifies.
-    pub fn qualifying_regions(
-        &self,
-        query: &RangeQuery,
-        label: f64,
-    ) -> Option<(Vec<CellSpan>, Rect)> {
-        let samples = BxTree::sample_rects(query, label);
-        self.hist.global_bounds()?;
-        let mut spans = Vec::new();
-        let mut bbox = Rect::EMPTY;
-        let root = self.hist.levels() - 1;
-        let mut stack: Vec<(usize, usize, usize)> = vec![(root, 0, 0)];
-        while let Some((level, hx, hy)) = stack.pop() {
-            let Some(bounds) = self.hist.cell_bounds_at(level, hx, hy) else {
-                continue;
+    /// [`crate::tree`]. A cell is tested only for the pairs its parent
+    /// qualified for: it qualifies for a pair when its rectangle meets
+    /// the reach of the pair's samples under the cell's (coarse,
+    /// superset) velocity bounds. Each qualifying finest-level cell
+    /// widens the pair's `bbox`, and in `CellSet` mode lists its curve
+    /// cells. Per pair this is exactly a descent of its own. Returns
+    /// the pyramid cells whose bounds it read.
+    fn descend(&self, plan: &mut Plan) -> usize {
+        let Plan {
+            pairs,
+            stack,
+            cells,
+        } = plan;
+        debug_assert!((1..=PAIRS_PER_DESCENT).contains(&pairs.len()));
+        cells.clear();
+        let cell_set = self.config.enlargement == BxEnlargement::CellSet;
+        let hist = self.hist;
+        let (d, n) = (*hist.domain(), hist.cells_per_axis());
+        let (cw, ch) = (d.width() / n as f64, d.height() / n as f64);
+        let root = hist.levels() - 1;
+        let mut read = 1;
+        if let Some(bounds) = hist.cell_bounds_at(root, 0, 0) {
+            stack.push(Frame {
+                level: root,
+                hx: 0,
+                hy: 0,
+                alive: u64::MAX >> (PAIRS_PER_DESCENT - pairs.len()),
+                bounds,
+            });
+        }
+        while let Some(Frame {
+            level,
+            hx,
+            hy,
+            alive,
+            bounds,
+        }) = stack.pop()
+        {
+            // The cell's domain rectangle, edge cells extended to
+            // infinity: positions outside the domain clamp onto the
+            // boundary cells of both grids, so those cells stand in for
+            // everything beyond the edge.
+            let last = hist.cells_per_axis_at(level) - 1;
+            let side = |c: usize, lo: f64, w: f64| match c {
+                0 => f64::NEG_INFINITY,
+                c if c > last => f64::INFINITY,
+                c => lo + (c << level) as f64 * w,
             };
-            let reach = BxTree::reach_bbox(&samples, label, bounds);
-            let region = self
-                .hist_cell_rect_extended(level, hx, hy)
-                .intersection(&reach);
-            if region.is_empty() {
-                continue;
-            }
-            if level > 0 {
-                let child_n = self.hist.cells_per_axis_at(level - 1);
-                for dy in 0..2usize {
-                    for dx in 0..2usize {
-                        let (cx, cy) = (hx * 2 + dx, hy * 2 + dy);
-                        if cx < child_n && cy < child_n {
-                            stack.push((level - 1, cx, cy));
+            let rect = Rect {
+                lo: Point::new(side(hx, d.lo.x, cw), side(hy, d.lo.y, ch)),
+                hi: Point::new(side(hx + 1, d.lo.x, cw), side(hy + 1, d.lo.y, ch)),
+            };
+            let mut next = 0u64;
+            let mut bits = alive;
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let pair = &mut pairs[i];
+                let samples = &pair.samples.0[..pair.samples.1];
+                let region = rect.intersection(&BxTree::reach_bbox(samples, pair.label, bounds));
+                if region.is_empty() {
+                    continue;
+                }
+                next |= 1 << i;
+                if level > 0 {
+                    continue;
+                }
+                // Clamping maps out-of-domain strips onto the boundary
+                // cells, mirroring how label positions clamp.
+                let clamped = self.clamp_window(&region);
+                pair.bbox = pair.bbox.union(&clamped);
+                if cell_set {
+                    let (cx0, cy0) = self.cell_of(clamped.lo);
+                    let (cx1, cy1) = self.cell_of(clamped.hi);
+                    for cy in cy0..=cy1 {
+                        for cx in cx0..=cx1 {
+                            cells.push((i, self.curve.encode(cx, cy)));
                         }
                     }
                 }
+            }
+            if level == 0 || next == 0 {
                 continue;
             }
-            // Clamping maps out-of-domain strips onto the boundary
-            // cells, mirroring how label positions clamp.
-            let clamped = self.clamp_window(&region);
-            let (cx0, cy0) = self.cell_of(clamped.lo);
-            let (cx1, cy1) = self.cell_of(clamped.hi);
-            spans.push((cx0, cy0, cx1, cy1));
-            bbox = bbox.union(&clamped);
+            let child_n = hist.cells_per_axis_at(level - 1);
+            for (dx, dy) in [(0, 0), (1, 0), (0, 1), (1, 1)] {
+                let (cx, cy) = (hx * 2 + dx, hy * 2 + dy);
+                if cx < child_n && cy < child_n {
+                    read += 1;
+                    if let Some(bounds) = hist.cell_bounds_at(level - 1, cx, cy) {
+                        stack.push(Frame {
+                            level: level - 1,
+                            hx: cx,
+                            hy: cy,
+                            alive: next,
+                            bounds,
+                        });
+                    }
+                }
+            }
         }
-        if spans.is_empty() {
-            None
-        } else {
-            Some((spans, bbox))
-        }
+        cells.sort_unstable();
+        read
     }
 
-    /// The curve-value ranges a query scans in bucket `seq` — the
-    /// qualifying-region computation plus the enlargement strategy's
-    /// decomposition, shared by the single, batched, and incremental
-    /// query paths (all three must agree exactly: the incremental kNN
-    /// path subtracts an earlier probe's ranges by recomputing them
-    /// through this function). Ranges are disjoint, merged, and
-    /// ascending, and cover exactly the strategy's cells: nothing
-    /// outside the enlarged window is scanned. `None` when no cell
-    /// qualifies.
-    fn scan_ranges(&self, query: &RangeQuery, seq: u64) -> Option<Vec<(u64, u64)>> {
-        let label = self.label_of(seq);
-        let (spans, _bbox) = self.qualifying_regions(query, label)?;
-        let ranges = match self.config.enlargement {
+    /// Plans `probes` in every live bucket: pair `b * probes.len() + p`
+    /// of a descent is probe `p` in its `b`-th bucket, and one descent
+    /// carries up to [`PAIRS_PER_DESCENT`] pairs. Calls `each(plan,
+    /// first)` per bucket, ascending, with the index of the bucket's
+    /// first pair. Returns the pyramid cells read.
+    fn descend_buckets(
+        &self,
+        probes: &[&RangeQuery],
+        plan: &mut Plan,
+        mut each: impl FnMut(&Plan, usize),
+    ) -> usize {
+        let mut read = 0;
+        let mut seqs = self.buckets.keys().copied().peekable();
+        while seqs.peek().is_some() {
+            plan.pairs.clear();
+            for seq in seqs.by_ref().take(PAIRS_PER_DESCENT / probes.len()) {
+                let label = self.label_of(seq);
+                plan.pairs.extend(probes.iter().map(|q| Pair {
+                    seq,
+                    label,
+                    samples: BxTree::sample_rects(q, label),
+                    bbox: Rect::EMPTY,
+                }));
+            }
+            read += self.descend(plan);
+            for first in (0..plan.pairs.len()).step_by(probes.len()) {
+                each(plan, first);
+            }
+        }
+        read
+    }
+
+    /// Pair `i`'s curve ranges, handed to `emit` disjoint, merged and
+    /// ascending; nothing outside the strategy's cells is scanned.
+    fn pair_ranges(&self, plan: &Plan, i: usize, emit: impl FnMut(u64, u64)) {
+        let bbox = plan.pairs[i].bbox;
+        if bbox.is_empty() {
+            return;
+        }
+        match self.config.enlargement {
             BxEnlargement::Window => {
                 // The paper's single enlarged window: the bounding
-                // rectangle of all qualifying cells, decomposed into
-                // curve ranges.
-                let (mut cx0, mut cy0, mut cx1, mut cy1) = spans[0];
-                for &(ax0, ay0, ax1, ay1) in &spans {
-                    cx0 = cx0.min(ax0);
-                    cy0 = cy0.min(ay0);
-                    cx1 = cx1.max(ax1);
-                    cy1 = cy1.max(ay1);
-                }
-                self.curve.ranges(cx0, cy0, cx1, cy1)
+                // rectangle of all qualifying cells (cell coordinates
+                // are monotone in position, so these are the cells of
+                // the bounding box), decomposed into curve ranges.
+                let (cx0, cy0) = self.cell_of(bbox.lo);
+                let (cx1, cy1) = self.cell_of(bbox.hi);
+                self.curve.for_each_range((cx0, cy0, cx1, cy1), emit);
             }
             BxEnlargement::CellSet => {
                 // Ablation: linearize exactly the qualifying cells
-                // (cells shared by several spans merge away).
-                let mut values: Vec<u64> = Vec::new();
-                for &(ax0, ay0, ax1, ay1) in &spans {
-                    for cy in ay0..=ay1 {
-                        for cx in ax0..=ax1 {
-                            values.push(self.curve.encode(cx, cy));
-                        }
-                    }
+                // (cells shared by several regions merge away).
+                let from = plan.cells.partition_point(|&(p, _)| p < i);
+                let to = plan.cells.partition_point(|&(p, _)| p <= i);
+                let mut merge = Merge::new(emit);
+                for &(_, v) in &plan.cells[from..to] {
+                    merge.push(v, v);
                 }
-                values.sort_unstable();
-                merge_sorted(values.into_iter().map(|v| (v, v)))
+                merge.finish();
             }
+        }
+    }
+
+    /// Plans one probe in every live bucket and hands `emit(seq, lo,
+    /// hi)` its curve ranges, buckets ascending and each bucket's
+    /// ranges ascending — the shape every read path scans. With
+    /// `covered`, that probe rides in the same descent and only the
+    /// ring is emitted: the probe's ranges minus the covered probe's.
+    /// Returns the pyramid cells read.
+    fn plan_probe(
+        &self,
+        query: &RangeQuery,
+        covered: Option<&RangeQuery>,
+        plan: &mut Plan,
+        mut emit: impl FnMut(u64, u64, u64),
+    ) -> usize {
+        let Some(covered) = covered else {
+            return self.descend_buckets(&[query], plan, |plan, i| {
+                let seq = plan.pairs[i].seq;
+                self.pair_ranges(plan, i, |a, b| emit(seq, a, b));
+            });
         };
-        Some(ranges)
+        let (mut ring, mut done) = (Vec::new(), Vec::new());
+        self.descend_buckets(&[query, covered], plan, |plan, i| {
+            ring.clear();
+            done.clear();
+            self.pair_ranges(plan, i, |a, b| ring.push((a, b)));
+            self.pair_ranges(plan, i + 1, |a, b| done.push((a, b)));
+            let seq = plan.pairs[i].seq;
+            subtract_ranges(&ring, &done, |a, b| emit(seq, a, b));
+        })
+    }
+
+    /// Contract as [`BxTree::enlarged_windows`].
+    pub fn enlarged_windows(&self, query: &RangeQuery) -> Vec<EnlargedWindow> {
+        let base = query.region.bounding_rect();
+        let mut windows = Vec::new();
+        self.descend_buckets(&[query], &mut Plan::default(), |plan, i| {
+            let pair = &plan.pairs[i];
+            if !pair.bbox.is_empty() {
+                windows.push(EnlargedWindow {
+                    bucket_seq: pair.seq,
+                    label: pair.label,
+                    base,
+                    enlarged: pair.bbox,
+                });
+            }
+        });
+        windows
     }
 }
 
 impl<'a, B: BtreeRead> BxView<'a, B> {
-    /// The one read path: gathers the key ranges of `probes` probes
-    /// across **all** live buckets — probe `p`'s curve ranges in bucket
-    /// `seq` are `ranges_of(p, seq)` — and answers them in one
+    /// The one read path: plans every probe — a query, or a kNN probe
+    /// and the probe it covers — across **all** live buckets, and
+    /// answers every curve range in one
     /// [`BPlusTree::range_scan_batch`] sweep, which reads each page at
     /// most once however many ranges, probes and buckets share it.
     /// `f(probe, key, value)` sees each probe's entries in ascending
     /// key order, which (the bucket being the key's high part) is
-    /// bucket-ascending too. `ranges_of` must yield disjoint ranges
-    /// per probe and bucket, so no entry is reported twice to a probe.
-    fn sweep(
+    /// bucket-ascending too. A probe's ranges are disjoint, so no entry
+    /// is reported twice to a probe.
+    fn sweep<'q>(
         &self,
-        probes: usize,
-        ranges_of: impl Fn(usize, u64) -> Option<Vec<(u64, u64)>>,
+        probes: impl IntoIterator<Item = (&'q RangeQuery, Option<&'q RangeQuery>)>,
         mut f: impl FnMut(usize, Key128, &Value),
     ) -> IndexResult<()> {
+        let shift = 2 * self.config.lambda;
+        let mut plan = Plan::default();
         let mut key_ranges: Vec<(Key128, Key128)> = Vec::new();
         let mut owner: Vec<usize> = Vec::new();
-        for &seq in self.buckets.keys() {
-            let seq_base = seq << (2 * self.config.lambda);
-            for p in 0..probes {
-                for (a, b) in ranges_of(p, seq).into_iter().flatten() {
-                    key_ranges.push((
-                        Key128::new(seq_base | a, 0),
-                        Key128::new(seq_base | b, u64::MAX),
-                    ));
-                    owner.push(p);
-                }
-            }
+        for (p, (query, covered)) in probes.into_iter().enumerate() {
+            self.plan_probe(query, covered, &mut plan, |seq, a, b| {
+                let seq_base = seq << shift;
+                key_ranges.push((
+                    Key128::new(seq_base | a, 0),
+                    Key128::new(seq_base | b, u64::MAX),
+                ));
+                owner.push(p);
+            });
         }
         self.btree
             .scan_batch(&key_ranges, |ri, k, v| f(owner[ri], k, v))
@@ -266,24 +409,20 @@ impl<'a, B: BtreeRead> BxView<'a, B> {
     /// exact filter, same key-ascending order.
     pub fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
         let mut results: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
-        self.sweep(
-            queries.len(),
-            |qi, seq| self.scan_ranges(&queries[qi], seq),
-            |qi, k, v| {
-                let (pos, vel, lab) = BxTree::decode_value(v);
-                if queries[qi].matches(&MovingObject::new(k.lo, pos, vel, lab)) {
-                    results[qi].push(k.lo);
-                }
-            },
-        )?;
+        self.sweep(queries.iter().map(|q| (q, None)), |qi, k, v| {
+            let (pos, vel, lab) = BxTree::decode_value(v);
+            if queries[qi].matches(&MovingObject::new(k.lo, pos, vel, lab)) {
+                results[qi].push(k.lo);
+            }
+        })?;
         Ok(results)
     }
 
     /// Incremental kNN candidates: sweeps only the **delta ring** — the
     /// current probe's curve ranges minus the ranges the `covered`
-    /// probe already swept (recomputed, deterministically, rather than
-    /// remembered), in every bucket at once — and reports every id in
-    /// it without exact filtering; contract as
+    /// probe already swept (planned again in the same descent rather
+    /// than remembered), in every bucket at once — and reports every id
+    /// in it without exact filtering; contract as
     /// [`vp_core::MovingObjectIndex::knn_candidates`].
     pub fn knn_candidates(
         &self,
@@ -291,17 +430,7 @@ impl<'a, B: BtreeRead> BxView<'a, B> {
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>> {
         let mut out = Vec::new();
-        self.sweep(
-            1,
-            |_, seq| {
-                let ranges = self.scan_ranges(query, seq)?;
-                Some(match covered.and_then(|c| self.scan_ranges(c, seq)) {
-                    Some(done) => subtract_ranges(&ranges, &done),
-                    None => ranges,
-                })
-            },
-            |_, k, _| out.push(k.lo),
-        )?;
+        self.sweep([(query, covered)], |_, k, _| out.push(k.lo))?;
         Ok(out)
     }
 }
@@ -376,7 +505,7 @@ mod tests {
     use vp_storage::{BufferPool, DiskManager};
 
     use super::*;
-    use crate::tree::BxTree;
+    use crate::curve::CurveKind;
 
     fn pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::with_capacity(
@@ -583,8 +712,12 @@ mod tests {
     /// 3 000 objects, of which a third report again in the next time
     /// bucket, so several buckets are live.
     fn two_bucket_tree() -> BxTree {
+        two_bucket_tree_with(small_config())
+    }
+
+    fn two_bucket_tree_with(config: BxConfig) -> BxTree {
         let objs = random_objects(3_000, 0x0E5, 60.0, 0.0);
-        let mut t = BxTree::bulk_load(pool(), small_config(), &objs).unwrap();
+        let mut t = BxTree::bulk_load(pool(), config, &objs).unwrap();
         let later: Vec<MovingObject> = objs
             .iter()
             .step_by(3)
@@ -611,6 +744,20 @@ mod tests {
         assert_one_read_path("snapshot", &snap, &qs, &probes);
     }
 
+    /// A probe's planned curve ranges per live bucket (buckets with
+    /// none left out), and the pyramid cells the plan read.
+    fn plan_of<B>(
+        view: &BxView<'_, B>,
+        query: &RangeQuery,
+        covered: Option<&RangeQuery>,
+    ) -> (BTreeMap<u64, Vec<(u64, u64)>>, usize) {
+        let mut planned: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+        let read = view.plan_probe(query, covered, &mut Plan::default(), |seq, a, b| {
+            planned.entry(seq).or_default().push((a, b));
+        });
+        (planned, read)
+    }
+
     /// In `Window` mode the curve values a query plans in a bucket are
     /// exactly the cells of that bucket's enlarged window, enumerated
     /// cell by cell: the sweep reads no leaf for a cell outside it.
@@ -623,9 +770,10 @@ mod tests {
         for (qi, q) in queries(24, 0x3A7E, 75.0).iter().enumerate() {
             let windows = t.enlarged_windows(q);
             assert_eq!(windows.len(), view.buckets.len(), "query {qi}");
+            let (mut planned, _) = plan_of(&view, q, None);
             for w in &windows {
                 let at = format!("query {qi}, bucket {}", w.bucket_seq);
-                let ranges = view.scan_ranges(q, w.bucket_seq).expect(&at);
+                let ranges = planned.remove(&w.bucket_seq).expect(&at);
                 let planned: Vec<u64> = ranges.into_iter().flat_map(|(a, b)| a..=b).collect();
                 let (cx0, cy0) = view.cell_of(w.enlarged.lo);
                 let (cx1, cy1) = view.cell_of(w.enlarged.hi);
@@ -640,5 +788,308 @@ mod tests {
                 assert!(planned == cells, "{at}: planned values differ");
             }
         }
+    }
+
+    /// An inclusive rectangle of curve-grid cells, `(cx0, cy0, cx1,
+    /// cy1)`.
+    type CellSpan = (u32, u32, u32, u32);
+
+    /// The per-bucket planner the shared descent replaced, kept as its
+    /// oracle: one descent of the bounds pyramid for one probe at one
+    /// bucket's label time. Returns the qualifying finest cells' curve
+    /// cells (none when nothing qualifies), their bounding box in
+    /// domain space, and the pyramid cells whose bounds it read.
+    fn oracle_regions<B>(
+        view: &BxView<'_, B>,
+        query: &RangeQuery,
+        label: f64,
+    ) -> (Vec<CellSpan>, Rect, usize) {
+        let (samples, n) = BxTree::sample_rects(query, label);
+        let hist = view.hist;
+        let (mut spans, mut bbox, mut read) = (Vec::new(), Rect::EMPTY, 0);
+        if hist.global_bounds().is_none() {
+            return (spans, bbox, read);
+        }
+        let mut stack: Vec<(usize, usize, usize)> = vec![(hist.levels() - 1, 0, 0)];
+        while let Some((level, hx, hy)) = stack.pop() {
+            read += 1;
+            let Some(bounds) = hist.cell_bounds_at(level, hx, hy) else {
+                continue;
+            };
+            let reach = BxTree::reach_bbox(&samples[..n], label, bounds);
+            let mut cell = hist.cell_rect_at(level, hx, hy);
+            let last = hist.cells_per_axis_at(level) - 1;
+            if hx == 0 {
+                cell.lo.x = f64::NEG_INFINITY;
+            }
+            if hy == 0 {
+                cell.lo.y = f64::NEG_INFINITY;
+            }
+            if hx == last {
+                cell.hi.x = f64::INFINITY;
+            }
+            if hy == last {
+                cell.hi.y = f64::INFINITY;
+            }
+            let region = cell.intersection(&reach);
+            if region.is_empty() {
+                continue;
+            }
+            if level > 0 {
+                let child_n = hist.cells_per_axis_at(level - 1);
+                for dy in 0..2usize {
+                    for dx in 0..2usize {
+                        let (cx, cy) = (hx * 2 + dx, hy * 2 + dy);
+                        if cx < child_n && cy < child_n {
+                            stack.push((level - 1, cx, cy));
+                        }
+                    }
+                }
+                continue;
+            }
+            let clamped = view.clamp_window(&region);
+            let (cx0, cy0) = view.cell_of(clamped.lo);
+            let (cx1, cy1) = view.cell_of(clamped.hi);
+            spans.push((cx0, cy0, cx1, cy1));
+            bbox = bbox.union(&clamped);
+        }
+        (spans, bbox, read)
+    }
+
+    /// The oracle's curve ranges for one probe in bucket `seq`, and the
+    /// pyramid cells it read.
+    fn oracle_ranges<B>(
+        view: &BxView<'_, B>,
+        query: &RangeQuery,
+        seq: u64,
+    ) -> (Vec<(u64, u64)>, usize) {
+        let (spans, _, read) = oracle_regions(view, query, view.label_of(seq));
+        let mut ranges = Vec::new();
+        let Some(&first) = spans.first() else {
+            return (ranges, read);
+        };
+        match view.config.enlargement {
+            BxEnlargement::Window => {
+                let (mut cx0, mut cy0, mut cx1, mut cy1) = first;
+                for &(ax0, ay0, ax1, ay1) in &spans {
+                    cx0 = cx0.min(ax0);
+                    cy0 = cy0.min(ay0);
+                    cx1 = cx1.max(ax1);
+                    cy1 = cy1.max(ay1);
+                }
+                view.curve
+                    .for_each_range((cx0, cy0, cx1, cy1), |a, b| ranges.push((a, b)));
+            }
+            BxEnlargement::CellSet => {
+                let mut values = Vec::new();
+                for &(ax0, ay0, ax1, ay1) in &spans {
+                    for cy in ay0..=ay1 {
+                        for cx in ax0..=ax1 {
+                            values.push(view.curve.encode(cx, cy));
+                        }
+                    }
+                }
+                values.sort_unstable();
+                let mut merge = Merge::new(|a, b| ranges.push((a, b)));
+                for v in values {
+                    merge.push(v, v);
+                }
+                merge.finish();
+            }
+        }
+        (ranges, read)
+    }
+
+    /// Seeded time-slice, interval and moving queries, some reaching
+    /// past the domain's edge. The interval and moving ones span bucket
+    /// 1's label (60) but not bucket 2's (120), so a plan samples one,
+    /// two or three rectangles.
+    fn mixed_queries(n: usize, seed: u64) -> Vec<RangeQuery> {
+        let mut rng = Rng(seed);
+        (0..n)
+            .map(|i| {
+                let c = Point::new(rng.next() * 11_000.0 - 500.0, rng.next() * 11_000.0 - 500.0);
+                let r = 300.0 + rng.next() * 1_200.0;
+                match i % 3 {
+                    0 => RangeQuery::time_slice(QueryRegion::Circle(Circle::new(c, r)), 75.0),
+                    1 => RangeQuery::time_interval(
+                        QueryRegion::Rect(Rect::centered(c, r, r)),
+                        50.0,
+                        90.0,
+                    ),
+                    _ => RangeQuery::moving(
+                        QueryRegion::Circle(Circle::new(c, r)),
+                        Point::new(rng.next() * 40.0 - 20.0, rng.next() * 40.0 - 20.0),
+                        40.0,
+                        100.0,
+                    ),
+                }
+            })
+            .collect()
+    }
+
+    /// Seeded kNN probe chains: circles of growing radius at time 75,
+    /// each probe covering the one before.
+    fn knn_chains(n: usize, seed: u64) -> Vec<Vec<RangeQuery>> {
+        let mut rng = Rng(seed);
+        (0..n)
+            .map(|_| {
+                let c = Point::new(rng.next() * 10_000.0, rng.next() * 10_000.0);
+                [250.0, 600.0, 1_400.0, 3_000.0]
+                    .iter()
+                    .map(|&r| RangeQuery::time_slice(QueryRegion::Circle(Circle::new(c, r)), 75.0))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Every query's plan per bucket, and its enlarged windows, equal
+    /// the per-bucket oracle's; every kNN ring's plan equals the
+    /// oracle's plan of the probe minus its plan of the covered probe.
+    fn assert_plans_match_oracle<B>(
+        at: &str,
+        view: &BxView<'_, B>,
+        qs: &[RangeQuery],
+        chains: &[Vec<RangeQuery>],
+    ) {
+        let mut planned_ranges = 0;
+        for (qi, q) in qs.iter().enumerate() {
+            let mut want = BTreeMap::new();
+            let mut want_windows = Vec::new();
+            for &seq in view.buckets.keys() {
+                let (ranges, _) = oracle_ranges(view, q, seq);
+                if !ranges.is_empty() {
+                    want.insert(seq, ranges);
+                }
+                let label = view.label_of(seq);
+                let (_, bbox, _) = oracle_regions(view, q, label);
+                if !bbox.is_empty() {
+                    want_windows.push((seq, label, bbox));
+                }
+            }
+            let (planned, _) = plan_of(view, q, None);
+            assert_eq!(planned, want, "{at}: query {qi} ranges");
+            planned_ranges += planned.values().map(Vec::len).sum::<usize>();
+            let windows: Vec<(u64, f64, Rect)> = view
+                .enlarged_windows(q)
+                .iter()
+                .map(|w| (w.bucket_seq, w.label, w.enlarged))
+                .collect();
+            assert_eq!(windows, want_windows, "{at}: query {qi} enlarged windows");
+        }
+        assert!(planned_ranges > qs.len(), "{at}: queries plan ranges");
+        let mut ring_ranges = 0;
+        for (ci, chain) in chains.iter().enumerate() {
+            for (n, w) in chain.windows(2).enumerate() {
+                let (probe, covered) = (&w[1], &w[0]);
+                let mut want = BTreeMap::new();
+                for &seq in view.buckets.keys() {
+                    let mut ring = Vec::new();
+                    subtract_ranges(
+                        &oracle_ranges(view, probe, seq).0,
+                        &oracle_ranges(view, covered, seq).0,
+                        |a, b| ring.push((a, b)),
+                    );
+                    if !ring.is_empty() {
+                        want.insert(seq, ring);
+                    }
+                }
+                let (planned, _) = plan_of(view, probe, Some(covered));
+                assert_eq!(planned, want, "{at}: chain {ci} ring {n}");
+                ring_ranges += planned.values().map(Vec::len).sum::<usize>();
+            }
+        }
+        assert!(ring_ranges > chains.len(), "{at}: rings plan ranges");
+    }
+
+    #[test]
+    fn one_descent_plans_what_per_bucket_descents_plan() {
+        let qs = mixed_queries(30, 0x0DE5C);
+        let samples: Vec<usize> = qs[..3]
+            .iter()
+            .map(|q| BxTree::sample_rects(q, 60.0).1)
+            .collect();
+        assert_eq!(samples, [1, 3, 3], "sample rectangles per query shape");
+        let chains = knn_chains(6, 0x417);
+        for curve in [CurveKind::Hilbert, CurveKind::Z] {
+            for enlargement in [BxEnlargement::Window, BxEnlargement::CellSet] {
+                let t = two_bucket_tree_with(BxConfig {
+                    curve,
+                    enlargement,
+                    ..small_config()
+                });
+                let snap = t.snapshot().unwrap();
+                assert!(snap.buckets.len() >= 2, "several live buckets");
+                let at = format!("{curve:?} / {enlargement:?}");
+                assert_plans_match_oracle(&format!("{at} live"), &t.view(), &qs, &chains);
+                assert_plans_match_oracle(&format!("{at} snapshot"), &snap.view(), &qs, &chains);
+            }
+        }
+        // 70 live buckets: a plan takes two descents, a ring three.
+        let config = BxConfig {
+            num_buckets: 70,
+            update_interval: 70.0,
+            ..small_config()
+        };
+        let objs: Vec<MovingObject> = random_objects(700, 0x3B0C, 5.0, 0.0)
+            .iter()
+            .enumerate()
+            .map(|(i, o)| MovingObject::new(o.id, o.pos, o.vel, (i % 70) as f64))
+            .collect();
+        let t = BxTree::bulk_load(pool(), config, &objs).unwrap();
+        assert_eq!(t.snapshot().unwrap().buckets.len(), 70);
+        assert_plans_match_oracle("70 buckets", &t.view(), &qs, &chains);
+    }
+
+    /// Pyramid cells the shared descents read to plan the 30 queries of
+    /// `pyramid_cells_of_a_plan_are_pinned` on `two_bucket_tree`
+    /// (Hilbert, `Window`, two live buckets). PR 31 measured 47 782,
+    /// against 64 076 for the per-bucket descents it replaced (1.34×;
+    /// two buckets bound the saving at 2×).
+    const RANGE_PLAN_CELLS: usize = 47_782;
+    /// The per-bucket oracle's count for the same 30 plans (PR 31).
+    const RANGE_ORACLE_CELLS: usize = 64_076;
+    /// Pyramid cells the shared descents read to plan the 18 kNN rings
+    /// of the same test, each descent carrying the ring's probe and the
+    /// probe it covers. PR 31 measured 25 706, against 56 568 for
+    /// planning both probes bucket by bucket (2.20×).
+    const KNN_RING_PLAN_CELLS: usize = 25_706;
+    /// The per-bucket oracle's count for the same 18 rings (PR 31).
+    const KNN_RING_ORACLE_CELLS: usize = 56_568;
+    /// A ring's shared descent reads at least this many times fewer
+    /// pyramid cells than planning its two probes bucket by bucket.
+    const KNN_RING_CELLS_SAVING_MIN: usize = 2;
+
+    #[test]
+    fn pyramid_cells_of_a_plan_are_pinned() {
+        let t = two_bucket_tree();
+        let view = t.view();
+        let oracle = |q: &RangeQuery| -> usize {
+            view.buckets
+                .keys()
+                .map(|&seq| oracle_ranges(&view, q, seq).1)
+                .sum()
+        };
+        let (mut range_plan, mut range_oracle) = (0, 0);
+        for q in &mixed_queries(30, 0x0DE5C) {
+            range_plan += plan_of(&view, q, None).1;
+            range_oracle += oracle(q);
+        }
+        let (mut ring_plan, mut ring_oracle) = (0, 0);
+        for chain in &knn_chains(6, 0x417) {
+            for w in chain.windows(2) {
+                ring_plan += plan_of(&view, &w[1], Some(&w[0])).1;
+                ring_oracle += oracle(&w[1]) + oracle(&w[0]);
+            }
+        }
+        assert_eq!(
+            (range_plan, range_oracle),
+            (RANGE_PLAN_CELLS, RANGE_ORACLE_CELLS)
+        );
+        assert_eq!(
+            (ring_plan, ring_oracle),
+            (KNN_RING_PLAN_CELLS, KNN_RING_ORACLE_CELLS)
+        );
+        assert!(ring_oracle >= KNN_RING_CELLS_SAVING_MIN * ring_plan);
     }
 }

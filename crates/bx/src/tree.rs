@@ -91,17 +91,15 @@ impl Curve {
         }
     }
 
-    pub(crate) fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)> {
+    /// The curve ranges of the inclusive cell window `(x0, y0, x1,
+    /// y1)`, handed to `emit` ascending and merged.
+    pub(crate) fn for_each_range(&self, window: (u32, u32, u32, u32), emit: impl FnMut(u64, u64)) {
         match self {
-            Curve::Hilbert(c) => c.ranges(x0, y0, x1, y1),
-            Curve::Z(c) => c.ranges(x0, y0, x1, y1),
+            Curve::Hilbert(c) => c.for_each_range(window, emit),
+            Curve::Z(c) => c.for_each_range(window, emit),
         }
     }
 }
-
-/// An inclusive rectangle of qualifying curve-grid cells,
-/// `(cx0, cy0, cx1, cy1)`.
-pub(crate) type CellSpan = (u32, u32, u32, u32);
 
 /// One bucket's enlarged query window (diagnostics for the paper's
 /// Figure 7: query expansion rates).
@@ -325,24 +323,29 @@ impl BxTree {
     /// its bounding box covers every instant of the query window. The
     /// reach rectangle's corners are piecewise-linear in `t` with a
     /// single kink at `t = label` (where the enlargement changes sign),
-    /// so the endpoints plus that kink suffice.
-    pub(crate) fn sample_rects(query: &RangeQuery, label: f64) -> Vec<(f64, Rect)> {
+    /// so the endpoints plus that kink suffice: the first `n` of the
+    /// returned `(samples, n)`, at most three.
+    pub(crate) fn sample_rects(query: &RangeQuery, label: f64) -> ([(f64, Rect); 3], usize) {
         let region = query.region.bounding_rect();
-        let rect_at = |te: f64| -> Rect {
+        let sample = |te: f64| {
             let d = query.velocity * (te - query.region_ref_time);
-            Rect {
+            let rect = Rect {
                 lo: region.lo + d,
                 hi: region.hi + d,
-            }
+            };
+            (te, rect)
         };
-        let mut times = vec![query.t_start];
+        let mut samples = [sample(query.t_start); 3];
+        let mut n = 1;
         if !query.is_time_slice() {
-            times.push(query.t_end);
+            samples[1] = sample(query.t_end);
+            n = 2;
             if label > query.t_start && label < query.t_end {
-                times.push(label);
+                samples[2] = sample(label);
+                n = 3;
             }
         }
-        times.into_iter().map(|t| (t, rect_at(t))).collect()
+        (samples, n)
     }
 
     /// Bounding box of the enlargement over all sample times for the
@@ -358,7 +361,7 @@ impl BxTree {
 
     /// A read view over the live planner state and B+-tree — the
     /// machinery shared with [`BxSnapshot`]; see [`crate::snapshot`].
-    fn view(&self) -> BxView<'_, BPlusTree> {
+    pub(crate) fn view(&self) -> BxView<'_, BPlusTree> {
         BxView {
             config: &self.config,
             curve: &self.curve,
@@ -379,23 +382,10 @@ impl BxTree {
     /// histogram cell. This is sound (every candidate's label position
     /// lies in exactly one histogram cell, whose bounds cover its
     /// velocity) and keeps a distant speeder from inflating unrelated
-    /// queries.
+    /// queries. One pyramid descent plans every bucket, exactly as a
+    /// query's scan plans them.
     pub fn enlarged_windows(&self, query: &RangeQuery) -> Vec<EnlargedWindow> {
-        let region = query.region.bounding_rect();
-        let view = self.view();
-        self.buckets
-            .keys()
-            .filter_map(|&seq| {
-                let label = self.label_of(seq);
-                view.qualifying_regions(query, label)
-                    .map(|(_, bbox)| EnlargedWindow {
-                        bucket_seq: seq,
-                        label,
-                        base: region,
-                        enlarged: bbox,
-                    })
-            })
-            .collect()
+        self.view().enlarged_windows(query)
     }
 
     /// Rebuilds the velocity histogram from the indexed objects
@@ -599,10 +589,10 @@ impl SnapshotIndex for BxTree {
 }
 
 /// Interval-set difference `a \ b` over inclusive `(lo, hi)` u64
-/// ranges. Both inputs must be disjoint and ascending (the shape
-/// the scan-range decomposition produces); the result is too.
-pub(crate) fn subtract_ranges(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u64)> {
-    let mut out = Vec::with_capacity(a.len());
+/// ranges, handed to `emit`. Both inputs must be disjoint and
+/// ascending (the shape the scan-range decomposition produces); the
+/// result is too.
+pub(crate) fn subtract_ranges(a: &[(u64, u64)], b: &[(u64, u64)], mut emit: impl FnMut(u64, u64)) {
     let mut bi = 0usize;
     for &(alo, ahi) in a {
         // Blockers entirely before this range can never matter again.
@@ -619,7 +609,7 @@ pub(crate) fn subtract_ranges(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u
                 break;
             }
             if lo < blo {
-                out.push((lo, blo - 1));
+                emit(lo, blo - 1);
             }
             if bhi >= ahi {
                 covered_tail = true;
@@ -629,10 +619,9 @@ pub(crate) fn subtract_ranges(a: &[(u64, u64)], b: &[(u64, u64)]) -> Vec<(u64, u
             j += 1;
         }
         if !covered_tail && lo <= ahi {
-            out.push((lo, ahi));
+            emit(lo, ahi);
         }
     }
-    out
 }
 
 #[cfg(test)]
@@ -1139,7 +1128,11 @@ mod tests {
 
     #[test]
     fn subtract_ranges_cases() {
-        let d = |a: &[(u64, u64)], b: &[(u64, u64)]| subtract_ranges(a, b);
+        let d = |a: &[(u64, u64)], b: &[(u64, u64)]| {
+            let mut out = Vec::new();
+            subtract_ranges(a, b, |lo, hi| out.push((lo, hi)));
+            out
+        };
         assert_eq!(d(&[(5, 10)], &[]), vec![(5, 10)]);
         assert_eq!(d(&[(5, 10)], &[(5, 10)]), vec![]);
         assert_eq!(d(&[(5, 10)], &[(0, 20)]), vec![]);
