@@ -4,10 +4,12 @@
 //! `knn_batch` beat looped queries 1.5–2.9×) and snapshot reads are
 //! lock-free under concurrent ticks — but those wins only materialize
 //! if something *forms batches* from independent client requests. This
-//! crate is that something: a std-only TCP server whose **batch
-//! former** coalesces the range/kNN requests queued at the same moment
-//! into size-bounded windows and executes each window against the
-//! current [`vp_core::VpSnapshot`], while a single writer thread owns
+//! crate is that something: a std-only TCP server whose connection
+//! threads **combine** their reads — the one holding the combiner lock
+//! executes the range/kNN requests queued at the same moment as one
+//! size-bounded window against the current [`vp_core::VpSnapshot`],
+//! its own included, and a lone read runs where it arrived with no
+//! thread hand-off — while a single writer thread owns
 //! the `&mut` [`vp_core::VpIndex`] and publishes a fresh snapshot
 //! after every committed mutation. Group commit, applied to reads.
 //!
@@ -25,7 +27,7 @@
 //!   [`protocol::FrameReader`] that survives socket timeouts
 //!   mid-frame).
 //! * [`server`] — [`spawn`], the thread topology, the
-//!   window-close policy, bounded-queue admission control, per-request
+//!   combining policy, bounded-queue admission control, per-request
 //!   deadlines, idle-peer eviction, graceful drain, and resumable
 //!   subscriptions.
 //! * [`client`] — [`VpClient`], a small blocking client used by the

@@ -1,34 +1,39 @@
-//! The threaded server: acceptor → connection threads → batch former
-//! and writer.
+//! The threaded server: acceptor → connection threads, which combine
+//! their reads among themselves, and one writer.
 //!
 //! # Thread topology
 //!
 //! ```text
 //!  clients ──TCP──▶ acceptor ──▶ conn thread (one per connection)
 //!                                  │
-//!                  Range/Knn ──────┼──try_send──▶ read queue ──▶ batch former
-//!                  Insert/Delete/  │                               │ load()
-//!                  Tick ───────────┼──try_send──▶ write queue      ▼
-//!                  GetObject/Stats─┘               │          SnapshotCell
-//!                  (answered inline                ▼               ▲
-//!                   from the snapshot)          writer ──publish───┘
+//!                  Range/Knn ──────┼──push──────▶ read queue ──▶ combiner
+//!                  Insert/Delete/  │                          (the conn thread
+//!                  Tick ───────────┼──try_send──▶ write queue  holding the lock)
+//!                  GetObject/Stats─┘               │                │ load()
+//!                  (answered inline                ▼                ▼
+//!                   from the snapshot)          writer ──publish──▶ SnapshotCell
 //!                                               (&mut VpIndex)
 //! ```
 //!
-//! Reads never touch the live index: the batch former loads the
-//! current [`SnapshotCell`] snapshot and executes a whole *window* of
-//! coalesced requests through `range_query_batch` / `knn_batch`, so
-//! the in-index batching wins apply to independent network clients.
-//! The former is work-conserving: a window opens with the first queued
-//! request, takes whatever else the read queue already holds — up to
-//! [`ServerConfig::max_batch`] — and executes at once. It never waits
-//! for requests that have not arrived, so a lone request pays two
-//! thread hand-offs and its own execution; under load the queue fills
-//! while the previous window executes and batches form by themselves
-//! (group commit). The single writer thread owns the `&mut`
-//! [`VpIndex`]; after every committed mutation it publishes a fresh
-//! snapshot, so the next read window observes it. Ticks and query
-//! windows therefore never contend on anything.
+//! Reads never touch the live index, and no thread exists only to run
+//! them: they are *flat-combined* (Hendler, Incze, Shavit and
+//! Tzafrir, SPAA 2010). A connection thread queues its read and tries
+//! the combiner lock. The thread that gets it loads the current
+//! [`SnapshotCell`] snapshot and executes a whole *window* — what the
+//! read queue holds, up to [`ServerConfig::max_batch`], its own read
+//! included — through `range_query_batch` / `knn_batch`, so the
+//! in-index batching wins apply to independent network clients. It
+//! leaves every other read's frames in that connection's slot, where
+//! its thread is parked. A window never waits for reads that have not
+//! arrived, so a lone read executes on the thread that received it
+//! with no hand-off; under load the queue fills while a combiner
+//! executes and batches form by themselves (group commit). A combiner
+//! that releases the lock with reads still queued wakes the owner of
+//! the first to combine next, so no read waits on a timer. The single
+//! writer thread owns the `&mut` [`VpIndex`]; after every committed
+//! mutation it publishes a fresh snapshot, so the next read window
+//! observes it. Ticks and query windows therefore never contend on
+//! anything.
 //!
 //! # Admission control
 //!
@@ -49,8 +54,8 @@
 //! and a peer that stays silent — no frame, no [`Request::Ping`] —
 //! beyond [`ServerConfig::idle_timeout_ms`] is evicted. Requests may
 //! arrive wrapped in a [`Request::Deadline`] envelope; expired work is
-//! dropped at admission, again when the batch former opens the window,
-//! and once more before the reply is written, each time answered with
+//! dropped at admission, again when a combiner opens the window, and
+//! once more before the reply is written, each time answered with
 //! [`ErrorCode::DeadlineExceeded`].
 //!
 //! # Graceful drain
@@ -58,10 +63,11 @@
 //! [`ServerHandle::shutdown`] (and a client's [`Request::Shutdown`])
 //! runs a two-phase drain rather than an abrupt stop: the acceptor
 //! closes, new work is rejected with [`ErrorCode::Draining`],
-//! already-admitted windows and mutations are answered, every routed
-//! subscription receives a terminal `Events` frame with the `fin`
-//! flag, a durable index is checkpointed (so the following start
-//! replays nothing), and only then do the service threads exit.
+//! already-admitted reads and mutations are answered (reads by
+//! combiners, which run in any mode), every routed subscription
+//! receives a terminal `Events` frame with the `fin` flag, a durable
+//! index is checkpointed (so the following start replays nothing),
+//! and only then does the writer exit.
 //! [`ServerHandle::kill`] keeps the old abrupt path for tests.
 //!
 //! # Resumable subscriptions
@@ -74,12 +80,13 @@
 //! ring, or — past the ring or past the linger window — a fresh
 //! backfill flagged `reset`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{self, BufWriter, Write};
+use std::mem;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -111,9 +118,9 @@ pub struct ServerConfig {
     /// Maximum number of ids per [`Response::Ids`] frame; larger range
     /// results stream as multiple chunks.
     pub max_frame: usize,
-    /// Test/bench knob: artificial delay (µs) before executing each
-    /// window. Lets tests fill the admission queue deterministically;
-    /// leave at 0 in production.
+    /// Test/bench knob: artificial delay (µs) the combiner spends
+    /// holding each window before it executes it. Lets tests fill the
+    /// admission queue deterministically; leave at 0 in production.
     pub former_stall_us: u64,
     /// Prediction horizon (time units) for standing queries: how far a
     /// range subscription's cached candidate set stays valid before
@@ -137,8 +144,9 @@ pub struct ServerConfig {
     /// evicted as half-open. Idle-but-healthy clients (e.g. passive
     /// subscribers) stay alive by sending [`Request::Ping`].
     pub idle_timeout_ms: u64,
-    /// Upper bound (ms) each service thread spends draining its queue
-    /// during graceful shutdown before giving up on the remainder.
+    /// Upper bound (ms) the writer spends draining its queue during
+    /// graceful shutdown before giving up on the remainder. Admitted
+    /// reads need no budget: combiners answer them in any mode.
     pub drain_budget_ms: u64,
 }
 
@@ -191,13 +199,16 @@ struct Counters {
     batched_requests: AtomicU64,
     writes: AtomicU64,
     overloaded: AtomicU64,
-    /// Jobs currently sitting in the read / write admission queues —
-    /// feeds the `retry_after_us` hint on `Overloaded`.
-    read_queued: AtomicU64,
+    /// Jobs currently sitting in the write admission queue — feeds the
+    /// `retry_after_us` hint on `Overloaded`.
     write_queued: AtomicU64,
+    /// Read replies a combiner left for another connection's thread.
+    /// Relaxed: a statistic the unit tests pin through the
+    /// [`ServerHandle`], hence its own `Arc`; served nowhere.
+    handoffs: Arc<AtomicU64>,
 }
 
-/// Everything the connection threads and the former share. The mode
+/// Everything the connection threads and the writer share. The mode
 /// word is its own `Arc` so the (non-generic) [`ServerHandle`] can
 /// hold it too.
 struct Shared<S> {
@@ -211,9 +222,11 @@ struct Shared<S> {
     /// Allocator for per-connection ids (used to route subscription
     /// event pushes back to the owning connection).
     next_conn: AtomicU64,
-    /// Service threads (former, writer) still draining; the last one
-    /// out flips the mode to Stopped so connection threads exit.
-    draining_threads: AtomicU64,
+    /// The bounded read admission queue; only the thread holding
+    /// `combiner` takes jobs out of it.
+    reads: Mutex<VecDeque<ReadJob>>,
+    /// Held by the connection thread that executes read windows.
+    combiner: Mutex<()>,
 }
 
 impl<S> Shared<S> {
@@ -221,23 +234,10 @@ impl<S> Shared<S> {
         load_mode(&self.mode)
     }
 
-    /// Called by the former and the writer when they finish (drain or
-    /// plain exit); the second call stops the world.
+    /// Called by the writer when it finishes (drain or plain exit):
+    /// stops the world, so connection threads exit.
     fn service_thread_done(&self) {
-        if self.draining_threads.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.mode.store(MODE_STOPPED, Ordering::SeqCst);
-        }
-    }
-
-    /// The `Overloaded` back-off hint for the read or the write queue
-    /// at its current depth.
-    fn retry_after_us(&self, reads: bool) -> u64 {
-        let queued = if reads {
-            &self.counters.read_queued
-        } else {
-            &self.counters.write_queued
-        };
-        retry_hint_us(queued.load(Ordering::SeqCst), &self.cfg)
+        self.mode.store(MODE_STOPPED, Ordering::SeqCst);
     }
 }
 
@@ -258,6 +258,104 @@ type ConnWriter = Arc<Mutex<BufWriter<TcpStream>>>;
 
 type ConnId = u64;
 
+/// Locks a mutex whose every update leaves its data valid, so a panic
+/// on another thread while it was held leaves nothing to repair.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A connection's reply slot, reused by every request it sends. Its
+/// thread parks here for a read's frames (from whichever thread
+/// combined it), for a write's reply from the writer, or for the
+/// combiner role.
+#[derive(Default)]
+struct Slot {
+    state: Mutex<SlotState>,
+    wake: Condvar,
+}
+
+#[derive(Default)]
+enum SlotState {
+    #[default]
+    Empty,
+    /// A combiner released the lock with this connection's read first
+    /// in the queue: take the lock and combine.
+    Combine,
+    /// The whole reply; empty when the writer already wrote it on the
+    /// stream (the Subscribe path).
+    Frames(Vec<Response>),
+}
+
+impl Slot {
+    fn put(&self, frames: Vec<Response>) {
+        *lock(&self.state) = SlotState::Frames(frames);
+        self.wake.notify_one();
+    }
+
+    /// Hands the combiner role to this slot's waiter — unless its reply
+    /// already arrived, from a thread that took the lock after the
+    /// caller released it and so makes the same hand-off on release.
+    fn offer_combine(&self) {
+        let mut state = lock(&self.state);
+        if matches!(*state, SlotState::Empty) {
+            *state = SlotState::Combine;
+            self.wake.notify_one();
+        }
+    }
+
+    fn answered(&self) -> bool {
+        matches!(*lock(&self.state), SlotState::Frames(_))
+    }
+
+    /// Parks until the reply arrives (`Some`) or the combiner role is
+    /// handed over (`None`).
+    fn wait(&self) -> Option<Vec<Response>> {
+        let mut state = lock(&self.state);
+        loop {
+            match mem::take(&mut *state) {
+                SlotState::Frames(frames) => return Some(frames),
+                SlotState::Combine => return None,
+                SlotState::Empty => {
+                    state = self
+                        .wake
+                        .wait(state)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
+            }
+        }
+    }
+}
+
+/// Where a job's answer goes: the asking connection's slot. A job
+/// dropped unanswered (the writer stopped first) answers `Internal`,
+/// so no connection thread waits for it forever.
+struct Reply {
+    slot: Arc<Slot>,
+    sent: bool,
+}
+
+impl Reply {
+    fn to(slot: &Arc<Slot>) -> Reply {
+        Reply {
+            slot: Arc::clone(slot),
+            sent: false,
+        }
+    }
+
+    fn send(mut self, frames: Vec<Response>) {
+        self.slot.put(frames);
+        self.sent = true;
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        if !self.sent {
+            self.slot.put(vec![internal("server shutting down")]);
+        }
+    }
+}
+
 enum ReadKind {
     Range(RangeQuery),
     Knn(KnnQuery),
@@ -266,12 +364,12 @@ enum ReadKind {
 struct ReadJob {
     kind: ReadKind,
     /// Absolute expiry derived from a [`Request::Deadline`] envelope;
-    /// the former drops the job (with `DeadlineExceeded`) instead of
+    /// the combiner drops the job (with `DeadlineExceeded`) instead of
     /// executing it once this passes.
     deadline: Option<Instant>,
     /// Receives the full frame sequence for this request (one frame
     /// for kNN; one or more chunks for range).
-    reply: mpsc::Sender<Vec<Response>>,
+    reply: Reply,
 }
 
 enum WriteKind {
@@ -296,10 +394,10 @@ enum WriteKind {
 
 struct WriteJob {
     kind: WriteKind,
-    /// `Some(resp)` — the conn thread writes the reply itself;
-    /// `None` — the writer thread already wrote the reply frames
-    /// directly on the connection (Subscribe path).
-    reply: mpsc::Sender<Option<Response>>,
+    /// The frames the conn thread writes: one reply, or none when the
+    /// writer thread already wrote them directly on the connection
+    /// (Subscribe path).
+    reply: Reply,
 }
 
 /// A running server. Dropping the handle does **not** stop the server;
@@ -309,6 +407,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     mode: Arc<AtomicU8>,
     threads: Vec<JoinHandle<()>>,
+    #[cfg(test)]
+    handoffs: Arc<AtomicU64>,
 }
 
 impl ServerHandle {
@@ -321,8 +421,7 @@ impl ServerHandle {
     /// [`ErrorCode::Draining`], answer everything already admitted,
     /// push terminal `fin` event frames to every live subscription,
     /// checkpoint a durable index, then stop. Returns once the
-    /// service threads have exited (bounded by
-    /// [`ServerConfig::drain_budget_ms`] per thread).
+    /// writer has exited (bounded by [`ServerConfig::drain_budget_ms`]).
     pub fn shutdown(mut self) {
         let _ = self.mode.compare_exchange(
             MODE_RUNNING,
@@ -348,8 +447,8 @@ impl ServerHandle {
     }
 
     /// Waits until a client-initiated [`Request::Shutdown`] (or an
-    /// earlier [`ServerHandle::shutdown`]) has stopped the service
-    /// threads.
+    /// earlier [`ServerHandle::shutdown`]) has stopped the writer and
+    /// the acceptor.
     pub fn join(mut self) {
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -383,28 +482,21 @@ where
             batched_requests: AtomicU64::new(0),
             writes: AtomicU64::new(0),
             overloaded: AtomicU64::new(0),
-            read_queued: AtomicU64::new(0),
             write_queued: AtomicU64::new(0),
+            handoffs: Arc::new(AtomicU64::new(0)),
         },
         mode: Arc::clone(&mode),
         addr,
         cfg: config.clone(),
         next_conn: AtomicU64::new(0),
-        draining_threads: AtomicU64::new(2),
+        reads: Mutex::new(VecDeque::new()),
+        combiner: Mutex::new(()),
     });
-    let depth = config.queue_depth.max(1);
-    let (read_tx, read_rx) = mpsc::sync_channel::<ReadJob>(depth);
-    let (write_tx, write_rx) = mpsc::sync_channel::<WriteJob>(depth);
+    let (write_tx, write_rx) = mpsc::sync_channel::<WriteJob>(config.queue_depth.max(1));
+    #[cfg(test)]
+    let handoffs = Arc::clone(&shared.counters.handoffs);
 
     let mut threads = Vec::new();
-    {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            thread::Builder::new()
-                .name("vp-former".into())
-                .spawn(move || former_loop(read_rx, shared))?,
-        );
-    }
     {
         let shared = Arc::clone(&shared);
         threads.push(
@@ -418,13 +510,15 @@ where
         threads.push(
             thread::Builder::new()
                 .name("vp-acceptor".into())
-                .spawn(move || accept_loop(listener, shared, read_tx, write_tx))?,
+                .spawn(move || accept_loop(listener, shared, write_tx))?,
         );
     }
     Ok(ServerHandle {
         addr,
         mode,
         threads,
+        #[cfg(test)]
+        handoffs,
     })
 }
 
@@ -433,7 +527,6 @@ where
 fn accept_loop<S: IndexSnapshot + 'static>(
     listener: TcpListener,
     shared: Arc<Shared<S>>,
-    read_tx: SyncSender<ReadJob>,
     write_tx: SyncSender<WriteJob>,
 ) {
     loop {
@@ -444,18 +537,18 @@ fn accept_loop<S: IndexSnapshot + 'static>(
         let Ok((stream, _)) = conn else { continue };
         let conn_id = shared.next_conn.fetch_add(1, Ordering::SeqCst);
         let shared = Arc::clone(&shared);
-        let read_tx = read_tx.clone();
         let write_tx = write_tx.clone();
         let _ = thread::Builder::new()
             .name("vp-conn".into())
             .spawn(move || {
-                let _ = handle_conn(stream, conn_id, shared, read_tx, &write_tx);
+                let slot = Arc::new(Slot::default());
+                let _ = handle_conn(stream, conn_id, shared, &slot, &write_tx);
                 // However the connection ended, detach its standing
-                // queries. (Errors mean the writer is gone too.)
-                let (tx, _rx) = mpsc::channel();
+                // queries; nobody waits for the reply. (Errors mean the
+                // writer is gone too.)
                 let _ = write_tx.send(WriteJob {
                     kind: WriteKind::Disconnect(conn_id),
-                    reply: tx,
+                    reply: Reply::to(&slot),
                 });
             });
     }
@@ -497,7 +590,7 @@ fn handle_conn<S>(
     stream: TcpStream,
     conn_id: ConnId,
     shared: Arc<Shared<S>>,
-    read_tx: SyncSender<ReadJob>,
+    slot: &Arc<Slot>,
     write_tx: &SyncSender<WriteJob>,
 ) -> io::Result<()>
 where
@@ -577,20 +670,14 @@ where
             send_one(&writer, &deadline_exceeded("before admission"))?;
             continue;
         }
+        let read = |kind| enqueue_read(&shared, slot, kind, deadline, &writer);
+        let write = |kind| enqueue_write(&shared, write_tx, slot, kind, &writer);
         match request {
-            Request::Range(q) => {
-                enqueue_read(&shared, &read_tx, ReadKind::Range(q), deadline, &writer)?
-            }
-            Request::Knn(q) => {
-                enqueue_read(&shared, &read_tx, ReadKind::Knn(q), deadline, &writer)?
-            }
-            Request::Insert(o) => enqueue_write(&shared, write_tx, WriteKind::Insert(o), &writer)?,
-            Request::Delete(id) => {
-                enqueue_write(&shared, write_tx, WriteKind::Delete(id), &writer)?
-            }
-            Request::Tick(updates) => {
-                enqueue_write(&shared, write_tx, WriteKind::Tick(updates), &writer)?
-            }
+            Request::Range(q) => read(ReadKind::Range(q))?,
+            Request::Knn(q) => read(ReadKind::Knn(q))?,
+            Request::Insert(o) => write(WriteKind::Insert(o))?,
+            Request::Delete(id) => write(WriteKind::Delete(id))?,
+            Request::Tick(updates) => write(WriteKind::Tick(updates))?,
             Request::Subscribe { spec, resume } => {
                 let kind = WriteKind::Subscribe {
                     spec,
@@ -598,11 +685,9 @@ where
                     conn: conn_id,
                     writer: Arc::clone(&writer),
                 };
-                enqueue_write(&shared, write_tx, kind, &writer)?
+                write(kind)?
             }
-            Request::Unsubscribe(id) => {
-                enqueue_write(&shared, write_tx, WriteKind::Unsubscribe(id), &writer)?
-            }
+            Request::Unsubscribe(id) => write(WriteKind::Unsubscribe(id))?,
             Request::GetObject(id) => {
                 let snap = shared.cell.load();
                 let resp = match snap.get_object(id) {
@@ -658,150 +743,120 @@ fn send_one(w: &ConnWriter, resp: &Response) -> io::Result<()> {
     w.flush()
 }
 
-fn enqueue_read<S>(
+/// Admits a read, sees it executed (by this thread or a combiner) and
+/// writes its reply.
+fn enqueue_read<S: IndexSnapshot>(
     shared: &Shared<S>,
-    read_tx: &SyncSender<ReadJob>,
+    slot: &Arc<Slot>,
     kind: ReadKind,
     deadline: Option<Instant>,
     w: &ConnWriter,
 ) -> io::Result<()> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    // Count before sending: the former decrements as soon as it
-    // receives, and must never get there first.
-    shared.counters.read_queued.fetch_add(1, Ordering::SeqCst);
-    if let Err(e) = read_tx.try_send(ReadJob {
-        kind,
-        deadline,
-        reply: reply_tx,
-    }) {
-        shared.counters.read_queued.fetch_sub(1, Ordering::SeqCst);
-        return match e {
-            TrySendError::Full(_) => {
-                shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
-                send_one(w, &overloaded(shared.retry_after_us(true)))
-            }
-            TrySendError::Disconnected(_) => send_one(w, &internal("server shutting down")),
-        };
-    }
-    match reply_rx.recv() {
-        Ok(frames) => {
-            // Last deadline gate: the result is ready, but if the
-            // client's budget ran out while it was computed, the
-            // answer is DeadlineExceeded (the client has already
-            // abandoned the call; keep its stream in sync).
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                return send_one(w, &deadline_exceeded("after execution"));
-            }
-            // Hold the lock across all chunks so a pushed Events frame
-            // cannot split a chunked range reply.
-            let mut w = w.lock().map_err(|_| poisoned())?;
-            for f in &frames {
-                write_frame(&mut *w, &f.encode())?;
-            }
-            w.flush()
+    {
+        let mut queue = lock(&shared.reads);
+        if queue.len() >= shared.cfg.queue_depth.max(1) {
+            let hint = retry_hint_us(queue.len() as u64, &shared.cfg);
+            drop(queue);
+            shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
+            return send_one(w, &overloaded(hint));
         }
-        // The former exited (shutdown) before answering.
-        Err(_) => send_one(w, &internal("server shutting down")),
+        queue.push_back(ReadJob {
+            kind,
+            deadline,
+            reply: Reply::to(slot),
+        });
     }
+    // Combine if the lock is free; otherwise park until a combiner
+    // answers this read or hands its role over.
+    let frames = loop {
+        combine(shared, slot);
+        if let Some(frames) = slot.wait() {
+            break frames;
+        }
+    };
+    // Last deadline gate: the result is ready, but if the client's
+    // budget ran out while it was computed, the answer is
+    // DeadlineExceeded (the client has already abandoned the call;
+    // keep its stream in sync).
+    if deadline.is_some_and(|d| Instant::now() >= d) {
+        return send_one(w, &deadline_exceeded("after execution"));
+    }
+    // One locked write for all chunks, so a pushed Events frame cannot
+    // split a chunked range reply.
+    write_direct(w, &frames)
 }
 
 fn enqueue_write<S>(
     shared: &Shared<S>,
     write_tx: &SyncSender<WriteJob>,
+    slot: &Arc<Slot>,
     kind: WriteKind,
     w: &ConnWriter,
 ) -> io::Result<()> {
-    let (reply_tx, reply_rx) = mpsc::channel();
-    // Counted before sending, for the same reason as in `enqueue_read`.
+    // Count before sending: the writer decrements as soon as it
+    // receives, and must never get there first.
     shared.counters.write_queued.fetch_add(1, Ordering::SeqCst);
     if let Err(e) = write_tx.try_send(WriteJob {
         kind,
-        reply: reply_tx,
+        reply: Reply::to(slot),
     }) {
         shared.counters.write_queued.fetch_sub(1, Ordering::SeqCst);
-        return match e {
-            TrySendError::Full(_) => {
-                shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
-                send_one(w, &overloaded(shared.retry_after_us(false)))
-            }
-            TrySendError::Disconnected(_) => send_one(w, &internal("server shutting down")),
-        };
+        if let TrySendError::Full(job) = e {
+            shared.counters.overloaded.fetch_add(1, Ordering::SeqCst);
+            let queued = shared.counters.write_queued.load(Ordering::SeqCst);
+            job.reply
+                .send(vec![overloaded(retry_hint_us(queued, &shared.cfg))]);
+        }
+        // Disconnected: the writer has exited, and dropping the job
+        // left `Internal` in the slot.
     }
-    match reply_rx.recv() {
-        // The writer thread already answered on the stream itself.
-        Ok(None) => Ok(()),
-        Ok(Some(resp)) => send_one(w, &resp),
-        Err(_) => send_one(w, &internal("server shutting down")),
-    }
+    // A combiner role handed over here is stale: this connection's
+    // last read was answered, by whoever took the lock after the
+    // hand-off was decided.
+    let frames = loop {
+        if let Some(frames) = slot.wait() {
+            break frames;
+        }
+    };
+    write_direct(w, &frames)
 }
 
-// --- batch former ----------------------------------------------------------
+// --- read combining ----------------------------------------------------------
 
-/// How often idle loops re-check the lifecycle mode.
-const IDLE_POLL: Duration = Duration::from_millis(20);
-
-/// Moves whatever the admission queue already holds into `window`, up
-/// to `max_batch`, without waiting: a window never stays open for
-/// requests that have not arrived.
-fn fill_window<S>(
-    rx: &Receiver<ReadJob>,
-    shared: &Shared<S>,
-    window: &mut Vec<ReadJob>,
-    max_batch: usize,
-) {
-    while window.len() < max_batch {
-        let Ok(job) = rx.try_recv() else { break };
-        shared.counters.read_queued.fetch_sub(1, Ordering::SeqCst);
-        window.push(job);
-    }
-}
-
-fn former_loop<S>(rx: Receiver<ReadJob>, shared: Arc<Shared<S>>)
-where
-    S: IndexSnapshot + 'static,
-{
-    let cfg = shared.cfg.clone();
-    let max_batch = cfg.max_batch.max(1);
-    let max_frame = cfg.max_frame.max(1);
-    loop {
-        match shared.mode() {
-            Mode::Stopped => {
-                shared.service_thread_done();
-                return;
-            }
-            Mode::Draining => break,
-            Mode::Running => {}
-        }
-        // Wait for the window's first request…
-        let first = match rx.recv_timeout(IDLE_POLL) {
-            Ok(job) => job,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => {
-                shared.service_thread_done();
-                return;
-            }
+/// Flat combining: if the combiner lock is free, executes windows from
+/// the head of the read queue until `own`'s read is answered, then
+/// hands the role to the owner of the first read still queued.
+fn combine<S: IndexSnapshot>(shared: &Shared<S>, own: &Arc<Slot>) {
+    let held = match shared.combiner.try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::Poisoned(p)) => p.into_inner(),
+        Err(TryLockError::WouldBlock) => return,
+    };
+    let max_batch = shared.cfg.max_batch.max(1);
+    // `own`'s read is queued or answered: reads leave the queue only
+    // here, under the lock, and are answered before it is released.
+    while !own.answered() {
+        // Take what is already queued; never wait for more.
+        let window: Vec<ReadJob> = {
+            let mut queue = lock(&shared.reads);
+            let n = queue.len().min(max_batch);
+            queue.drain(..n).collect()
         };
-        shared.counters.read_queued.fetch_sub(1, Ordering::SeqCst);
-        // …and take along what queued up while the previous window ran.
-        let mut window = vec![first];
-        fill_window(&rx, &shared, &mut window, max_batch);
-        if cfg.former_stall_us > 0 {
-            thread::sleep(Duration::from_micros(cfg.former_stall_us));
+        if shared.cfg.former_stall_us > 0 {
+            thread::sleep(Duration::from_micros(shared.cfg.former_stall_us));
         }
-        execute_window(window, &shared, max_frame);
+        execute_window(window, shared, own);
     }
-    // Drain: answer everything already admitted (new work is being
-    // rejected at the edge), bounded by the drain budget.
-    let drain_deadline = Instant::now() + Duration::from_millis(cfg.drain_budget_ms);
-    while Instant::now() < drain_deadline {
-        let mut window = Vec::new();
-        fill_window(&rx, &shared, &mut window, max_batch);
-        if window.is_empty() {
-            break;
-        }
-        execute_window(window, &shared, max_frame);
+    drop(held);
+    // A read pushed while the lock was held failed its `try_lock`
+    // after the push, so it is visible here. If a thread took the lock
+    // in between, it serves that read and repeats this check itself.
+    let next = lock(&shared.reads)
+        .front()
+        .map(|job| Arc::clone(&job.reply.slot));
+    if let Some(next) = next {
+        next.offer_combine();
     }
-    shared.service_thread_done();
 }
 
 /// Splits a range result into `done`-terminated chunks of at most
@@ -822,10 +877,19 @@ fn chunk_ids(ids: Vec<u64>, max_frame: usize) -> Vec<Response> {
     frames
 }
 
-fn execute_window<S>(window: Vec<ReadJob>, shared: &Shared<S>, max_frame: usize)
+/// Executes one window against the current snapshot and leaves each
+/// read's frames in its slot; `own` is the combining thread's slot.
+fn execute_window<S>(window: Vec<ReadJob>, shared: &Shared<S>, own: &Arc<Slot>)
 where
     S: IndexSnapshot,
 {
+    let deliver = |reply: Reply, frames| {
+        if !Arc::ptr_eq(&reply.slot, own) {
+            shared.counters.handoffs.fetch_add(1, Ordering::Relaxed);
+        }
+        reply.send(frames);
+    };
+    let max_frame = shared.cfg.max_frame.max(1);
     let snap = shared.cell.load();
     shared.counters.batches.fetch_add(1, Ordering::SeqCst);
     shared
@@ -842,7 +906,7 @@ where
     let mut knn_jobs = Vec::new();
     for job in window {
         if job.deadline.is_some_and(|d| now >= d) {
-            let _ = job.reply.send(vec![deadline_exceeded("in queue")]);
+            deliver(job.reply, vec![deadline_exceeded("in queue")]);
             continue;
         }
         match job.kind {
@@ -860,13 +924,13 @@ where
     if !range_qs.is_empty() {
         match snap.range_query_batch(&range_qs) {
             Ok(results) => {
-                for (reply, ids) in range_jobs.iter().zip(results) {
-                    let _ = reply.send(chunk_ids(ids, max_frame));
+                for (reply, ids) in range_jobs.into_iter().zip(results) {
+                    deliver(reply, chunk_ids(ids, max_frame));
                 }
             }
             Err(e) => {
-                for reply in &range_jobs {
-                    let _ = reply.send(vec![error_response(&e)]);
+                for reply in range_jobs {
+                    deliver(reply, vec![error_response(&e)]);
                 }
             }
         }
@@ -874,13 +938,13 @@ where
     if !knn_qs.is_empty() {
         match snap.knn_batch(&knn_qs, &shared.domain) {
             Ok(results) => {
-                for (reply, ns) in knn_jobs.iter().zip(results) {
-                    let _ = reply.send(vec![Response::Neighbors(ns)]);
+                for (reply, ns) in knn_jobs.into_iter().zip(results) {
+                    deliver(reply, vec![Response::Neighbors(ns)]);
                 }
             }
             Err(e) => {
-                for reply in &knn_jobs {
-                    let _ = reply.send(vec![error_response(&e)]);
+                for reply in knn_jobs {
+                    deliver(reply, vec![error_response(&e)]);
                 }
             }
         }
@@ -1011,6 +1075,9 @@ fn write_direct(w: &ConnWriter, frames: &[Response]) -> io::Result<()> {
     w.flush()
 }
 
+/// How often the idle writer re-checks the lifecycle mode.
+const IDLE_POLL: Duration = Duration::from_millis(20);
+
 fn writer_loop<I>(mut index: VpIndex<I>, rx: Receiver<WriteJob>, shared: Arc<Shared<I::Snapshot>>)
 where
     I: MovingObjectIndex + SnapshotIndex + Send + Sync,
@@ -1092,14 +1159,14 @@ fn apply_write_job<I>(
             writer,
         } => {
             let resp = handle_subscribe(index, reg, spec, resume, conn, writer);
-            let _ = job.reply.send(resp);
+            job.reply.send(resp.into_iter().collect());
             return;
         }
         WriteKind::Unsubscribe(id) => {
             reg.subs.unregister(id);
             reg.routes.remove(&id);
             reg.detached.remove(&id);
-            let _ = job.reply.send(Some(Response::Ok));
+            job.reply.send(vec![Response::Ok]);
             return;
         }
         WriteKind::Disconnect(conn) => {
@@ -1154,7 +1221,7 @@ fn apply_write_job<I>(
             error_response(&e)
         }
     };
-    let _ = job.reply.send(Some(resp));
+    job.reply.send(vec![resp]);
 }
 
 /// Registers or resumes a standing query, answering on the connection
@@ -1326,7 +1393,92 @@ fn error_response(e: &IndexError) -> Response {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Barrier;
+
+    use vp_core::traits::reference::ScanIndex;
+    use vp_core::{MovingObject, QueryRegion, VelocityAnalyzer, VpConfig};
+    use vp_geom::Point;
+
     use super::*;
+    use crate::client::VpClient;
+
+    /// Replies a combiner leaves for another connection's thread while
+    /// reads arrive one at a time: none, since each executes on the
+    /// thread that received it.
+    const LONE_READ_HANDOFFS: u64 = 0;
+
+    /// Serves a 200-object fleet on scan partitions; returns the server
+    /// and the quiesced snapshot every served answer must equal.
+    fn serve(config: ServerConfig) -> (ServerHandle, impl IndexSnapshot) {
+        let fleet: Vec<MovingObject> = (0..200u64)
+            .map(|id| {
+                let pos = Point::new(1_000.0 + 450.0 * id as f64, 90_000.0 - 400.0 * id as f64);
+                let vel = if id % 2 == 0 {
+                    Point::new(20.0 + (id % 7) as f64, 0.5)
+                } else {
+                    Point::new(0.5, -30.0 - (id % 5) as f64)
+                };
+                MovingObject::new(id, pos, vel, 0.0)
+            })
+            .collect();
+        let cfg = VpConfig::default();
+        let velocities: Vec<Point> = fleet.iter().map(|o| o.vel).collect();
+        let analysis = VelocityAnalyzer::new(cfg.clone()).analyze(&velocities);
+        let mut index = VpIndex::build(cfg, &analysis, |_| ScanIndex::new()).expect("build");
+        index.apply_updates(&fleet).expect("load the fleet");
+        let oracle = index.snapshot().expect("quiesced snapshot");
+        (spawn(index, "127.0.0.1:0", config).expect("spawn"), oracle)
+    }
+
+    /// Serves read `i` (a 20 km strip sliding along the fleet) and
+    /// checks it against the quiesced snapshot.
+    fn read_and_check(c: &mut VpClient, oracle: &impl IndexSnapshot, i: usize) {
+        let x = 2_000.0 * i as f64;
+        let region = QueryRegion::Rect(Rect::from_bounds(x, 0.0, x + 20_000.0, 100_000.0));
+        let q = RangeQuery::time_slice(region, 0.0);
+        let mut got = c.range(&q).expect("served range");
+        let mut want = oracle.range_query(&q).expect("oracle range");
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "read {i}");
+    }
+
+    #[test]
+    fn lone_reads_pay_no_handoffs() {
+        let (handle, oracle) = serve(ServerConfig::default());
+        let mut c = VpClient::connect(handle.addr()).expect("connect");
+        for i in 0..40 {
+            read_and_check(&mut c, &oracle, i);
+        }
+        let handoffs = handle.handoffs.load(Ordering::Relaxed);
+        handle.shutdown();
+        assert_eq!(handoffs, LONE_READ_HANDOFFS);
+    }
+
+    /// Eight readers released together while each window stalls 20 ms:
+    /// whoever combines also answers readers parked on their slots.
+    #[test]
+    fn a_burst_handoffs_answer_parked_readers() {
+        const READERS: usize = 8;
+        let (handle, oracle) = serve(ServerConfig {
+            former_stall_us: 20_000,
+            ..ServerConfig::default()
+        });
+        let (addr, barrier) = (handle.addr(), Barrier::new(READERS));
+        thread::scope(|s| {
+            for i in 0..READERS {
+                let (barrier, oracle) = (&barrier, &oracle);
+                s.spawn(move || {
+                    let mut c = VpClient::connect(addr).expect("connect");
+                    barrier.wait();
+                    read_and_check(&mut c, oracle, i);
+                });
+            }
+        });
+        let handoffs = handle.handoffs.load(Ordering::Relaxed);
+        handle.shutdown();
+        assert!(handoffs >= 1, "no combiner answered another reader");
+    }
 
     #[test]
     fn chunking_covers_all_ids_and_marks_last() {

@@ -136,9 +136,9 @@
 //!
 //! The workspace's `vp-server` crate (not re-exported here — it sits
 //! beside this facade, the way `vp-bench` does) puts a TCP front-end
-//! over a built index: a length-prefixed binary protocol, a
-//! batch-former thread that coalesces concurrent range/kNN requests
-//! into windows executed via [`VpSnapshot`] batch queries, a single
+//! over a built index: a length-prefixed binary protocol, connection
+//! threads that combine concurrent range/kNN requests into windows
+//! executed via [`VpSnapshot`] batch queries, a single
 //! writer thread owning the `&mut` [`VpIndex`], bounded admission
 //! queues with typed `Overloaded` rejection, and chunk-streamed
 //! large results. See `docs/ARCHITECTURE.md` § "Service layer &
