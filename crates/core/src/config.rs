@@ -29,15 +29,6 @@ pub struct VpConfig {
     pub max_iters: usize,
     /// World-space data domain; DVA frames pivot about its center.
     pub domain: Rect,
-    /// Degree of parallelism for per-tick batch application
-    /// ([`crate::VpIndex::apply_updates`]). Partition batches are
-    /// independent, so up to `min(tick_workers, partitions)` worker
-    /// threads apply them concurrently. `1` (the default) is the
-    /// deterministic sequential mode: partitions are applied in order
-    /// on the calling thread, which oracle tests rely on. Results are
-    /// identical either way — partitions share no index state — only
-    /// the schedule changes.
-    pub tick_workers: usize,
     /// Directory of the durability artifacts (the log, manifest,
     /// checkpoints). `None` (the default) keeps the index purely in
     /// memory — the seed behaviour, used by all paper reproductions.
@@ -79,7 +70,6 @@ impl Default for VpConfig {
             seed: 0x5eed,
             max_iters: 100,
             domain: Rect::from_bounds(0.0, 0.0, 100_000.0, 100_000.0),
-            tick_workers: 1,
             wal_dir: None,
             sync_policy: SyncPolicy::Always,
             checkpoint_every_ticks: 0,
@@ -106,9 +96,6 @@ impl VpConfig {
         if self.domain.is_empty() || self.domain.area() <= 0.0 {
             return Err("domain must have positive area".into());
         }
-        if self.tick_workers == 0 {
-            return Err("tick_workers must be >= 1".into());
-        }
         // Rejected here — where the config enters the system — because
         // the manifest codec also refuses it, and a value that only
         // failed at recovery time would leave the index unrecoverable.
@@ -116,13 +103,6 @@ impl VpConfig {
             return Err("sync_policy EveryTicks(n) requires n >= 1".into());
         }
         Ok(())
-    }
-
-    /// Returns the configuration with the given tick-application
-    /// parallelism (builder-style convenience).
-    pub fn with_tick_workers(mut self, workers: usize) -> VpConfig {
-        self.tick_workers = workers;
-        self
     }
 
     /// Returns the configuration with durability enabled in `dir`
@@ -193,11 +173,6 @@ mod tests {
         };
         assert!(c.validate().is_err());
         let c = VpConfig {
-            tick_workers: 0,
-            ..VpConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = VpConfig {
             sync_policy: SyncPolicy::EveryTicks(0),
             ..VpConfig::default()
         };
@@ -225,14 +200,6 @@ mod tests {
         );
         assert_eq!(c.sync_policy, SyncPolicy::Never);
         assert_eq!(c.checkpoint_every_ticks, 8);
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn tick_workers_default_and_builder() {
-        assert_eq!(VpConfig::default().tick_workers, 1, "sequential default");
-        let c = VpConfig::default().with_tick_workers(4);
-        assert_eq!(c.tick_workers, 4);
         assert!(c.validate().is_ok());
     }
 }

@@ -67,10 +67,10 @@ const CKPT_MAGIC: &[u8; 8] = b"VPCKPT01";
 /// History: 1 = original layout (1-byte sync policy); 2 = the sync
 /// policy widened to the 5-byte [`SyncPolicy::to_bytes`] encoding
 /// (cross-tick group commit); 3 = one log stream, a tick is one
-/// [`KIND_TICK`] record (format 2 kept a stream per partition). A
-/// mismatch is a clean "unsupported version" error rather than a
-/// misparse.
-const FORMAT_VERSION: u32 = 3;
+/// [`KIND_TICK`] record (format 2 kept a stream per partition); 4 = the
+/// manifest no longer carries a tick worker count. A mismatch is a
+/// clean "unsupported version" error rather than a misparse.
+const FORMAT_VERSION: u32 = 4;
 
 /// What [`VpIndex::recover`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -398,7 +398,6 @@ fn write_manifest(
     put_f64(&mut p, config.domain.lo.y);
     put_f64(&mut p, config.domain.hi.x);
     put_f64(&mut p, config.domain.hi.y);
-    put_u64(&mut p, config.tick_workers as u64);
     p.extend_from_slice(&config.sync_policy.to_bytes());
     put_u64(&mut p, config.checkpoint_every_ticks);
     put_u32(&mut p, specs.len() as u32);
@@ -437,7 +436,6 @@ fn read_manifest(dir: &Path) -> IndexResult<(VpConfig, Vec<SpecDesc>, Vec<f64>)>
     let lo = (cur.f64()?, cur.f64()?);
     let hi = (cur.f64()?, cur.f64()?);
     config.domain = vp_geom::Rect::from_bounds(lo.0, lo.1, hi.0, hi.1);
-    config.tick_workers = cur.u64()? as usize;
     config.sync_policy = SyncPolicy::from_bytes(cur.take(5)?.try_into().expect("5 bytes"))?;
     config.checkpoint_every_ticks = cur.u64()?;
     config.wal_dir = Some(dir.to_path_buf());
@@ -669,7 +667,7 @@ impl<I> VpIndex<I> {
         factory: F,
     ) -> IndexResult<(VpIndex<I>, RecoveryReport)>
     where
-        I: MovingObjectIndex + Send + Sync,
+        I: MovingObjectIndex,
         F: FnMut(&PartitionSpec) -> I,
     {
         let dir = dir.as_ref().to_path_buf();

@@ -17,7 +17,7 @@
 //!
 //! Works over any [`MovingObjectIndex`], so a velocity-partitioned
 //! index accelerates kNN for free. [`knn_batch`] answers a slice of
-//! searches, optionally spread over scoped worker threads.
+//! searches in order.
 
 use std::collections::HashMap;
 
@@ -136,29 +136,15 @@ pub fn knn_at<I: MovingObjectIndex + ?Sized>(
 
 /// Answers a batch of kNN searches, returning one result list per
 /// query in query order — identical to looping [`knn_at`].
-///
-/// With `workers > 1` the searches are spread over that many scoped
-/// worker threads (longest-first by `k`, each search running the
-/// incremental `knn_at` against the shared index). Searches are
-/// read-only and independent, so the results are bit-identical to the
-/// sequential run regardless of the worker count or schedule.
-pub fn knn_batch<I: MovingObjectIndex + Sync + ?Sized>(
+pub fn knn_batch<I: MovingObjectIndex + ?Sized>(
     index: &I,
     queries: &[KnnQuery],
     domain: &Rect,
-    workers: usize,
 ) -> IndexResult<Vec<Vec<Neighbor>>> {
-    // LPT by k — the only load signal available before running —
-    // through the shared read-side fan-out (results come back in
-    // query order).
-    crate::fanout::lpt_fan_out(
-        queries.to_vec(),
-        workers,
-        |q| q.k,
-        |q| knn_at(index, q.center, q.k, q.t, domain),
-    )
-    .into_iter()
-    .collect()
+    queries
+        .iter()
+        .map(|q| knn_at(index, q.center, q.k, q.t, domain))
+        .collect()
 }
 
 #[cfg(test)]

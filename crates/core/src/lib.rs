@@ -34,7 +34,6 @@ pub mod cell;
 pub mod config;
 pub mod durable;
 pub mod error;
-pub(crate) mod fanout;
 pub mod histogram;
 pub mod kmeans;
 pub mod knn;

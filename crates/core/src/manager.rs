@@ -11,9 +11,9 @@
 //!   index;
 //! * handles updates as delete + insert, which migrates objects whose
 //!   direction of travel changed partitions;
-//! * applies whole ticks of updates partition-bucketed and — when
-//!   [`VpConfig::tick_workers`] > 1 — in parallel, one scoped worker
-//!   thread per group of partitions ([`VpIndex::apply_updates`]);
+//! * applies whole ticks of updates partition-bucketed, one batched
+//!   removal and upsert per touched partition, in partition order on
+//!   the calling thread ([`VpIndex::apply_updates`]);
 //! * executes range queries by transforming the query into every DVA
 //!   frame (Algorithm 3), running the underlying index's query, and
 //!   exact-filtering the merged candidates in world space — written
@@ -72,31 +72,6 @@ pub enum Health {
 
 /// One result list per query of a batch, in query order.
 type BatchResults = Vec<Vec<ObjectId>>;
-
-/// One partition's share of a tick handed to a worker: the disjoint
-/// sub-index borrow, the ids migrating away, and the upsert batch.
-struct PartitionJob<'a, I> {
-    index: &'a mut I,
-    removals: &'a [ObjectId],
-    upserts: &'a [MovingObject],
-}
-
-impl<I: MovingObjectIndex> PartitionJob<'_, I> {
-    fn load(&self) -> usize {
-        self.removals.len() + self.upserts.len()
-    }
-
-    /// Removals (migrations away) first, then upserts.
-    fn apply(self) -> IndexResult<()> {
-        if !self.removals.is_empty() {
-            self.index.remove_batch(self.removals)?;
-        }
-        if !self.upserts.is_empty() {
-            self.index.update_batch(self.upserts)?;
-        }
-        Ok(())
-    }
-}
 
 /// Everything a sub-index factory needs to construct one partition's
 /// index.
@@ -265,15 +240,6 @@ impl<I> VpIndex<I> {
         }
     }
 
-    /// Changes the tick-application parallelism of an existing index
-    /// (see [`VpConfig::tick_workers`]). Results are schedule-invariant,
-    /// so this can be flipped freely between ticks — the scaling
-    /// benches sweep it without rebuilding the index.
-    pub fn set_tick_workers(&mut self, workers: usize) {
-        assert!(workers >= 1, "tick_workers must be >= 1");
-        self.config.tick_workers = workers;
-    }
-
     /// The world-space data domain (convenience accessor for callers
     /// that only hold the index — the kNN driver and the serving
     /// layer both bound searches by it).
@@ -315,7 +281,6 @@ impl<I> VpIndex<I> {
             specs: &self.specs,
             parts: &self.indexes,
             objects: &self.objects,
-            workers: self.config.tick_workers,
             read: PhantomData,
         }
     }
@@ -420,17 +385,9 @@ impl<I> VpIndex<I> {
     /// When the same id appears multiple times in `updates`, the last
     /// occurrence wins.
     ///
-    /// ## Parallelism
-    ///
-    /// Per-partition batches touch disjoint sub-indexes, so once the
-    /// tick is bucketed they are applied by up to
-    /// [`VpConfig::tick_workers`] scoped worker threads (batches are
-    /// distributed longest-first onto the least-loaded worker). With
-    /// `tick_workers == 1` (the default) everything runs sequentially
-    /// on the calling thread in partition order — the deterministic
-    /// mode the oracle tests compare against. The results are
-    /// identical either way: no two workers share any index state, and
-    /// each partition's removals are applied before its upserts.
+    /// Once the tick is bucketed, every touched partition applies its
+    /// removals (migrations away) and then its upserts, in partition
+    /// order on the calling thread.
     ///
     /// ## Durability
     ///
@@ -456,7 +413,7 @@ impl<I> VpIndex<I> {
     /// [`VpIndex::recover`] is the way back from either.
     pub fn apply_updates(&mut self, updates: &[MovingObject]) -> IndexResult<()>
     where
-        I: MovingObjectIndex + Send,
+        I: MovingObjectIndex,
     {
         self.check_writable()?;
         if updates.is_empty() {
@@ -543,52 +500,32 @@ impl<I> VpIndex<I> {
         updates: &[MovingObject],
     ) -> IndexResult<crate::sub::TickDelta>
     where
-        I: MovingObjectIndex + Send,
+        I: MovingObjectIndex,
     {
         self.apply_updates(updates)?;
         Ok(crate::sub::TickDelta::from_updates(updates))
     }
 
-    /// Applies every partition's batch, parallel per
-    /// [`VpConfig::tick_workers`]. The caller owns the rollback on
-    /// error — this method only computes.
+    /// Applies every partition's batch; the first error stops the
+    /// tick. The caller owns the rollback on error — this method only
+    /// computes.
     fn apply_partitions(
         &mut self,
         removals: &[Vec<ObjectId>],
         upserts: &[Vec<MovingObject>],
     ) -> IndexResult<()>
     where
-        I: MovingObjectIndex + Send,
+        I: MovingObjectIndex,
     {
-        // Pair every touched sub-index with its batches. The zip hands
-        // out one disjoint `&mut I` per partition, which is what lets
-        // the workers below run without any locking.
-        let jobs: Vec<PartitionJob<'_, I>> = self
-            .indexes
-            .iter_mut()
-            .zip(removals.iter().zip(upserts.iter()))
-            .filter(|(_, (r, u))| !r.is_empty() || !u.is_empty())
-            .map(|(index, (removals, upserts))| PartitionJob {
-                index,
-                removals,
-                upserts,
-            })
-            .collect();
-
-        // Sequentially, the first error stops the tick; in parallel,
-        // every job runs through the shared LPT fan-out. Either way the
-        // caller's rollback reconciles whatever was applied.
-        if self.config.tick_workers == 1 {
-            return jobs.into_iter().try_for_each(PartitionJob::apply);
+        for ((index, removals), upserts) in self.indexes.iter_mut().zip(removals).zip(upserts) {
+            if !removals.is_empty() {
+                index.remove_batch(removals)?;
+            }
+            if !upserts.is_empty() {
+                index.update_batch(upserts)?;
+            }
         }
-        crate::fanout::lpt_fan_out(
-            jobs,
-            self.config.tick_workers,
-            PartitionJob::load,
-            PartitionJob::apply,
-        )
-        .into_iter()
-        .collect()
+        Ok(())
     }
 
     /// Restores the pre-tick state captured by
@@ -655,34 +592,27 @@ impl<I> VpIndex<I> {
     /// — one shared sweep per partition instead of one scan per query)
     /// and exact-filters its candidates in world space.
     ///
-    /// Partitions are dispatched longest-first onto up to
-    /// [`VpConfig::tick_workers`] scoped threads. Each partition is
-    /// answered by one thread and the merge concatenates in ascending
-    /// partition order, so the output is bit-identical for any worker
-    /// count and set-equal to looping [`MovingObjectIndex::range_query`].
+    /// The merge concatenates in ascending partition order, so the
+    /// output is set-equal to looping [`MovingObjectIndex::range_query`].
     pub fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>>
     where
-        I: MovingObjectIndex + Sync,
+        I: MovingObjectIndex,
     {
         self.view().range_query_batch(queries)
     }
 
-    /// Answers a batch of kNN queries, dispatching query groups onto
-    /// up to [`VpConfig::tick_workers`] scoped worker threads (the
-    /// queries — not the partitions — are the parallel axis here,
-    /// because each kNN search is an adaptive enlargement loop of its
-    /// own). Each search runs the incremental [`crate::knn::knn_at`]
-    /// against `&self`; results are returned in query order and are
-    /// identical to looping `knn_at`, regardless of worker count.
+    /// Answers a batch of kNN queries in query order, each through the
+    /// incremental [`crate::knn::knn_at`] against `&self` — identical
+    /// to looping `knn_at`.
     pub fn knn_batch(
         &self,
         queries: &[crate::knn::KnnQuery],
         domain: &Rect,
     ) -> IndexResult<Vec<Vec<crate::knn::Neighbor>>>
     where
-        I: MovingObjectIndex + Send + Sync,
+        I: MovingObjectIndex,
     {
-        crate::knn::knn_batch(self, queries, domain, self.config.tick_workers)
+        crate::knn::knn_batch(self, queries, domain)
     }
 
     /// Returns which histogram recorded which value, so a failed
@@ -699,7 +629,7 @@ impl<I> VpIndex<I> {
     }
 }
 
-impl<I: MovingObjectIndex + Send + Sync> MovingObjectIndex for VpIndex<I> {
+impl<I: MovingObjectIndex> MovingObjectIndex for VpIndex<I> {
     /// On a durable index the insert is applied first and logged
     /// second (logging a precondition-checked op that then failed
     /// would poison replay). If the *log* append/commit itself fails —
@@ -853,7 +783,6 @@ pub struct VpSnapshot<S> {
     specs: Vec<PartitionSpec>,
     indexes: Vec<S>,
     objects: Arc<HashMap<ObjectId, MovingObject>>,
-    workers: usize,
 }
 
 impl<S: IndexSnapshot> VpSnapshot<S> {
@@ -862,7 +791,6 @@ impl<S: IndexSnapshot> VpSnapshot<S> {
             specs: &self.specs,
             parts: &self.indexes,
             objects: &self.objects,
-            workers: self.workers,
             read: PhantomData,
         }
     }
@@ -880,7 +808,7 @@ impl<S: IndexSnapshot> VpSnapshot<S> {
         queries: &[crate::knn::KnnQuery],
         domain: &Rect,
     ) -> IndexResult<Vec<Vec<crate::knn::Neighbor>>> {
-        crate::knn::knn_batch(self, queries, domain, self.workers)
+        crate::knn::knn_batch(self, queries, domain)
     }
 
     /// Page reads this snapshot has served, summed over its
@@ -971,7 +899,6 @@ pub(crate) trait SubRead<X> {
         query: &RangeQuery,
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>>;
-    fn len(x: &X) -> usize;
     fn io_stats(x: &X) -> IoStats;
 }
 
@@ -997,9 +924,6 @@ macro_rules! sub_read {
             ) -> IndexResult<Vec<ObjectId>> {
                 $read::knn_candidates(x, query, covered)
             }
-            fn len(x: &X) -> usize {
-                $read::len(x)
-            }
             fn io_stats(x: &X) -> IoStats {
                 $read::io_stats(x)
             }
@@ -1012,13 +936,12 @@ sub_read!(Snap, IndexSnapshot);
 
 /// The partition layer's one read path, shared by [`VpIndex`] and
 /// [`VpSnapshot`]: the partition specs, one sub-index (or sub-index
-/// snapshot) per partition, the world-space object table and the read
-/// fan-out's worker count, all borrowed.
+/// snapshot) per partition and the world-space object table, all
+/// borrowed.
 pub(crate) struct VpView<'a, X, R> {
     specs: &'a [PartitionSpec],
     parts: &'a [X],
     objects: &'a HashMap<ObjectId, MovingObject>,
-    workers: usize,
     read: PhantomData<fn() -> R>,
 }
 
@@ -1039,35 +962,18 @@ impl<X, R: SubRead<X>> VpView<'_, X, R> {
         Ok(results)
     }
 
-    /// Algorithm 3 for a batch, one fan-out job per partition — see
+    /// Algorithm 3 for a batch, one batched sweep per partition — see
     /// [`VpIndex::range_query_batch`].
-    fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<BatchResults>
-    where
-        X: Sync,
-    {
+    fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<BatchResults> {
         if queries.is_empty() {
             return Ok(Vec::new());
         }
-        let run = |p: usize| -> IndexResult<BatchResults> {
-            let spec = &self.specs[p];
-            let local: Vec<RangeQuery> = queries.iter().map(|q| spec.query_in_frame(q)).collect();
-            let candidates = R::range_query_batch(&self.parts[p], &local)?;
-            Ok(candidates
-                .into_iter()
-                .zip(queries)
-                .map(|(ids, q)| ids.into_iter().filter(|id| self.matches(q, id)).collect())
-                .collect())
-        };
-        let per_part = crate::fanout::lpt_fan_out(
-            (0..self.parts.len()).collect(),
-            self.workers,
-            |&p| R::len(&self.parts[p]),
-            run,
-        );
         let mut merged: BatchResults = vec![Vec::new(); queries.len()];
-        for part in per_part {
-            for (qi, ids) in part?.into_iter().enumerate() {
-                merged[qi].extend(ids);
+        for (spec, part) in self.specs.iter().zip(self.parts) {
+            let local: Vec<RangeQuery> = queries.iter().map(|q| spec.query_in_frame(q)).collect();
+            let candidates = R::range_query_batch(part, &local)?;
+            for ((ids, q), out) in candidates.into_iter().zip(queries).zip(&mut merged) {
+                out.extend(ids.into_iter().filter(|id| self.matches(q, id)));
             }
         }
         Ok(merged)
@@ -1128,12 +1034,11 @@ impl<I: SnapshotIndex> VpIndex<I> {
             specs: self.specs.clone(),
             indexes,
             objects: Arc::clone(&self.objects),
-            workers: self.config.tick_workers,
         })
     }
 }
 
-impl<I: SnapshotIndex + Send + Sync> SnapshotIndex for VpIndex<I> {
+impl<I: SnapshotIndex> SnapshotIndex for VpIndex<I> {
     type Snapshot = VpSnapshot<I::Snapshot>;
 
     fn snapshot(&self) -> IndexResult<Self::Snapshot> {
@@ -1165,11 +1070,7 @@ mod tests {
     }
 
     fn build_vp() -> VpIndex<ScanIndex> {
-        build_vp_workers(1)
-    }
-
-    fn build_vp_workers(workers: usize) -> VpIndex<ScanIndex> {
-        let cfg = VpConfig::default().with_tick_workers(workers);
+        let cfg = VpConfig::default();
         let analysis = VelocityAnalyzer::new(cfg.clone()).analyze(&sample());
         VpIndex::build(cfg, &analysis, |_spec| ScanIndex::new()).unwrap()
     }
@@ -1435,57 +1336,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_apply_updates_matches_sequential() {
-        let mut sequential = build_vp_workers(1);
-        let mut parallel = build_vp_workers(4);
-        let mut state = 0xFEED_F00D_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state % 1_000_000) as f64 / 1_000_000.0
-        };
-        for tick in 0..6 {
-            let t = tick as f64 * 10.0;
-            let updates: Vec<MovingObject> = (0..400u64)
-                .map(|id| {
-                    let ang = next() * std::f64::consts::TAU;
-                    let speed = next() * 80.0;
-                    MovingObject::new(
-                        id,
-                        Point::new(next() * 100_000.0, next() * 100_000.0),
-                        Point::new(ang.cos() * speed, ang.sin() * speed),
-                        t,
-                    )
-                })
-                .collect();
-            sequential.apply_updates(&updates).unwrap();
-            parallel.apply_updates(&updates).unwrap();
-        }
-        assert_eq!(sequential.len(), parallel.len());
-        for id in 0..400u64 {
-            assert_eq!(
-                sequential.partition_of(id),
-                parallel.partition_of(id),
-                "object {id} routed differently"
-            );
-            assert_eq!(
-                sequential.get_object(id).unwrap(),
-                parallel.get_object(id).unwrap()
-            );
-        }
-        let q = RangeQuery::time_slice(
-            QueryRegion::Circle(Circle::new(Point::new(50_000.0, 50_000.0), 30_000.0)),
-            60.0,
-        );
-        let mut a = sequential.range_query(&q).unwrap();
-        let mut b = parallel.range_query(&q).unwrap();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn apply_updates_last_write_wins() {
         let mut vp = build_vp();
         let a = MovingObject::new(
@@ -1541,8 +1391,8 @@ mod tests {
             .collect()
     }
 
-    fn populated_vp(workers: usize, seed: u64) -> VpIndex<ScanIndex> {
-        let mut vp = build_vp_workers(workers);
+    fn populated_vp(seed: u64) -> VpIndex<ScanIndex> {
+        let mut vp = build_vp();
         let mut state = seed;
         let mut next = move || {
             state ^= state << 13;
@@ -1568,7 +1418,7 @@ mod tests {
 
     #[test]
     fn range_query_batch_matches_looped_queries() {
-        let vp = populated_vp(1, 0xFA7B);
+        let vp = populated_vp(0xFA7B);
         let queries = query_batch(30, 0x0B47);
         let batched = vp.range_query_batch(&queries).unwrap();
         assert_eq!(batched.len(), queries.len());
@@ -1583,19 +1433,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_range_query_batch_is_bit_identical() {
-        let sequential = populated_vp(1, 0xFA7B);
-        let parallel = populated_vp(4, 0xFA7B);
-        let queries = query_batch(40, 0x77);
-        let a = sequential.range_query_batch(&queries).unwrap();
-        let b = parallel.range_query_batch(&queries).unwrap();
-        assert_eq!(a, b, "worker count must not change any result or order");
-    }
-
-    #[test]
     fn knn_batch_matches_looped_knn() {
         use crate::knn::{knn_at, KnnQuery};
-        let vp = populated_vp(3, 0x5EED7);
+        let vp = populated_vp(0x5EED7);
         let domain = vp.config().domain;
         let queries: Vec<KnnQuery> = (0..12)
             .map(|i| KnnQuery {
@@ -1617,7 +1457,7 @@ mod tests {
 
     #[test]
     fn snapshot_isolated_from_later_ticks_and_read_only() {
-        let mut vp = populated_vp(2, 0xBEEF);
+        let mut vp = populated_vp(0xBEEF);
         let queries = query_batch(25, 0xABC);
         let baseline = vp.range_query_batch(&queries).unwrap();
         let domain = vp.config().domain;
@@ -1678,7 +1518,7 @@ mod tests {
 
     #[test]
     fn snapshot_readable_while_writer_thread_ticks() {
-        let mut vp = populated_vp(2, 0x0DDB);
+        let mut vp = populated_vp(0x0DDB);
         let queries = query_batch(10, 0x515);
         let baseline = vp.range_query_batch(&queries).unwrap();
         let snap = vp.snapshot().unwrap();

@@ -190,9 +190,6 @@ pub struct SubscriptionConfig {
     /// interval probe reaches. Larger horizons refresh less often but
     /// probe a larger region per refresh.
     pub horizon: f64,
-    /// Worker threads for the grouped refresh / kNN batch passes
-    /// (1 = run on the calling thread).
-    pub workers: usize,
     /// Emitted event batches retained per subscription for
     /// reconnect replay ([`SubscriptionSet::retained_since`]).
     /// 0 disables replay — every resume becomes a full
@@ -201,13 +198,12 @@ pub struct SubscriptionConfig {
 }
 
 impl SubscriptionConfig {
-    /// Defaults: 60-timestamp horizon, sequential evaluation, 64
-    /// retained batches per subscription.
+    /// Defaults: 60-timestamp horizon, 64 retained batches per
+    /// subscription.
     pub fn new(domain: Rect) -> SubscriptionConfig {
         SubscriptionConfig {
             domain,
             horizon: 60.0,
-            workers: 1,
             retain: 64,
         }
     }
@@ -215,12 +211,6 @@ impl SubscriptionConfig {
     /// Sets the candidate-probe horizon.
     pub fn with_horizon(mut self, horizon: f64) -> SubscriptionConfig {
         self.horizon = horizon;
-        self
-    }
-
-    /// Sets the evaluation worker count.
-    pub fn with_workers(mut self, workers: usize) -> SubscriptionConfig {
-        self.workers = workers.max(1);
         self
     }
 
@@ -485,7 +475,7 @@ impl SubscriptionSet {
     /// published for it. Tick times must be non-decreasing across
     /// calls and must not precede the `now` passed to any earlier
     /// registration.
-    pub fn on_tick<I: MovingObjectIndex + Sync + ?Sized>(
+    pub fn on_tick<I: MovingObjectIndex + ?Sized>(
         &mut self,
         index: &I,
         delta: &TickDelta,
@@ -570,7 +560,7 @@ impl SubscriptionSet {
                     t: t + s.spec.predictive_dt,
                 })
                 .collect();
-            let answers = knn_batch(index, &queries, &self.cfg.domain, self.cfg.workers)?;
+            let answers = knn_batch(index, &queries, &self.cfg.domain)?;
             for (sub, neighbors) in ids.into_iter().zip(answers) {
                 new_results.insert(sub, neighbors.into_iter().map(|n| n.id).collect());
             }

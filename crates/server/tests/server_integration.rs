@@ -332,7 +332,7 @@ fn queue_overflow_yields_overloaded_not_hangs_or_drops() {
     let served = served.load(Ordering::SeqCst);
     let shed = shed.load(Ordering::SeqCst);
     assert_eq!(served + shed, BURST, "every request got an answer");
-    assert!(served >= 1, "the former kept serving under overload");
+    assert!(served >= 1, "the combiner kept serving under overload");
     assert!(shed >= 1, "the bounded queue actually shed load");
 
     // After the burst drains the server serves normally again.

@@ -157,7 +157,7 @@ fn expired_deadlines_answer_typed_errors_and_fresh_work_still_runs() {
         index,
         "127.0.0.1:0",
         ServerConfig {
-            // Every window stalls 30ms in the former, so a 5ms budget
+            // Every window stalls 30ms in the combiner, so a 5ms budget
             // reliably expires *after* admission but *before* (or
             // during) execution.
             former_stall_us: 30_000,
@@ -173,7 +173,7 @@ fn expired_deadlines_answer_typed_errors_and_fresh_work_still_runs() {
     let err = c.range(&q).unwrap_err();
     assert_eq!(err.code(), Some(ErrorCode::DeadlineExceeded), "{err}");
 
-    // Budget shorter than the former's stall: expires in queue or
+    // Budget shorter than the combiner's stall: expires in queue or
     // after execution; either way the typed code comes back.
     c.set_deadline_budget(Some(Duration::from_millis(5)));
     let err = c.range(&q).unwrap_err();

@@ -26,8 +26,8 @@
 //!   the at-rest metadata always describes the last checkpoint; see
 //!   [`disk`] for the crash-consistency contract.
 //! * [`BufferPool`] — a fixed-capacity page cache with LRU eviction,
-//!   sharded into lock-per-shard frame groups so independent partition
-//!   workers access pages concurrently. The paper's experiments use a
+//!   sharded into lock-per-shard frame groups so snapshot readers and
+//!   the writer access pages concurrently. The paper's experiments use a
 //!   50-page buffer over 4 KB pages (Table 1); *query I/O* is the
 //!   number of buffer misses, which is exactly what
 //!   [`IoStats::physical_reads`] counts.
@@ -75,7 +75,7 @@ pub const DEFAULT_BUFFER_PAGES: usize = 50;
 /// Recommended shard count for concurrent pools
 /// ([`BufferPool::with_shards`] clamps it to the capacity so every
 /// shard holds at least one frame). Eight lock-per-shard frame groups
-/// keep independent partition workers from contending on one mutex
+/// keep snapshot readers and the writer from contending on one mutex
 /// while staying small enough that per-shard LRU still approximates
 /// global LRU. Plain [`BufferPool::with_capacity`] stays single-shard
 /// so the paper reproductions keep the seed's exact eviction order and

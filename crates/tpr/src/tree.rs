@@ -50,8 +50,8 @@
 //!
 //! All node accesses go through the shared buffer pool; the tree keeps
 //! its own attributable I/O counters (thread-local stat deltas), so
-//! several trees (the VP sub-indexes) can share one pool — even from
-//! concurrent partition workers — without double counting.
+//! several trees (the VP sub-indexes) can share one pool — even with
+//! snapshot readers on other threads — without double counting.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -4,7 +4,7 @@
 //! repeats bit for bit per seed, and so do the server's window
 //! counters and the fault injector's per-site operation counts. Each
 //! budget here is a named constant whose doc comment records the
-//! values measured when it was set; the batch former's budgets are
+//! values measured when it was set; the read combiner's budgets are
 //! counts of windows from [`StatsReply`].
 
 use std::collections::BTreeSet;
@@ -73,7 +73,7 @@ fn pool() -> Arc<BufferPool> {
 
 /// A VP index over the trace's first tick; `sub_index` makes one
 /// partition's index on the shared `pool`.
-fn build<I: MovingObjectIndex + Send>(
+fn build<I: MovingObjectIndex>(
     trace: &ScenarioTrace,
     pool: Arc<BufferPool>,
     sub_index: impl Fn(&PartitionSpec, Arc<BufferPool>) -> I,
@@ -126,7 +126,7 @@ fn range_specs(trace: &ScenarioTrace) -> Vec<RangeSubSpec> {
 
 /// Every standing query from scratch through the batched one-shot
 /// path — the strong baseline, not a per-query loop.
-fn full_pass<I: MovingObjectIndex + Send + Sync>(
+fn full_pass<I: MovingObjectIndex>(
     vp: &VpIndex<I>,
     specs: &[RangeSubSpec],
     t: f64,
@@ -145,7 +145,7 @@ fn full_pass<I: MovingObjectIndex + Send + Sync>(
 /// Replays the trace through both evaluators on twin indexes, asserts
 /// they emit the same events every tick, and returns the logical pages
 /// each read while evaluating: `(incremental, full)`.
-fn pages_read<I: MovingObjectIndex + Send + Sync>(
+fn pages_read<I: MovingObjectIndex>(
     sub_index: impl Fn(&PartitionSpec, Arc<BufferPool>) -> I,
 ) -> (u64, u64) {
     let trace = hotspot_trace();
@@ -380,7 +380,7 @@ fn every_fourth_tick_pays_the_one_fsync() {
     assert_eq!(per_tick[..4], [0, 0, 0, ALWAYS_TICK_FSYNCS]);
 }
 
-// --- the batch former: windows per request --------------------------------
+// --- the read combiner: windows per request ------------------------------
 
 /// One circle per client round the scenario's focus points.
 fn served_queries(trace: &ScenarioTrace, n: usize) -> Vec<RangeQuery> {
@@ -476,7 +476,7 @@ fn lone_reader_gets_one_window_per_request_and_no_wait() {
     );
     assert!(
         took < Duration::from_secs(2),
-        "{READS} lone reads took {took:?}: the former waited on `window_us`"
+        "{READS} lone reads took {took:?}: the combiner waited on `window_us`"
     );
 }
 

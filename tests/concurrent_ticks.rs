@@ -1,13 +1,10 @@
-//! Concurrency test suite for parallel per-partition tick application.
+//! Tick application against a `BTreeMap` oracle.
 //!
-//! `VpIndex::apply_updates` with `tick_workers > 1` dispatches the
-//! already-bucketed per-partition batches onto scoped worker threads
-//! over the sharded buffer pool. Because partitions share no index
-//! state, the results must be **bit-identical** to the sequential
-//! (`tick_workers == 1`) application — these tests enforce exactly
-//! that, against a `BTreeMap` oracle and across 100 seeded runs, plus
-//! a stress run that hammers disjoint partitions from many worker
-//! threads through one shared pool.
+//! `VpIndex::apply_updates` buckets a tick per partition and applies
+//! each partition's removals and upserts over the sharded buffer pool.
+//! Ticks move, turn (migrating objects between partitions) and insert;
+//! after each one the stored objects, range queries and kNN must
+//! answer exactly what the oracle does.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,7 +15,7 @@ use vp_core::{
     VpConfig, VpIndex,
 };
 use vp_geom::{Circle, Point, Rect};
-use vp_storage::{BufferPool, DiskManager, IoStats, DEFAULT_POOL_SHARDS};
+use vp_storage::{BufferPool, DiskManager, DEFAULT_POOL_SHARDS};
 
 const DOMAIN: f64 = 100_000.0;
 
@@ -70,17 +67,11 @@ fn initial_objects(rng: &mut Rng, n: usize) -> Vec<MovingObject> {
         .collect()
 }
 
-/// Builds a velocity-partitioned Bx-tree with the given parallelism
-/// over its own sharded pool; returns the pool for post-run checks.
-fn build_vp(
-    sample: &[Point],
-    workers: usize,
-    pool_pages: usize,
-) -> (VpIndex<BxTree>, Arc<BufferPool>) {
+/// Builds a velocity-partitioned Bx-tree over its own sharded pool.
+fn build_vp(sample: &[Point], pool_pages: usize) -> VpIndex<BxTree> {
     let cfg = VpConfig {
         k: 2,
         sample_size: sample.len(),
-        tick_workers: workers,
         ..VpConfig::default()
     };
     let analysis = VelocityAnalyzer::new(cfg.clone()).analyze(sample);
@@ -89,10 +80,9 @@ fn build_vp(
         pool_pages,
         DEFAULT_POOL_SHARDS,
     ));
-    let p = Arc::clone(&pool);
-    let vp = VpIndex::build(cfg, &analysis, |spec| {
+    VpIndex::build(cfg, &analysis, |spec| {
         BxTree::new(
-            Arc::clone(&p),
+            Arc::clone(&pool),
             BxConfig {
                 domain: spec.domain,
                 // Coarse grid/histogram: full-domain check queries in
@@ -105,8 +95,7 @@ fn build_vp(
         )
         .expect("bx sub-index")
     })
-    .expect("vp index");
-    (vp, pool)
+    .expect("vp index")
 }
 
 /// One tick: a rotating third of the population advances (some turning
@@ -143,44 +132,19 @@ fn sorted_query(vp: &VpIndex<BxTree>, q: &RangeQuery) -> Vec<ObjectId> {
     ids
 }
 
-/// Asserts two VP indexes are observably identical: population,
-/// routing, stored object state, query results.
-fn assert_bit_identical(a: &VpIndex<BxTree>, b: &VpIndex<BxTree>, ids: &[ObjectId], ctx: &str) {
-    assert_eq!(a.len(), b.len(), "{ctx}: len diverged");
-    assert_eq!(
-        a.partition_sizes(),
-        b.partition_sizes(),
-        "{ctx}: partition sizes diverged"
-    );
-    for &id in ids {
-        assert_eq!(
-            a.partition_of(id),
-            b.partition_of(id),
-            "{ctx}: object {id} routed differently"
-        );
-        assert_eq!(
-            a.get_object(id).unwrap(),
-            b.get_object(id).unwrap(),
-            "{ctx}: object {id} state diverged"
-        );
-    }
-}
-
 #[test]
 fn parallel_ticks_match_btreemap_oracle() {
     let mut rng = Rng::new(0xC0FFEE);
     let mut objs = initial_objects(&mut rng, 800);
     let sample: Vec<Point> = objs.iter().map(|o| o.vel).collect();
-    let (mut seq, _) = build_vp(&sample, 1, 4_096);
-    let (mut par, _) = build_vp(&sample, 4, 4_096);
+    let mut vp = build_vp(&sample, 4_096);
     let mut oracle: BTreeMap<ObjectId, MovingObject> = BTreeMap::new();
 
     let first_tick: Vec<MovingObject> = objs.clone();
     for u in &first_tick {
         oracle.insert(u.id, *u);
     }
-    seq.apply_updates(&first_tick).unwrap();
-    par.apply_updates(&first_tick).unwrap();
+    vp.apply_updates(&first_tick).unwrap();
 
     for tick in 1..=6u64 {
         let t = tick as f64 * 20.0;
@@ -188,12 +152,16 @@ fn parallel_ticks_match_btreemap_oracle() {
         for u in &updates {
             oracle.insert(u.id, *u);
         }
-        seq.apply_updates(&updates).unwrap();
-        par.apply_updates(&updates).unwrap();
+        vp.apply_updates(&updates).unwrap();
 
-        assert_eq!(par.len(), oracle.len(), "tick {tick}");
-        let ids: Vec<ObjectId> = oracle.keys().copied().collect();
-        assert_bit_identical(&seq, &par, &ids, &format!("tick {tick}"));
+        assert_eq!(vp.len(), oracle.len(), "tick {tick}");
+        for (&id, want) in &oracle {
+            assert_eq!(
+                vp.get_object(id).unwrap(),
+                Some(*want),
+                "tick {tick}: object {id} state diverged"
+            );
+        }
 
         // Range queries against the oracle's exact predicate.
         for qi in 0..5 {
@@ -208,136 +176,23 @@ fn parallel_ticks_match_btreemap_oracle() {
                 .map(|o| o.id)
                 .collect();
             assert_eq!(
-                sorted_query(&par, &q),
+                sorted_query(&vp, &q),
                 want,
-                "tick {tick} query {qi}: parallel diverged from oracle"
-            );
-            assert_eq!(
-                sorted_query(&seq, &q),
-                want,
-                "tick {tick} query {qi}: sequential diverged from oracle"
+                "tick {tick} query {qi} diverged from oracle"
             );
         }
 
-        // kNN: parallel must agree with sequential bit-for-bit and
-        // with the oracle's brute-force nearest set.
+        // kNN against the oracle's brute-force nearest set.
         let center = Point::new(rng.next() * DOMAIN, rng.next() * DOMAIN);
         let domain = Rect::from_bounds(0.0, 0.0, DOMAIN, DOMAIN);
-        let a = knn_at(&par, center, 10, t, &domain).unwrap();
-        let b = knn_at(&seq, center, 10, t, &domain).unwrap();
-        assert_eq!(a, b, "tick {tick}: kNN diverged between schedules");
+        let got = knn_at(&vp, center, 10, t, &domain).unwrap();
         let mut brute: Vec<(f64, ObjectId)> = oracle
             .values()
             .map(|o| (o.position_at(t).dist(center), o.id))
             .collect();
         brute.sort_by(|x, y| x.0.total_cmp(&y.0));
         let want_ids: Vec<ObjectId> = brute.iter().take(10).map(|&(_, id)| id).collect();
-        let got_ids: Vec<ObjectId> = a.iter().map(|n| n.id).collect();
+        let got_ids: Vec<ObjectId> = got.iter().map(|n| n.id).collect();
         assert_eq!(got_ids, want_ids, "tick {tick}: kNN diverged from oracle");
     }
-}
-
-/// The acceptance bar: 100 seeded iterations, each comparing a
-/// parallel run against its sequential twin after several ticks of
-/// moves, migrations, and upserts — results must be bit-identical.
-#[test]
-fn hundred_seeded_iterations_bit_identical_to_sequential() {
-    for seed in 0..100u64 {
-        let mut rng = Rng::new(0x5EED_0000 + seed);
-        let mut objs = initial_objects(&mut rng, 150);
-        let sample: Vec<Point> = objs.iter().map(|o| o.vel).collect();
-        let workers = 2 + (seed % 7) as usize; // sweep 2..=8 workers
-        let (mut seq, _) = build_vp(&sample, 1, 1_024);
-        let (mut par, _) = build_vp(&sample, workers, 1_024);
-
-        let load: Vec<MovingObject> = objs.clone();
-        seq.apply_updates(&load).unwrap();
-        par.apply_updates(&load).unwrap();
-        for tick in 1..=3u64 {
-            let t = tick as f64 * 25.0;
-            let updates = make_tick(&mut objs, &mut rng, tick, t);
-            seq.apply_updates(&updates).unwrap();
-            par.apply_updates(&updates).unwrap();
-        }
-
-        let ids: Vec<ObjectId> = objs.iter().map(|o| o.id).collect();
-        assert_bit_identical(
-            &seq,
-            &par,
-            &ids,
-            &format!("seed {seed} ({workers} workers)"),
-        );
-        let q = RangeQuery::time_slice(
-            QueryRegion::Rect(Rect::from_bounds(0.0, 0.0, DOMAIN, DOMAIN)),
-            75.0,
-        );
-        assert_eq!(
-            sorted_query(&seq, &q),
-            sorted_query(&par, &q),
-            "seed {seed}: full-domain query diverged"
-        );
-    }
-}
-
-/// Seeded stress: a larger population, a small thrash-prone pool, 8
-/// workers hammering the disjoint partitions concurrently for many
-/// ticks with heavy migration. Final range and kNN results must match
-/// the sequential run exactly, no pin may leak, and the pool's atomic
-/// totals must equal the per-shard sums once quiescent.
-#[test]
-fn stress_disjoint_partitions_from_worker_threads() {
-    let mut rng = Rng::new(0xBEEF_CAFE);
-    let mut objs = initial_objects(&mut rng, 2_000);
-    let sample: Vec<Point> = objs.iter().map(|o| o.vel).collect();
-    // 256 pages across 8 shards: constant eviction under the workers.
-    let (mut seq, _seq_pool) = build_vp(&sample, 1, 256);
-    let (mut par, par_pool) = build_vp(&sample, 8, 256);
-
-    let load: Vec<MovingObject> = objs.clone();
-    seq.apply_updates(&load).unwrap();
-    par.apply_updates(&load).unwrap();
-
-    let mut objs_twin = objs.clone();
-    let mut rng_twin = Rng::new(0xBEEF_CAFE ^ 0xFFFF);
-    let mut rng_par = Rng::new(0xBEEF_CAFE ^ 0xFFFF);
-    for tick in 1..=10u64 {
-        let t = tick as f64 * 15.0;
-        let updates_seq = make_tick(&mut objs, &mut rng_twin, tick, t);
-        let updates_par = make_tick(&mut objs_twin, &mut rng_par, tick, t);
-        assert_eq!(
-            updates_seq, updates_par,
-            "tick generation must be deterministic"
-        );
-        seq.apply_updates(&updates_seq).unwrap();
-        par.apply_updates(&updates_par).unwrap();
-    }
-
-    let ids: Vec<ObjectId> = objs.iter().map(|o| o.id).collect();
-    assert_bit_identical(&seq, &par, &ids, "stress");
-    let domain = Rect::from_bounds(0.0, 0.0, DOMAIN, DOMAIN);
-    for qi in 0..10 {
-        let center = Point::new(rng.next() * DOMAIN, rng.next() * DOMAIN);
-        let q = RangeQuery::time_slice(
-            QueryRegion::Circle(Circle::new(center, 12_000.0)),
-            150.0 + qi as f64,
-        );
-        assert_eq!(
-            sorted_query(&seq, &q),
-            sorted_query(&par, &q),
-            "stress query {qi} diverged"
-        );
-        let a = knn_at(&seq, center, 15, 150.0, &domain).unwrap();
-        let b = knn_at(&par, center, 15, 150.0, &domain).unwrap();
-        assert_eq!(a, b, "stress kNN {qi} diverged");
-    }
-
-    assert_eq!(par_pool.pinned_frames(), 0, "workers leaked a pin");
-    let shard_sum = (0..par_pool.shards())
-        .map(|s| par_pool.shard_stats(s))
-        .fold(IoStats::zero(), |acc, s| acc + s);
-    assert_eq!(
-        par_pool.stats(),
-        shard_sum,
-        "quiescent totals must equal per-shard sums"
-    );
 }

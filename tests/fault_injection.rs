@@ -201,7 +201,6 @@ fn oracle_over(
     let cfg = VpConfig {
         wal_dir: None,
         fault: None,
-        tick_workers: 1,
         ..cfg_seed.clone()
     };
     let analysis = analysis(&cfg);
@@ -219,11 +218,7 @@ fn prefix(n_ticks: usize, applied: usize) -> Vec<bool> {
 }
 
 /// Logical equality: object table, routing, range + kNN probes.
-fn assert_same_state<I: MovingObjectIndex + Send + Sync>(
-    got: &VpIndex<I>,
-    want: &VpIndex<I>,
-    context: &str,
-) {
+fn assert_same_state<I: MovingObjectIndex>(got: &VpIndex<I>, want: &VpIndex<I>, context: &str) {
     assert_eq!(got.len(), want.len(), "{context}: object count");
     for id in (0..N_OBJECTS).chain(10_000..10_020) {
         assert_eq!(
@@ -396,20 +391,9 @@ fn torn_partition_write_rolls_back_live_and_recovered_state() {
 /// state.
 #[test]
 fn fsync_failure_between_data_flush_and_commit_demotes_to_read_only() {
-    fsync_failure_demotes_then_recovers(1);
-}
-
-/// The same fsync failure with two tick workers demotes just the same —
-/// the poison must not hide behind the parallel fan-out.
-#[test]
-fn partition_fsync_failure_also_demotes() {
-    fsync_failure_demotes_then_recovers(2);
-}
-
-fn fsync_failure_demotes_then_recovers(workers: usize) {
-    let t = TempDir::new(&format!("fsyncgate-{workers}"));
+    let t = TempDir::new("fsyncgate");
     let inj = FaultInjector::new();
-    let cfg = faulty_config(&t.0, SyncPolicy::Always, &inj).with_tick_workers(workers);
+    let cfg = faulty_config(&t.0, SyncPolicy::Always, &inj);
     let ticks = make_ticks(0xF5C, 4);
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
@@ -440,7 +424,7 @@ fn fsync_failure_demotes_then_recovers(workers: usize) {
         assert_same_state(
             &vp,
             &oracle_over(&cfg, &ticks, &prefix(4, 3)),
-            &format!("read-only view, {workers} workers"),
+            "read-only view",
         );
     }
     // Recovery is the way back. The Schrödinger tick resurfaces here
@@ -454,7 +438,7 @@ fn fsync_failure_demotes_then_recovers(workers: usize) {
     assert_same_state(
         &recovered,
         &oracle_over(&cfg, &ticks, &prefix(4, 4)),
-        &format!("recovered, {workers} workers"),
+        "recovered",
     );
     recovered
         .insert(MovingObject::new(

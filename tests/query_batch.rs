@@ -2,12 +2,10 @@
 //!
 //! The contract under test: **for any tick stream and any query
 //! batch, the batched query engine answers exactly what looping the
-//! single-query paths answers** — per index family (Bx and TPR\*),
-//! per query flavor (range and kNN), and regardless of the worker
-//! count (parallel per-partition fan-out must be bit-identical to
-//! the sequential run). Plus the attributable perf claim: the shared
-//! leaf sweep reads fewer pages than looped queries on overlapping
-//! batches.
+//! single-query paths answers** — per index family (Bx and TPR\*)
+//! and per query flavor (range and kNN). Plus the attributable perf
+//! claim: the shared leaf sweep reads fewer pages than looped queries
+//! on overlapping batches.
 //!
 //! The HTAP contract rides along: a [`VpSnapshot`] taken at any cut
 //! point of a tick stream must answer bit-identically to the quiesced
@@ -56,12 +54,8 @@ fn sample() -> Vec<Point> {
     pts
 }
 
-fn vp_config(workers: usize) -> VpConfig {
-    VpConfig::default().with_tick_workers(workers)
-}
-
-fn build_bx(workers: usize) -> VpIndex<BxTree> {
-    let cfg = vp_config(workers);
+fn build_bx() -> VpIndex<BxTree> {
+    let cfg = VpConfig::default();
     let analysis = VelocityAnalyzer::new(cfg.clone()).analyze(&sample());
     let pool = Arc::new(BufferPool::with_capacity(
         DiskManager::with_page_size(1024),
@@ -81,8 +75,8 @@ fn build_bx(workers: usize) -> VpIndex<BxTree> {
     .unwrap()
 }
 
-fn build_tpr(workers: usize) -> VpIndex<TprTree> {
-    let cfg = vp_config(workers);
+fn build_tpr() -> VpIndex<TprTree> {
+    let cfg = VpConfig::default();
     let analysis = VelocityAnalyzer::new(cfg.clone()).analyze(&sample());
     let pool = Arc::new(BufferPool::with_capacity(
         DiskManager::with_page_size(1024),
@@ -183,7 +177,7 @@ fn make_queries(seed: u64, n: usize, t_max: f64) -> Vec<RangeQuery> {
 
 /// Batched results must equal looped single-query results — and the
 /// scan oracle — for every query in the batch.
-fn assert_batch_equivalent<I: MovingObjectIndex + Send + Sync>(
+fn assert_batch_equivalent<I: MovingObjectIndex>(
     vp: &VpIndex<I>,
     objects: &[MovingObject],
     queries: &[RangeQuery],
@@ -325,8 +319,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random tick streams, then a random query batch: batched ==
-    /// looped == oracle for both index families, and the parallel
-    /// fan-out is bit-identical to the sequential one.
+    /// looped == oracle for both index families.
     #[test]
     fn batched_range_queries_match_looped_and_oracle(
         seed in 1u64..1_000_000,
@@ -338,31 +331,15 @@ proptest! {
         let queries = make_queries(seed ^ 0xABCD, n_queries, t_max + 30.0);
         let objects = live_objects(&ticks);
 
-        let mut bx_seq = build_bx(1);
-        let mut bx_par = build_bx(4);
-        let mut tpr_seq = build_tpr(1);
-        let mut tpr_par = build_tpr(4);
+        let mut bx = build_bx();
+        let mut tpr = build_tpr();
         for tick in &ticks {
-            bx_seq.apply_updates(tick).unwrap();
-            bx_par.apply_updates(tick).unwrap();
-            tpr_seq.apply_updates(tick).unwrap();
-            tpr_par.apply_updates(tick).unwrap();
+            bx.apply_updates(tick).unwrap();
+            tpr.apply_updates(tick).unwrap();
         }
 
-        assert_batch_equivalent(&bx_seq, &objects, &queries, "bx");
-        assert_batch_equivalent(&tpr_seq, &objects, &queries, "tpr");
-
-        // Parallel workers: same bits, same order.
-        prop_assert_eq!(
-            bx_seq.range_query_batch(&queries).unwrap(),
-            bx_par.range_query_batch(&queries).unwrap(),
-            "bx parallel fan-out diverged from sequential"
-        );
-        prop_assert_eq!(
-            tpr_seq.range_query_batch(&queries).unwrap(),
-            tpr_par.range_query_batch(&queries).unwrap(),
-            "tpr parallel fan-out diverged from sequential"
-        );
+        assert_batch_equivalent(&bx, &objects, &queries, "bx");
+        assert_batch_equivalent(&tpr, &objects, &queries, "tpr");
     }
 
     /// Tentpole guard (HTAP mode): for random tick streams and a
@@ -390,12 +367,12 @@ proptest! {
             })
             .collect();
 
-        check_snapshot_under_ticks(build_bx(2), &ticks, cut, &queries, &knn_queries, &domain, "bx");
-        check_snapshot_under_ticks(build_tpr(2), &ticks, cut, &queries, &knn_queries, &domain, "tpr");
+        check_snapshot_under_ticks(build_bx(), &ticks, cut, &queries, &knn_queries, &domain, "bx");
+        check_snapshot_under_ticks(build_tpr(), &ticks, cut, &queries, &knn_queries, &domain, "tpr");
     }
 
     /// Incremental batched kNN == looped incremental kNN == brute
-    /// force, on both families, parallel and sequential.
+    /// force, on both families.
     #[test]
     fn batched_knn_matches_looped_and_brute_force(
         seed in 1u64..1_000_000,
@@ -415,20 +392,20 @@ proptest! {
             })
             .collect();
 
-        let mut bx = build_bx(1);
-        let mut tpr_par = build_tpr(3);
+        let mut bx = build_bx();
+        let mut tpr = build_tpr();
         for tick in &ticks {
             bx.apply_updates(tick).unwrap();
-            tpr_par.apply_updates(tick).unwrap();
+            tpr.apply_updates(tick).unwrap();
         }
 
         let bx_batch = bx.knn_batch(&knn_queries, &domain).unwrap();
-        let tpr_batch = tpr_par.knn_batch(&knn_queries, &domain).unwrap();
-        // Worker-count invariance of the batch API itself.
+        let tpr_batch = tpr.knn_batch(&knn_queries, &domain).unwrap();
+        // The free function answers as the method does.
         prop_assert_eq!(
             &tpr_batch,
-            &knn_batch(&tpr_par, &knn_queries, &domain, 1).unwrap(),
-            "tpr knn batch diverged across worker counts"
+            &knn_batch(&tpr, &knn_queries, &domain).unwrap(),
+            "tpr knn batch diverged from the free function"
         );
 
         for (i, q) in knn_queries.iter().enumerate() {
@@ -464,8 +441,8 @@ proptest! {
 fn shared_sweep_reads_fewer_pages_on_overlapping_batches() {
     let ticks = make_ticks(0xFEED5, 2_000, 3);
     let queries = make_queries(0x0715, 48, 40.0);
-    let mut bx = build_bx(1);
-    let mut tpr = build_tpr(1);
+    let mut bx = build_bx();
+    let mut tpr = build_tpr();
     for tick in &ticks {
         bx.apply_updates(tick).unwrap();
         tpr.apply_updates(tick).unwrap();
@@ -502,10 +479,7 @@ fn shared_sweep_reads_fewer_pages_on_overlapping_batches() {
 /// cost the quiesced live index, and leave the live counters alone.
 #[test]
 fn snapshot_page_counts_match_the_quiesced_live_index() {
-    fn check<I>(label: &str, mut vp: VpIndex<I>)
-    where
-        I: MovingObjectIndex + SnapshotIndex + Send + Sync,
-    {
+    fn check<I: SnapshotIndex>(label: &str, mut vp: VpIndex<I>) {
         for tick in &make_ticks(0xC0DE, 2_000, 3) {
             vp.apply_updates(tick).unwrap();
         }
@@ -577,6 +551,6 @@ fn snapshot_page_counts_match_the_quiesced_live_index() {
             "{label}: single-query logical page reads, snapshot vs live"
         );
     }
-    check("bx", build_bx(2));
-    check("tpr", build_tpr(2));
+    check("bx", build_bx());
+    check("tpr", build_tpr());
 }

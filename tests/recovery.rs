@@ -86,9 +86,8 @@ fn analysis(cfg: &VpConfig) -> velocity_partitioning::vp_core::AnalyzerOutput {
     VelocityAnalyzer::new(cfg.clone()).analyze(&sample())
 }
 
-fn durable_config(dir: &Path, workers: usize, policy: SyncPolicy) -> VpConfig {
+fn durable_config(dir: &Path, policy: SyncPolicy) -> VpConfig {
     VpConfig::default()
-        .with_tick_workers(workers)
         .with_wal_dir(dir)
         .with_sync_policy(policy)
 }
@@ -163,7 +162,7 @@ fn oracle_at(cfg_seed: &VpConfig, ticks: &[Vec<MovingObject>], n_ticks: usize) -
 
 /// [`oracle_at`] generalized over the sub-index factory (the TPR
 /// recovery tests build TPR-backed oracles through it).
-fn oracle_at_with<I: MovingObjectIndex + Send + Sync>(
+fn oracle_at_with<I: MovingObjectIndex>(
     cfg_seed: &VpConfig,
     ticks: &[Vec<MovingObject>],
     n_ticks: usize,
@@ -171,7 +170,6 @@ fn oracle_at_with<I: MovingObjectIndex + Send + Sync>(
 ) -> VpIndex<I> {
     let cfg = VpConfig {
         wal_dir: None,
-        tick_workers: 1,
         ..cfg_seed.clone()
     };
     let analysis = analysis(&cfg);
@@ -190,7 +188,7 @@ fn oracle_at_with<I: MovingObjectIndex + Send + Sync>(
 /// *historical* queries, outside the moving-object data model, which
 /// two differently-shaped exact indexes may legitimately answer
 /// differently.
-fn assert_matches_oracle<I: MovingObjectIndex + Send + Sync>(
+fn assert_matches_oracle<I: MovingObjectIndex>(
     got: &VpIndex<I>,
     oracle: &VpIndex<I>,
     context: &str,
@@ -198,7 +196,7 @@ fn assert_matches_oracle<I: MovingObjectIndex + Send + Sync>(
     assert_matches_oracle_from(got, oracle, 0.0, context)
 }
 
-fn assert_matches_oracle_from<I: MovingObjectIndex + Send + Sync>(
+fn assert_matches_oracle_from<I: MovingObjectIndex>(
     got: &VpIndex<I>,
     oracle: &VpIndex<I>,
     t0: f64,
@@ -257,7 +255,7 @@ fn list_segment_files(dir: &Path) -> Vec<PathBuf> {
 #[test]
 fn crash_without_checkpoint_recovers_everything() {
     let t = TempDir::new("no-ckpt");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let ticks = make_ticks(0xA11CE, 6);
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
@@ -285,7 +283,7 @@ fn cross_tick_group_commit_recovers_everything_after_clean_drop() {
     // nothing because every commit reached the OS. The manifest must
     // also round-trip the parameterized policy.
     let t = TempDir::new("group-commit");
-    let cfg = durable_config(&t.0, 2, SyncPolicy::EveryTicks(3));
+    let cfg = durable_config(&t.0, SyncPolicy::EveryTicks(3));
     let ticks = make_ticks(0x6C0117, 8); // deliberately not a multiple of 3
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
@@ -312,7 +310,7 @@ fn cross_tick_group_commit_recovers_everything_after_clean_drop() {
 #[test]
 fn crash_after_checkpoint_replays_only_the_tail() {
     let t = TempDir::new("ckpt-tail");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let ticks = make_ticks(0xD00D, 8);
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
@@ -335,7 +333,7 @@ fn crash_after_checkpoint_replays_only_the_tail() {
 #[test]
 fn mid_checkpoint_crash_falls_back_to_previous_checkpoint() {
     let t = TempDir::new("mid-ckpt");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let ticks = make_ticks(0xF00D, 7);
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
@@ -365,7 +363,7 @@ fn mid_checkpoint_crash_falls_back_to_previous_checkpoint() {
 #[test]
 fn bitrotted_published_checkpoint_is_a_hard_error() {
     let t = TempDir::new("ckpt-bitrot");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let ticks = make_ticks(0xB17, 4);
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
@@ -393,7 +391,7 @@ fn bitrotted_published_checkpoint_is_a_hard_error() {
 #[test]
 fn recovery_amputates_the_dead_suffix_so_later_events_survive() {
     let t = TempDir::new("dead-suffix");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let ticks = make_ticks(0xDEAD5, 5);
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
@@ -434,30 +432,30 @@ fn recovery_amputates_the_dead_suffix_so_later_events_survive() {
 }
 
 /// A directory written by another on-disk format is refused, not
-/// misread. Format 2 kept one log stream per partition; replaying only
-/// its `meta` stream would silently drop every tick.
+/// misread. Format 3's manifest carries a tick worker count that
+/// format 4 would read as the sync policy.
 #[test]
 fn manifest_of_another_format_version_is_refused() {
     let t = TempDir::new("format-version");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     drop(VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap());
     // The version word (bytes 8..12) sits outside the CRC.
     let path = t.0.join("MANIFEST");
     let mut bytes = fs::read(&path).unwrap();
-    assert_eq!(bytes[8..12], 3u32.to_le_bytes(), "current format");
-    bytes[8..12].copy_from_slice(&2u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "current format");
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
     fs::write(&path, &bytes).unwrap();
     match VpIndex::<BxTree>::recover(&t.0, bx_factory(Some(&t.0))) {
-        Err(IndexError::Wal(msg)) => assert!(msg.contains("unsupported version 2"), "{msg}"),
+        Err(IndexError::Wal(msg)) => assert!(msg.contains("unsupported version 3"), "{msg}"),
         Err(e) => panic!("wrong error: {e}"),
-        Ok(_) => panic!("a format-2 directory was recovered"),
+        Ok(_) => panic!("a format-3 directory was recovered"),
     }
 }
 
 #[test]
 fn single_op_and_tau_events_replay_in_order() {
     let t = TempDir::new("single-ops");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let ticks = make_ticks(0x7A0, 4);
     let extra = MovingObject::new(
         77_777,
@@ -499,7 +497,7 @@ fn single_op_and_tau_events_replay_in_order() {
 #[test]
 fn single_object_update_is_one_atomic_logged_event() {
     let t = TempDir::new("atomic-update");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let obj = MovingObject::new(
         9,
         Point::new(30_000.0, 30_000.0),
@@ -533,7 +531,7 @@ fn single_object_update_is_one_atomic_logged_event() {
 #[test]
 fn automatic_checkpoint_cadence_truncates_the_log() {
     let t = TempDir::new("auto-ckpt");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always).with_checkpoint_every_ticks(3);
+    let cfg = durable_config(&t.0, SyncPolicy::Always).with_checkpoint_every_ticks(3);
     let ticks = make_ticks(0xAB1E, 7);
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
@@ -555,64 +553,35 @@ fn automatic_checkpoint_cadence_truncates_the_log() {
     assert_matches_oracle(&recovered, &oracle, "auto checkpoint");
 }
 
+/// A durable run writes one log stream, and its checkpoint plus log
+/// recover to the uncrashed in-memory state.
 #[test]
 fn parallel_ticks_with_wal_are_bit_identical_to_sequential() {
-    let t_seq = TempDir::new("par-seq");
-    let t_par = TempDir::new("par-par");
+    let t = TempDir::new("one-stream");
     let ticks = make_ticks(0x9A9A, 6);
-
-    for (dir, workers) in [(&t_seq, 1usize), (&t_par, 4usize)] {
-        let cfg = durable_config(&dir.0, workers, SyncPolicy::Always);
-        let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&dir.0))).unwrap();
-        for tick in &ticks {
-            vp.apply_updates(tick).unwrap();
-        }
-        vp.checkpoint().unwrap();
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
+    let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
+    for tick in &ticks {
+        vp.apply_updates(tick).unwrap();
     }
+    vp.checkpoint().unwrap();
+    drop(vp);
 
-    // The log — and even the checkpoint snapshot — must be
-    // byte-identical: logging is schedule-invariant.
-    let seq_files = list_segment_files(&t_seq.0);
-    let par_files = list_segment_files(&t_par.0);
-    assert!(!seq_files.is_empty());
+    let files = list_segment_files(&t.0);
+    assert!(!files.is_empty());
     assert!(
-        seq_files.iter().all(|p| p
+        files.iter().all(|p| p
             .file_name()
             .unwrap()
             .to_string_lossy()
             .starts_with("meta-")),
-        "one log stream: {seq_files:?}"
+        "one log stream: {files:?}"
     );
-    assert_eq!(
-        seq_files
-            .iter()
-            .map(|p| p.file_name().unwrap().to_owned())
-            .collect::<Vec<_>>(),
-        par_files
-            .iter()
-            .map(|p| p.file_name().unwrap().to_owned())
-            .collect::<Vec<_>>(),
-        "same segment layout"
-    );
-    for (a, b) in seq_files.iter().zip(&par_files) {
-        assert_eq!(
-            fs::read(a).unwrap(),
-            fs::read(b).unwrap(),
-            "stream bytes diverge: {}",
-            a.display()
-        );
-    }
-    let ckpt = "ckpt-0000000000000006.vpck";
-    assert_eq!(
-        fs::read(t_seq.0.join(ckpt)).unwrap(),
-        fs::read(t_par.0.join(ckpt)).unwrap(),
-        "checkpoint snapshots diverge"
-    );
+    assert!(t.0.join("ckpt-0000000000000006.vpck").exists());
 
-    // And both recover to the same logical state.
-    let (a, _) = VpIndex::<BxTree>::recover(&t_seq.0, bx_factory(Some(&t_seq.0))).unwrap();
-    let (b, _) = VpIndex::<BxTree>::recover(&t_par.0, bx_factory(Some(&t_par.0))).unwrap();
-    assert_matches_oracle(&a, &b, "parallel vs sequential recovery");
+    let (recovered, _) = VpIndex::<BxTree>::recover(&t.0, bx_factory(Some(&t.0))).unwrap();
+    let oracle = oracle_at(&cfg, &ticks, ticks.len());
+    assert_matches_oracle(&recovered, &oracle, "checkpoint recovery");
 }
 
 fn tpr_factory() -> impl FnMut(&PartitionSpec) -> TprTree {
@@ -636,7 +605,7 @@ fn tpr_factory() -> impl FnMut(&PartitionSpec) -> TprTree {
 #[test]
 fn tpr_backed_index_recovers_through_the_batched_path() {
     let t = TempDir::new("tpr-recover");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let ticks = make_ticks(0x7EE7, 7);
     {
         let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), tpr_factory()).unwrap();
@@ -667,56 +636,29 @@ fn tpr_backed_index_recovers_through_the_batched_path() {
     }
 }
 
-/// The WAL is schedule- and backend-invariant: a TPR\*-backed durable
-/// run logs a byte-identical stream whether ticks are applied
-/// sequentially or by 4 workers, and recovery of either lands in the
-/// same logical state. (A tick record carries its input in world
-/// coordinates, never index-specific bytes — so the batched TPR path
-/// replays bit-identically.)
+/// A tick record carries its input in world coordinates, never
+/// index-specific bytes, so a TPR\*-backed log replays through the
+/// batched path to the uncrashed state.
 #[test]
 fn tpr_parallel_wal_streams_are_bit_identical_to_sequential() {
-    let t_seq = TempDir::new("tpr-par-seq");
-    let t_par = TempDir::new("tpr-par-par");
+    let t = TempDir::new("tpr-stream");
     let ticks = make_ticks(0x5CA1E, 5);
-
-    for (dir, workers) in [(&t_seq, 1usize), (&t_par, 4usize)] {
-        let cfg = durable_config(&dir.0, workers, SyncPolicy::Always);
-        let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), tpr_factory()).unwrap();
-        for tick in &ticks {
-            vp.apply_updates(tick).unwrap();
-        }
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
+    let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), tpr_factory()).unwrap();
+    for tick in &ticks {
+        vp.apply_updates(tick).unwrap();
     }
-    let seq_files = list_segment_files(&t_seq.0);
-    let par_files = list_segment_files(&t_par.0);
-    assert!(!seq_files.is_empty());
-    assert_eq!(
-        seq_files
-            .iter()
-            .map(|p| p.file_name().unwrap().to_owned())
-            .collect::<Vec<_>>(),
-        par_files
-            .iter()
-            .map(|p| p.file_name().unwrap().to_owned())
-            .collect::<Vec<_>>(),
-        "same segment layout"
-    );
-    for (a, b) in seq_files.iter().zip(&par_files) {
-        assert_eq!(
-            fs::read(a).unwrap(),
-            fs::read(b).unwrap(),
-            "stream bytes diverge: {}",
-            a.display()
-        );
-    }
-    let (a, _) = VpIndex::<TprTree>::recover(&t_seq.0, tpr_factory()).unwrap();
-    let (b, _) = VpIndex::<TprTree>::recover(&t_par.0, tpr_factory()).unwrap();
-    assert_matches_oracle_from(&a, &b, 40.0, "tpr parallel vs sequential recovery");
+    drop(vp);
+    assert!(!list_segment_files(&t.0).is_empty());
+    let (recovered, _) = VpIndex::<TprTree>::recover(&t.0, tpr_factory()).unwrap();
+    let oracle = oracle_at_with(&cfg, &ticks, ticks.len(), tpr_factory());
+    assert_matches_oracle_from(&recovered, &oracle, 40.0, "tpr recovery");
 }
 
 #[test]
 fn reopening_a_live_directory_requires_recover() {
     let t = TempDir::new("double-open");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let _vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
     let again: IndexResult<VpIndex<BxTree>> =
         VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0)));
@@ -734,7 +676,7 @@ fn reopening_a_live_directory_requires_recover() {
 #[test]
 fn recovered_subscriptions_backfill_enters_without_phantom_leaves() {
     let t = TempDir::new("sub-recover");
-    let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
     let ticks = make_ticks(0x5AB6, 5);
 
     let center = Point::new(50_000.0, 50_000.0);
@@ -867,7 +809,7 @@ proptest! {
         cuts in collection::vec((0u8..255, 1u32..4000), 1..4),
     ) {
         let t = TempDir::new(&format!("prop-{seed}-{n_ticks}"));
-        let cfg = durable_config(&t.0, 1, SyncPolicy::Always);
+        let cfg = durable_config(&t.0, SyncPolicy::Always);
         let ticks = make_ticks(seed, n_ticks);
         let ckpt_at = if ckpt_after >= n_ticks { None } else { Some(ckpt_after) };
         {

@@ -280,7 +280,7 @@ fn diff_events(
 /// Returns the per-step event streams for cross-family comparison.
 fn drive<I>(mut vp: VpIndex<I>, plan: &Plan, horizon: f64, label: &str) -> Vec<Vec<SubEvent>>
 where
-    I: MovingObjectIndex + Send + Sync,
+    I: MovingObjectIndex,
 {
     vp.apply_updates(&plan.initial).unwrap();
     let mut live: BTreeMap<u64, MovingObject> = plan.initial.iter().map(|o| (o.id, *o)).collect();
