@@ -1,11 +1,9 @@
 //! Ablation benches for the design choices described in
-//! `docs/ARCHITECTURE.md` § "The tick/batch data flow" (TPR\* cost
-//! metric) and § "The query data flow" (Bx curve ranges, time buckets,
-//! velocity enlargement).
+//! `docs/ARCHITECTURE.md` § "The query data flow" (Bx time buckets,
+//! velocity enlargement, and the retired variants).
 //!
-//! * TPR\* cost-based insertion vs classic TPR (midpoint-area metric).
-//! * Hilbert vs Z-order curve inside the Bx-tree.
-//! * Window enlargement (paper) vs per-cell scanning (our refinement).
+//! * Window enlargement (paper) vs per-cell scanning (our refinement),
+//!   beside the TPR\*-tree.
 //! * 1 vs 2 vs 4 time buckets in the Bx-tree.
 //! * k = 1, 2, 3 DVA partitions for the VP technique.
 
@@ -21,13 +19,7 @@ fn main() {
 
     println!("# Ablation A: index variants (CH)");
     let mut t = Table::new(&["variant", "query I/O", "query ms", "update I/O"]);
-    for kind in [
-        IndexKind::TprStar,
-        IndexKind::TprClassic,
-        IndexKind::Bx,
-        IndexKind::BxZCurve,
-        IndexKind::BxCellSet,
-    ] {
+    for kind in [IndexKind::TprStar, IndexKind::Bx, IndexKind::BxCellSet] {
         eprintln!("ablation: {}", kind.label());
         let r = run(kind, &base).expect("run");
         t.row(vec![

@@ -3,15 +3,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use vp_bx::BxEnlargement;
-use vp_bx::{BxConfig, BxTree, CurveKind};
+use vp_bx::{BxConfig, BxEnlargement, BxTree};
 use vp_core::{IndexResult, MovingObjectIndex, VelocityAnalyzer, VpConfig, VpIndex};
 use vp_storage::{BufferPool, DiskManager, IoStats};
-use vp_tpr::{TprConfig, TprTree, TprVariant};
+use vp_tpr::{TprConfig, TprTree};
 use vp_workload::{Dataset, Workload, WorkloadConfig, WorkloadEvent};
 
 /// The contenders of the paper's experiments (Section 6) plus the
-/// ablation variants used by the extension benches.
+/// Bx enlargement ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexKind {
     /// Unpartitioned Bx-tree.
@@ -22,10 +21,6 @@ pub enum IndexKind {
     TprStar,
     /// Velocity-partitioned TPR\*-tree — "TPR\*(VP)".
     TprStarVp,
-    /// Classic TPR-tree (ablation).
-    TprClassic,
-    /// Bx-tree on a Z-order curve (ablation).
-    BxZCurve,
     /// Bx-tree scanning exact qualifying cells instead of one window
     /// (ablation: our improvement over the paper's enlargement).
     BxCellSet,
@@ -47,8 +42,6 @@ impl IndexKind {
             IndexKind::BxVp => "Bx(VP)",
             IndexKind::TprStar => "TPR*",
             IndexKind::TprStarVp => "TPR*(VP)",
-            IndexKind::TprClassic => "TPR",
-            IndexKind::BxZCurve => "Bx(Z)",
             IndexKind::BxCellSet => "Bx(cells)",
         }
     }
@@ -249,14 +242,11 @@ pub fn prepare_with_workload(
         cfg.buffer_pages,
     ));
 
-    let tpr_cfg = |variant: TprVariant| TprConfig {
-        variant,
+    let tpr_cfg = || TprConfig {
         horizon: cfg.workload.max_update_interval,
-        ..TprConfig::default()
     };
-    let bx_cfg = |domain: vp_geom::Rect, curve: CurveKind, enlargement: BxEnlargement| BxConfig {
+    let bx_cfg = |domain: vp_geom::Rect, enlargement: BxEnlargement| BxConfig {
         domain,
-        curve,
         num_buckets: cfg.bx_buckets,
         update_interval: cfg.workload.max_update_interval,
         hist_cells: cfg.bx_hist_cells,
@@ -287,32 +277,19 @@ pub fn prepare_with_workload(
     let mut index = match kind {
         IndexKind::Bx => BuiltIndex::Bx(BxTree::new(
             Arc::clone(&pool),
-            bx_cfg(workload.domain, CurveKind::Hilbert, BxEnlargement::Window),
-        )?),
-        IndexKind::BxZCurve => BuiltIndex::Bx(BxTree::new(
-            Arc::clone(&pool),
-            bx_cfg(workload.domain, CurveKind::Z, BxEnlargement::Window),
+            bx_cfg(workload.domain, BxEnlargement::Window),
         )?),
         IndexKind::BxCellSet => BuiltIndex::Bx(BxTree::new(
             Arc::clone(&pool),
-            bx_cfg(workload.domain, CurveKind::Hilbert, BxEnlargement::CellSet),
+            bx_cfg(workload.domain, BxEnlargement::CellSet),
         )?),
-        IndexKind::TprStar => {
-            BuiltIndex::Tpr(TprTree::new(Arc::clone(&pool), tpr_cfg(TprVariant::Star)))
-        }
-        IndexKind::TprClassic => BuiltIndex::Tpr(TprTree::new(
-            Arc::clone(&pool),
-            tpr_cfg(TprVariant::Classic),
-        )),
+        IndexKind::TprStar => BuiltIndex::Tpr(TprTree::new(Arc::clone(&pool), tpr_cfg())),
         IndexKind::BxVp => {
             let analysis = analysis_for_vp();
             let p = Arc::clone(&pool);
             BuiltIndex::BxVp(VpIndex::build(cfg.vp.clone(), &analysis, |spec| {
-                BxTree::new(
-                    Arc::clone(&p),
-                    bx_cfg(spec.domain, CurveKind::Hilbert, BxEnlargement::Window),
-                )
-                .expect("bx sub-index")
+                BxTree::new(Arc::clone(&p), bx_cfg(spec.domain, BxEnlargement::Window))
+                    .expect("bx sub-index")
             })?)
         }
         IndexKind::TprStarVp => {
@@ -320,7 +297,7 @@ pub fn prepare_with_workload(
             let p = Arc::clone(&pool);
             BuiltIndex::TprVp(VpIndex::build(cfg.vp.clone(), &analysis, |spec| {
                 let _ = spec;
-                TprTree::new(Arc::clone(&p), tpr_cfg(TprVariant::Star))
+                TprTree::new(Arc::clone(&p), tpr_cfg())
             })?)
         }
     };
@@ -507,10 +484,8 @@ mod tests {
     #[test]
     fn ablation_kinds_run() {
         let cfg = tiny_cfg(Dataset::SanFrancisco);
-        for kind in [IndexKind::TprClassic, IndexKind::BxZCurve] {
-            let r = run(kind, &cfg).unwrap();
-            assert!(r.metrics.queries > 0);
-        }
+        let r = run(IndexKind::BxCellSet, &cfg).unwrap();
+        assert!(r.metrics.queries > 0);
     }
 
     #[test]

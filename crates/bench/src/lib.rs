@@ -4,9 +4,9 @@
 //! 6). The library provides:
 //!
 //! * [`harness`] — index construction for the four contenders
-//!   (Bx-tree, Bx(VP), TPR\*-tree, TPR\*(VP), plus ablation variants),
-//!   trace replay with per-operation I/O and wall-clock accounting,
-//!   and the averaged metrics the paper reports.
+//!   (Bx-tree, Bx(VP), TPR\*-tree, TPR\*(VP), plus the Bx enlargement
+//!   ablation), trace replay with per-operation I/O and wall-clock
+//!   accounting, and the averaged metrics the paper reports.
 //! * [`report`] — plain-text table formatting shared by the
 //!   `fig*` binaries (one binary per paper figure; see
 //!   `crates/bench/src/bin/`).

@@ -1,57 +1,20 @@
-//! Space-filling curves over a `2^order × 2^order` cell grid.
+//! The Hilbert curve over a `2^order × 2^order` cell grid.
 //!
-//! The Bx-tree linearizes 2-D cell coordinates into 1-D keys with a
-//! space-filling curve — the paper uses the Hilbert curve and mentions
-//! the Z-curve as the alternative. Both are provided, plus the
-//! operation queries depend on: decomposing a rectangular cell window
-//! into contiguous curve-value ranges.
+//! The Bx-tree linearizes 2-D cell coordinates into 1-D keys with the
+//! Hilbert curve, as the paper does, and queries depend on one more
+//! operation: decomposing a rectangular cell window into contiguous
+//! curve-value ranges.
 //!
-//! Both curves share the property that any *aligned* `2^k × 2^k` quad
-//! maps to one contiguous, `4^k`-aligned block of curve values, so the
-//! decomposition is a quadtree descent. The descent visits a quad's
-//! four children in curve order — a fixed order for the Z curve, and
-//! for the Hilbert curve an order chosen by a 4-state table (Lawder and
-//! King, SIGMOD Record 30(1), 2001) — so blocks come out ascending and
-//! merge as they are emitted, with no per-quad `encode` and no sort.
-//! It is exact: the ranges cover the window's cells and nothing else.
-//! A query reads all of its ranges in one shared leaf sweep, so each
-//! range is one segment of that sweep rather than a descent of its
-//! own, and more ranges cost no extra pages.
-
-/// Curve selection for [`crate::BxConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CurveKind {
-    /// Hilbert curve (the paper's choice; better locality).
-    Hilbert,
-    /// Z-order (Morton) curve (cheaper encode/decode, worse locality).
-    Z,
-}
-
-/// A space-filling curve over a square grid of `2^order` cells per
-/// axis.
-pub trait SpaceFillingCurve {
-    /// Bits per axis.
-    fn order(&self) -> u32;
-
-    /// Cells per axis (`2^order`).
-    fn side(&self) -> u32 {
-        1 << self.order()
-    }
-
-    /// Maps cell coordinates to a curve value in `[0, 4^order)`.
-    fn encode(&self, x: u32, y: u32) -> u64;
-
-    /// Inverse of [`SpaceFillingCurve::encode`].
-    fn decode(&self, d: u64) -> (u32, u32);
-
-    /// Decomposes the inclusive cell window `[x0, x1] × [y0, y1]` into
-    /// sorted, disjoint, inclusive curve ranges whose union is exactly
-    /// the window's cells. Adjacent ranges are merged, so consecutive
-    /// ranges never touch. Both curves walk the window's quadtree in
-    /// curve order, so the ranges come out sorted and merged as they
-    /// are found.
-    fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)>;
-}
+//! Any *aligned* `2^k × 2^k` quad maps to one contiguous, `4^k`-aligned
+//! block of curve values, so the decomposition is a quadtree descent.
+//! The descent visits a quad's four children in curve order, chosen by
+//! a 4-state table (Lawder and King, SIGMOD Record 30(1), 2001), so
+//! blocks come out ascending and merge as they are emitted, with no
+//! per-quad `encode` and no sort. It is exact: the ranges cover the
+//! window's cells and nothing else. A query reads all of its ranges in
+//! one shared leaf sweep, so each range is one segment of that sweep
+//! rather than a descent of its own, and more ranges cost no extra
+//! pages.
 
 /// Ascending inclusive ranges in, maximal ones out: a range that
 /// overlaps or touches the one before it extends it, and `emit` sees
@@ -90,10 +53,6 @@ impl<F: FnMut(u64, u64)> Merge<F> {
 /// (0 or 1), and the state its own children are ordered by.
 type Child = (u32, u32, usize);
 
-/// Z order visits the halves in bit-interleaving order, x bit lowest,
-/// and needs one state.
-const Z_ORDER: [[Child; 4]; 1] = [[(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]];
-
 /// Hilbert order as a 4-state table. A state is how a quad's pattern
 /// is mirrored against the curve's base pattern (which visits the
 /// halves (0, 0), (0, 1), (1, 1), (1, 0)): bit 0 swaps x and y, bit 1
@@ -107,17 +66,15 @@ const HILBERT_ORDER: [[Child; 4]; 4] = [
     [(1, 1, 2), (0, 1, 3), (0, 0, 3), (1, 0, 0)],
 ];
 
-/// The inclusive cell window a quadtree walk decomposes, and the
-/// child-order table of the curve it walks.
-struct Walk<'a> {
-    table: &'a [[Child; 4]],
+/// The inclusive cell window a quadtree walk decomposes.
+struct Walk {
     x0: u32,
     y0: u32,
     x1: u32,
     y1: u32,
 }
 
-impl Walk<'_> {
+impl Walk {
     /// Visits the aligned `2^k × 2^k` quad at `(qx, qy)`, whose curve
     /// values start at `base`, in curve order: a quad inside the window
     /// is one block of `4^k` values, a quad across its edge recurses.
@@ -140,96 +97,10 @@ impl Walk<'_> {
             return;
         }
         let (h, block) = (1u32 << (k - 1), 1u64 << (2 * (k - 1)));
-        for (i, &(hx, hy, next)) in self.table[state].iter().enumerate() {
+        for (i, &(hx, hy, next)) in HILBERT_ORDER[state].iter().enumerate() {
             let child_base = base + i as u64 * block;
             self.quad(qx + hx * h, qy + hy * h, k - 1, next, child_base, out);
         }
-    }
-}
-
-/// Hands the curve ranges of the inclusive cell window `[x0, x1] ×
-/// [y0, y1]` on a `2^order` grid to `emit`, ascending and merged.
-fn walk_ranges(
-    table: &[[Child; 4]],
-    order: u32,
-    (x0, y0, x1, y1): (u32, u32, u32, u32),
-    emit: impl FnMut(u64, u64),
-) {
-    debug_assert!(x0 <= x1 && y0 <= y1);
-    debug_assert!(x1 >> order == 0 && y1 >> order == 0);
-    let mut out = Merge::new(emit);
-    Walk {
-        table,
-        x0,
-        y0,
-        x1,
-        y1,
-    }
-    .quad(0, 0, order, 0, 0, &mut out);
-    out.finish();
-}
-
-/// Z-order (Morton) curve: bit interleaving.
-#[derive(Debug, Clone, Copy)]
-pub struct ZCurve {
-    order: u32,
-}
-
-impl ZCurve {
-    /// Creates a Z curve with `order` bits per axis (max 31).
-    pub fn new(order: u32) -> ZCurve {
-        assert!((1..=31).contains(&order), "order out of range");
-        ZCurve { order }
-    }
-
-    /// [`SpaceFillingCurve::ranges`], handed to `emit` range by range.
-    pub(crate) fn for_each_range(&self, window: (u32, u32, u32, u32), emit: impl FnMut(u64, u64)) {
-        walk_ranges(&Z_ORDER, self.order, window, emit);
-    }
-}
-
-/// Spreads the low 32 bits of `v` into the even bit positions.
-#[inline]
-fn interleave_zeros(v: u32) -> u64 {
-    let mut x = v as u64;
-    x = (x | (x << 16)) & 0x0000_FFFF_0000_FFFF;
-    x = (x | (x << 8)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x << 2)) & 0x3333_3333_3333_3333;
-    x = (x | (x << 1)) & 0x5555_5555_5555_5555;
-    x
-}
-
-/// Inverse of [`interleave_zeros`].
-#[inline]
-fn compact_even_bits(v: u64) -> u32 {
-    let mut x = v & 0x5555_5555_5555_5555;
-    x = (x | (x >> 1)) & 0x3333_3333_3333_3333;
-    x = (x | (x >> 2)) & 0x0F0F_0F0F_0F0F_0F0F;
-    x = (x | (x >> 4)) & 0x00FF_00FF_00FF_00FF;
-    x = (x | (x >> 8)) & 0x0000_FFFF_0000_FFFF;
-    x = (x | (x >> 16)) & 0x0000_0000_FFFF_FFFF;
-    x as u32
-}
-
-impl SpaceFillingCurve for ZCurve {
-    fn order(&self) -> u32 {
-        self.order
-    }
-
-    fn encode(&self, x: u32, y: u32) -> u64 {
-        debug_assert!(x < self.side() && y < self.side());
-        interleave_zeros(x) | (interleave_zeros(y) << 1)
-    }
-
-    fn decode(&self, d: u64) -> (u32, u32) {
-        (compact_even_bits(d), compact_even_bits(d >> 1))
-    }
-
-    fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)> {
-        let mut out = Vec::new();
-        self.for_each_range((x0, y0, x1, y1), |a, b| out.push((a, b)));
-        out
     }
 }
 
@@ -246,29 +117,18 @@ impl HilbertCurve {
         HilbertCurve { order }
     }
 
-    /// [`SpaceFillingCurve::ranges`], handed to `emit` range by range.
-    pub(crate) fn for_each_range(&self, window: (u32, u32, u32, u32), emit: impl FnMut(u64, u64)) {
-        walk_ranges(&HILBERT_ORDER, self.order, window, emit);
-    }
-
-    #[inline]
-    fn rot(n: u32, x: &mut u32, y: &mut u32, rx: u32, ry: u32) {
-        if ry == 0 {
-            if rx == 1 {
-                *x = n - 1 - *x;
-                *y = n - 1 - *y;
-            }
-            std::mem::swap(x, y);
-        }
-    }
-}
-
-impl SpaceFillingCurve for HilbertCurve {
-    fn order(&self) -> u32 {
+    /// Bits per axis.
+    pub fn order(&self) -> u32 {
         self.order
     }
 
-    fn encode(&self, x: u32, y: u32) -> u64 {
+    /// Cells per axis (`2^order`).
+    pub fn side(&self) -> u32 {
+        1 << self.order
+    }
+
+    /// Maps cell coordinates to a curve value in `[0, 4^order)`.
+    pub fn encode(&self, x: u32, y: u32) -> u64 {
         debug_assert!(x < self.side() && y < self.side());
         let n = self.side();
         let (mut x, mut y) = (x, y);
@@ -284,7 +144,8 @@ impl SpaceFillingCurve for HilbertCurve {
         d
     }
 
-    fn decode(&self, d: u64) -> (u32, u32) {
+    /// Inverse of [`HilbertCurve::encode`].
+    pub fn decode(&self, d: u64) -> (u32, u32) {
         let n = self.side();
         let (mut x, mut y) = (0u32, 0u32);
         let mut t = d;
@@ -301,10 +162,40 @@ impl SpaceFillingCurve for HilbertCurve {
         (x, y)
     }
 
-    fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)> {
+    /// Decomposes the inclusive cell window `[x0, x1] × [y0, y1]` into
+    /// sorted, disjoint, inclusive curve ranges whose union is exactly
+    /// the window's cells. Adjacent ranges are merged, so consecutive
+    /// ranges never touch.
+    pub fn ranges(&self, x0: u32, y0: u32, x1: u32, y1: u32) -> Vec<(u64, u64)> {
         let mut out = Vec::new();
         self.for_each_range((x0, y0, x1, y1), |a, b| out.push((a, b)));
         out
+    }
+
+    /// [`HilbertCurve::ranges`], handed to `emit` range by range: the
+    /// window's quadtree is walked in curve order, so the ranges come
+    /// out sorted and merged as they are found.
+    pub(crate) fn for_each_range(
+        &self,
+        (x0, y0, x1, y1): (u32, u32, u32, u32),
+        emit: impl FnMut(u64, u64),
+    ) {
+        debug_assert!(x0 <= x1 && y0 <= y1);
+        debug_assert!(x1 >> self.order == 0 && y1 >> self.order == 0);
+        let mut out = Merge::new(emit);
+        Walk { x0, y0, x1, y1 }.quad(0, 0, self.order, 0, 0, &mut out);
+        out.finish();
+    }
+
+    #[inline]
+    fn rot(n: u32, x: &mut u32, y: &mut u32, rx: u32, ry: u32) {
+        if ry == 0 {
+            if rx == 1 {
+                *x = n - 1 - *x;
+                *y = n - 1 - *y;
+            }
+            std::mem::swap(x, y);
+        }
     }
 }
 
@@ -312,7 +203,7 @@ impl SpaceFillingCurve for HilbertCurve {
 mod tests {
     use super::*;
 
-    fn check_bijection(c: &impl SpaceFillingCurve) {
+    fn check_bijection(c: &HilbertCurve) {
         let side = c.side();
         let mut seen = vec![false; (side * side) as usize];
         for x in 0..side {
@@ -327,11 +218,6 @@ mod tests {
     }
 
     #[test]
-    fn z_curve_bijective() {
-        check_bijection(&ZCurve::new(4));
-    }
-
-    #[test]
     fn hilbert_bijective() {
         check_bijection(&HilbertCurve::new(4));
     }
@@ -339,7 +225,7 @@ mod tests {
     #[test]
     fn hilbert_is_continuous() {
         // Consecutive curve values are adjacent cells — the defining
-        // locality property (Z-order does not have it).
+        // locality property.
         let c = HilbertCurve::new(5);
         let n = (c.side() as u64) * (c.side() as u64);
         let mut prev = c.decode(0);
@@ -351,21 +237,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn z_curve_known_values() {
-        let c = ZCurve::new(4);
-        assert_eq!(c.encode(0, 0), 0);
-        assert_eq!(c.encode(1, 0), 1);
-        assert_eq!(c.encode(0, 1), 2);
-        assert_eq!(c.encode(1, 1), 3);
-        assert_eq!(c.encode(2, 0), 4);
-    }
-
     /// The decomposition against brute force: the ranges, expanded
     /// value by value, are exactly the sorted curve values of every
     /// window cell, and no two consecutive ranges touch (each is
     /// maximal).
-    fn check_ranges_exact(c: &impl SpaceFillingCurve, x0: u32, y0: u32, x1: u32, y1: u32) {
+    fn check_ranges_exact(c: &HilbertCurve, x0: u32, y0: u32, x1: u32, y1: u32) {
         let ranges = c.ranges(x0, y0, x1, y1);
         let at = format!("window ({x0},{y0})-({x1},{y1}) at order {}", c.order());
         for w in ranges.windows(2) {
@@ -380,9 +256,8 @@ mod tests {
     }
 
     #[test]
-    fn range_decomposition_exact_for_both_curves() {
+    fn range_decomposition_exact() {
         let h = HilbertCurve::new(4);
-        let z = ZCurve::new(4);
         for (x0, y0, x1, y1) in [
             (0, 0, 15, 15),
             (3, 5, 9, 12),
@@ -392,7 +267,6 @@ mod tests {
             (5, 0, 5, 15),
         ] {
             check_ranges_exact(&h, x0, y0, x1, y1);
-            check_ranges_exact(&z, x0, y0, x1, y1);
         }
         // Seeded random windows up to 64 cells a side, on grids from
         // 2 × 2 to 2^20 × 2^20 (the largest `BxConfig::lambda`).
@@ -404,42 +278,18 @@ mod tests {
             (state % n as u64) as u32
         };
         for order in [1, 4, 7, 10, 16, 20] {
-            let (h, z) = (HilbertCurve::new(order), ZCurve::new(order));
+            let h = HilbertCurve::new(order);
             let side = h.side();
             for _ in 0..40 {
                 // Window extents minus one, then a corner that fits.
                 let (w, ht) = (below(side.min(64)), below(side.min(64)));
                 let (x0, y0) = (below(side - w), below(side - ht));
                 check_ranges_exact(&h, x0, y0, x0 + w, y0 + ht);
-                check_ranges_exact(&z, x0, y0, x0 + w, y0 + ht);
             }
         }
-        // The whole order-20 grid is one range on either curve.
+        // The whole order-20 grid is one range.
         let all = (1u64 << 40) - 1;
         let side = (1u32 << 20) - 1;
         assert_eq!(HilbertCurve::new(20).ranges(0, 0, side, side), [(0, all)]);
-        assert_eq!(ZCurve::new(20).ranges(0, 0, side, side), [(0, all)]);
-    }
-
-    #[test]
-    fn hilbert_locality_beats_z() {
-        // Average curve-range span for a small window: Hilbert should
-        // need no more total span than Z for typical windows.
-        let h = HilbertCurve::new(8);
-        let z = ZCurve::new(8);
-        let mut h_span = 0u64;
-        let mut z_span = 0u64;
-        for x in (10..200).step_by(37) {
-            for y in (10..200).step_by(41) {
-                let hr = h.ranges(x, y, x + 6, y + 6);
-                let zr = z.ranges(x, y, x + 6, y + 6);
-                h_span += hr.last().unwrap().1 - hr.first().unwrap().0;
-                z_span += zr.last().unwrap().1 - zr.first().unwrap().0;
-            }
-        }
-        assert!(
-            h_span <= z_span * 2,
-            "hilbert span {h_span} unexpectedly dwarfs z span {z_span}"
-        );
     }
 }

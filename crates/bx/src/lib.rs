@@ -6,9 +6,9 @@
 //! driven by velocity histograms and the iterative-expansion
 //! improvement of Jensen et al. (MDM 2006).
 //!
-//! * [`curve`] — Hilbert and Z-order curves with exact decomposition of
-//!   a cell window into contiguous curve ranges; each range is one
-//!   segment of the query's shared leaf sweep, not a scan of its own.
+//! * [`curve`] — the Hilbert curve with exact decomposition of a cell
+//!   window into contiguous curve ranges; each range is one segment of
+//!   the query's shared leaf sweep, not a scan of its own.
 //! * [`grid`] — the velocity histogram: per-cell min/max velocity
 //!   components used to bound the enlargement (the paper's setup keeps
 //!   a 1000×1000-cell histogram).
@@ -20,7 +20,7 @@ pub mod grid;
 pub mod snapshot;
 pub mod tree;
 
-pub use curve::{CurveKind, HilbertCurve, SpaceFillingCurve, ZCurve};
+pub use curve::HilbertCurve;
 pub use grid::VelocityGrid;
 pub use snapshot::BxSnapshot;
 pub use tree::{BxConfig, BxEnlargement, BxTree, EnlargedWindow};

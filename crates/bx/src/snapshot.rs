@@ -36,9 +36,9 @@ use vp_core::{IndexError, IndexResult, IndexSnapshot, MovingObject, ObjectId, Ra
 use vp_geom::{Point, Rect, Vec2};
 use vp_storage::{IoStats, StorageResult};
 
-use crate::curve::Merge;
+use crate::curve::{HilbertCurve, Merge};
 use crate::grid::VelocityGrid;
-use crate::tree::{subtract_ranges, BxConfig, BxEnlargement, BxTree, Curve, EnlargedWindow};
+use crate::tree::{subtract_ranges, BxConfig, BxEnlargement, BxTree, EnlargedWindow};
 
 /// Ordered key access to a B+-tree — implemented by the live
 /// [`BPlusTree`] and by [`BPlusTreeSnapshot`], so the Bx-tree query
@@ -78,7 +78,7 @@ impl BtreeRead for BPlusTreeSnapshot {
 /// are identical either way — only where the state comes from differs.
 pub(crate) struct BxView<'a, B> {
     pub config: &'a BxConfig,
-    pub curve: &'a Curve,
+    pub curve: &'a HilbertCurve,
     pub hist: &'a VelocityGrid,
     pub buckets: &'a BTreeMap<u64, usize>,
     pub btree: &'a B,
@@ -446,7 +446,7 @@ impl<'a, B: BtreeRead> BxView<'a, B> {
 /// [`vp_core::SnapshotIndex::snapshot`] on [`BxTree`].
 pub struct BxSnapshot {
     pub(crate) config: BxConfig,
-    pub(crate) curve: Curve,
+    pub(crate) curve: HilbertCurve,
     pub(crate) hist: VelocityGrid,
     pub(crate) buckets: BTreeMap<u64, usize>,
     pub(crate) btree: BPlusTreeSnapshot,
@@ -505,7 +505,6 @@ mod tests {
     use vp_storage::{BufferPool, DiskManager};
 
     use super::*;
-    use crate::curve::CurveKind;
 
     fn pool() -> Arc<BufferPool> {
         Arc::new(BufferPool::with_capacity(
@@ -1011,19 +1010,16 @@ mod tests {
             .collect();
         assert_eq!(samples, [1, 3, 3], "sample rectangles per query shape");
         let chains = knn_chains(6, 0x417);
-        for curve in [CurveKind::Hilbert, CurveKind::Z] {
-            for enlargement in [BxEnlargement::Window, BxEnlargement::CellSet] {
-                let t = two_bucket_tree_with(BxConfig {
-                    curve,
-                    enlargement,
-                    ..small_config()
-                });
-                let snap = t.snapshot().unwrap();
-                assert!(snap.buckets.len() >= 2, "several live buckets");
-                let at = format!("{curve:?} / {enlargement:?}");
-                assert_plans_match_oracle(&format!("{at} live"), &t.view(), &qs, &chains);
-                assert_plans_match_oracle(&format!("{at} snapshot"), &snap.view(), &qs, &chains);
-            }
+        for enlargement in [BxEnlargement::Window, BxEnlargement::CellSet] {
+            let t = two_bucket_tree_with(BxConfig {
+                enlargement,
+                ..small_config()
+            });
+            let snap = t.snapshot().unwrap();
+            assert!(snap.buckets.len() >= 2, "several live buckets");
+            let at = format!("{enlargement:?}");
+            assert_plans_match_oracle(&format!("{at} live"), &t.view(), &qs, &chains);
+            assert_plans_match_oracle(&format!("{at} snapshot"), &snap.view(), &qs, &chains);
         }
         // 70 live buckets: a plan takes two descents, a ring three.
         let config = BxConfig {

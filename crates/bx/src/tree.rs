@@ -28,7 +28,7 @@ use vp_core::{
 use vp_geom::{Point, Rect, Vec2};
 use vp_storage::{BufferPool, IoStats};
 
-use crate::curve::{CurveKind, HilbertCurve, SpaceFillingCurve, ZCurve};
+use crate::curve::HilbertCurve;
 use crate::grid::VelocityGrid;
 use crate::snapshot::{BxSnapshot, BxView};
 
@@ -39,8 +39,6 @@ pub struct BxConfig {
     pub domain: Rect,
     /// Bits per axis of the curve grid (`2^lambda` cells per axis).
     pub lambda: u32,
-    /// Space-filling curve (the paper uses Hilbert).
-    pub curve: CurveKind,
     /// Number of time buckets (the paper uses 2).
     pub num_buckets: u32,
     /// Maximum update interval Δt_mu (paper Table 1: 120 ts).
@@ -69,34 +67,10 @@ impl Default for BxConfig {
         BxConfig {
             domain: Rect::from_bounds(0.0, 0.0, 100_000.0, 100_000.0),
             lambda: 10,
-            curve: CurveKind::Hilbert,
             num_buckets: 2,
             update_interval: 120.0,
             hist_cells: 1000,
             enlargement: BxEnlargement::Window,
-        }
-    }
-}
-
-pub(crate) enum Curve {
-    Hilbert(HilbertCurve),
-    Z(ZCurve),
-}
-
-impl Curve {
-    pub(crate) fn encode(&self, x: u32, y: u32) -> u64 {
-        match self {
-            Curve::Hilbert(c) => c.encode(x, y),
-            Curve::Z(c) => c.encode(x, y),
-        }
-    }
-
-    /// The curve ranges of the inclusive cell window `(x0, y0, x1,
-    /// y1)`, handed to `emit` ascending and merged.
-    pub(crate) fn for_each_range(&self, window: (u32, u32, u32, u32), emit: impl FnMut(u64, u64)) {
-        match self {
-            Curve::Hilbert(c) => c.for_each_range(window, emit),
-            Curve::Z(c) => c.for_each_range(window, emit),
         }
     }
 }
@@ -118,7 +92,7 @@ pub struct EnlargedWindow {
 /// The Bx-tree, a [`MovingObjectIndex`] over a paged B+-tree.
 pub struct BxTree {
     config: BxConfig,
-    curve: Curve,
+    curve: HilbertCurve,
     btree: BPlusTree,
     hist: VelocityGrid,
     /// Live object count per bucket sequence number.
@@ -141,17 +115,10 @@ impl BxTree {
         );
     }
 
-    fn make_curve(config: &BxConfig) -> Curve {
-        match config.curve {
-            CurveKind::Hilbert => Curve::Hilbert(HilbertCurve::new(config.lambda)),
-            CurveKind::Z => Curve::Z(ZCurve::new(config.lambda)),
-        }
-    }
-
     /// Creates an empty Bx-tree over the shared buffer pool.
     pub fn new(pool: Arc<BufferPool>, config: BxConfig) -> IndexResult<BxTree> {
         Self::validate_config(&config);
-        let curve = Self::make_curve(&config);
+        let curve = HilbertCurve::new(config.lambda);
         let hist = VelocityGrid::new(config.domain, config.hist_cells);
         let btree = BPlusTree::new(pool)?;
         Ok(BxTree {
@@ -176,7 +143,7 @@ impl BxTree {
         objects: &[MovingObject],
     ) -> IndexResult<BxTree> {
         Self::validate_config(&config);
-        let curve = Self::make_curve(&config);
+        let curve = HilbertCurve::new(config.lambda);
         let mut hist = VelocityGrid::new(config.domain, config.hist_cells);
         let mut keys = HashMap::with_capacity(objects.len());
         let mut buckets = BTreeMap::new();
@@ -579,7 +546,7 @@ impl SnapshotIndex for BxTree {
     fn snapshot(&self) -> IndexResult<BxSnapshot> {
         Ok(BxSnapshot {
             config: self.config.clone(),
-            curve: Self::make_curve(&self.config),
+            curve: self.curve,
             hist: self.hist.clone(),
             buckets: self.buckets.clone(),
             btree: self.btree.snapshot(),
@@ -1092,26 +1059,6 @@ mod tests {
         // Queries still correct after rebuild.
         let got = t.range_query(&q).unwrap();
         assert_eq!(got.len(), 50);
-    }
-
-    #[test]
-    fn z_curve_variant_matches_scan() {
-        let mut cfg = small_config();
-        cfg.curve = CurveKind::Z;
-        let mut t = BxTree::new(pool(), cfg).unwrap();
-        let objs = random_objects(300, 0x2222, 60.0, 0.0);
-        for o in &objs {
-            t.insert(*o).unwrap();
-        }
-        let q = RangeQuery::time_slice(
-            QueryRegion::Circle(Circle::new(Point::new(5_000.0, 5_000.0), 1_500.0)),
-            30.0,
-        );
-        let mut got = t.range_query(&q).unwrap();
-        let mut want: Vec<u64> = objs.iter().filter(|o| q.matches(o)).map(|o| o.id).collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
     }
 
     #[test]

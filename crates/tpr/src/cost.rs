@@ -4,8 +4,7 @@
 //! reinsertion candidates, split points — by the *sweep-region volume*
 //! a node contributes to an average query: the node's TPBR, inflated by
 //! half the optimization query's extent per axis, integrated over the
-//! tree's horizon (Section 3.1 / Equation 1 of the paper). The classic
-//! TPR-tree uses the simpler area-at-midpoint metric.
+//! tree's horizon (Section 3.1 / Equation 1 of the paper).
 
 use vp_geom::Tpbr;
 
@@ -22,16 +21,6 @@ pub fn sweep_cost(tpbr: &Tpbr, now: f64, horizon: f64, query_len: f64) -> f64 {
         tpbr.ref_time,
     );
     inflated.sweep_volume(now, now + horizon)
-}
-
-/// The classic TPR-tree metric: area of the (query-inflated) rectangle
-/// at the horizon midpoint.
-pub fn midpoint_area(tpbr: &Tpbr, now: f64, horizon: f64, query_len: f64) -> f64 {
-    if tpbr.is_empty() {
-        return 0.0;
-    }
-    let t = now + horizon * 0.5;
-    (tpbr.extent_x_at(t) + query_len) * (tpbr.extent_y_at(t) + query_len)
 }
 
 #[cfg(test)]
@@ -64,15 +53,6 @@ mod tests {
     #[test]
     fn empty_costs_nothing() {
         assert_eq!(sweep_cost(&Tpbr::empty(0.0), 0.0, 10.0, 1.0), 0.0);
-        assert_eq!(midpoint_area(&Tpbr::empty(0.0), 0.0, 10.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn midpoint_area_matches_hand_computation() {
-        // Extent 10 growing at 2v=2 per axis; at t=5 extent is 20; +q=2
-        // per axis -> 22^2.
-        let a = midpoint_area(&growing(1.0), 0.0, 10.0, 2.0);
-        assert!((a - 484.0).abs() < 1e-9);
     }
 
     #[test]

@@ -1,21 +1,16 @@
-//! # vp-tpr — the TPR-tree and TPR\*-tree
+//! # vp-tpr — the TPR\*-tree
 //!
-//! A from-scratch, paged implementation of the time-parameterized
-//! R-tree family used as the paper's first baseline index:
-//!
-//! * **TPR\*-tree** (Tao, Papadias, Sun — VLDB 2003): insertion chooses
-//!   subtrees and split points by minimizing *sweep-region volume*
-//!   integrals over a horizon (the expected-node-access cost model of
-//!   the paper's Equation 1), with R\*-style forced reinsertion.
-//! * **TPR-tree** (Šaltenis et al. — SIGMOD 2000) mode: the classic
-//!   variant using area-at-midpoint metrics, kept as an ablation
-//!   baseline ([`TprVariant::Classic`]).
+//! A from-scratch, paged implementation of the TPR\*-tree (Tao,
+//! Papadias, Sun — VLDB 2003), the paper's first baseline index:
+//! insertion chooses subtrees and split points by minimizing
+//! *sweep-region volume* integrals over a horizon (the
+//! expected-node-access cost model of the paper's Equation 1), with
+//! R\*-style forced reinsertion.
 //!
 //! Every structural decision — subtree choice, reinsertion
 //! candidates, split points — is steered by the [`cost`] metric: the
 //! sweep volume a query-inflated node TPBR covers over the tree's
-//! horizon (Star) or its area at the horizon midpoint (Classic). See
-//! [`cost::sweep_cost`] / [`cost::midpoint_area`].
+//! horizon. See [`cost::sweep_cost`].
 //!
 //! Nodes live in 4 KB pages behind the `vp-storage` buffer pool; every
 //! node visit is a logical page access, so the paper's query/update I/O
@@ -36,4 +31,4 @@ pub mod tree;
 pub use cost::sweep_cost;
 pub use node::{InternalEntry, LeafEntry, Node, NodeLayout};
 pub use snapshot::TprSnapshot;
-pub use tree::{TprConfig, TprTree, TprVariant};
+pub use tree::{TprConfig, TprTree};

@@ -227,6 +227,9 @@ impl Node {
     }
 }
 
+/// Minimum node fill factor.
+const MIN_FILL: f64 = 0.4;
+
 /// Fanout limits derived from the page size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLayout {
@@ -237,17 +240,17 @@ pub struct NodeLayout {
 }
 
 impl NodeLayout {
-    /// Computes fanouts for a page size with the given minimum fill
-    /// factor (R\*-tree convention: 40%).
-    pub fn for_page_size(page_size: usize, min_fill: f64) -> NodeLayout {
+    /// Computes fanouts for a page size, each minimum at 40 % of its
+    /// maximum (the R\*-tree convention).
+    pub fn for_page_size(page_size: usize) -> NodeLayout {
         let max_leaf = (page_size - HEADER_LEN) / LEAF_ENTRY_LEN;
         let max_internal = (page_size - HEADER_LEN) / INTERNAL_ENTRY_LEN;
         assert!(
             max_leaf >= 4 && max_internal >= 4,
             "page size {page_size} too small for a TPR node"
         );
-        let min_leaf = ((max_leaf as f64 * min_fill) as usize).max(2);
-        let min_internal = ((max_internal as f64 * min_fill) as usize).max(2);
+        let min_leaf = ((max_leaf as f64 * MIN_FILL) as usize).max(2);
+        let min_internal = ((max_internal as f64 * MIN_FILL) as usize).max(2);
         NodeLayout {
             max_leaf,
             max_internal,
@@ -330,7 +333,7 @@ mod tests {
 
     #[test]
     fn layout_for_4k_pages() {
-        let l = NodeLayout::for_page_size(4096, 0.4);
+        let l = NodeLayout::for_page_size(4096);
         assert_eq!(l.max_leaf, 85);
         assert_eq!(l.max_internal, 51);
         assert_eq!(l.min_leaf, 34);
@@ -343,7 +346,7 @@ mod tests {
 
     #[test]
     fn full_leaf_fits_page() {
-        let l = NodeLayout::for_page_size(4096, 0.4);
+        let l = NodeLayout::for_page_size(4096);
         let node = Node::Leaf {
             entries: (0..l.max_leaf as u64).map(leaf_entry).collect(),
         };

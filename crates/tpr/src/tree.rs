@@ -1,21 +1,20 @@
-//! The TPR/TPR\*-tree proper.
+//! The TPR\*-tree proper.
 //!
 //! Structure and algorithms:
 //!
 //! * **ChooseSubtree** — descend towards the child whose cost metric
-//!   (sweep volume over the horizon for [`TprVariant::Star`], area at
-//!   the horizon midpoint for [`TprVariant::Classic`]) increases least
-//!   when absorbing the new entry.
+//!   (sweep volume over the horizon) increases least when absorbing
+//!   the new entry.
 //! * **Overflow** — on the first leaf overflow per insertion, the
 //!   entries farthest from the node center (evaluated at the horizon
 //!   midpoint) are *force-reinserted* (R\*-tree style); a second
 //!   overflow splits. Internal overflows always split.
-//! * **Split** — candidate sortings along position x/y and (for the
-//!   TPR\* variant) velocity x/y; every legal split point is scored by
-//!   the summed cost metric of the two groups using prefix/suffix TPBR
-//!   unions, and the cheapest is taken. Sorting by velocity lets the
-//!   TPR\*-tree group objects moving in the same direction — the local
-//!   optimization the paper contrasts with VP's global partitioning.
+//! * **Split** — candidate sortings along position x/y and velocity
+//!   x/y; every legal split point is scored by the summed cost metric
+//!   of the two groups using prefix/suffix TPBR unions, and the
+//!   cheapest is taken. Sorting by velocity lets the TPR\*-tree group
+//!   objects moving in the same direction — the local optimization the
+//!   paper contrasts with VP's global partitioning.
 //! * **Delete** — guided descent using the recorded entry (the paper's
 //!   "simple lookup table", Section 5.3); underflowing nodes are
 //!   dissolved and their entries reinserted (R-tree condense).
@@ -64,53 +63,36 @@ use vp_geom::Point;
 use vp_geom::Tpbr;
 use vp_storage::{AtomicIoStats, BufferPool, IoStats, PageId};
 
-use crate::cost::{midpoint_area, sweep_cost};
+use crate::cost::sweep_cost;
 use crate::node::{InternalEntry, LeafEntry, Node, NodeLayout};
 use crate::snapshot::TprSnapshot;
 
-/// Which member of the TPR family to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TprVariant {
-    /// TPR\*-tree: sweep-volume cost metric, velocity-aware splits.
-    Star,
-    /// Classic TPR-tree: midpoint-area metric, position-only splits.
-    Classic,
-}
-
-/// TPR-tree configuration.
+/// TPR\*-tree configuration.
 #[derive(Debug, Clone)]
 pub struct TprConfig {
-    pub variant: TprVariant,
     /// Cost-integration horizon (timestamps). The paper's workloads use
     /// a 120 ts maximum update interval; costs are integrated that far.
     pub horizon: f64,
-    /// Extent of the optimization query per axis (the paper optimizes
-    /// the TPR\*-tree for 1000 m × 1000 m queries).
-    pub query_len: f64,
-    /// Minimum node fill factor.
-    pub min_fill: f64,
-    /// Fraction of a leaf force-reinserted on first overflow.
-    pub reinsert_fraction: f64,
 }
 
 impl Default for TprConfig {
     fn default() -> Self {
-        TprConfig {
-            variant: TprVariant::Star,
-            horizon: 120.0,
-            query_len: 1000.0,
-            min_fill: 0.4,
-            reinsert_fraction: 0.3,
-        }
+        TprConfig { horizon: 120.0 }
     }
 }
+
+/// Extent of the optimization query per axis (the paper optimizes the
+/// TPR\*-tree for 1000 m × 1000 m queries).
+const QUERY_LEN: f64 = 1000.0;
+/// Fraction of a leaf force-reinserted on first overflow.
+const REINSERT_FRACTION: f64 = 0.3;
 
 /// Tolerances for guided-descent containment tests (deletion). Erring
 /// on the inclusive side only costs a little extra traversal.
 const EPS_POS: f64 = 1e-4;
 const EPS_VEL: f64 = 1e-6;
 
-/// A paged TPR/TPR\*-tree implementing [`MovingObjectIndex`].
+/// A paged TPR\*-tree implementing [`MovingObjectIndex`].
 pub struct TprTree {
     pool: Arc<BufferPool>,
     config: TprConfig,
@@ -133,7 +115,7 @@ pub struct TprTree {
 impl TprTree {
     /// Creates an empty tree over the shared buffer pool.
     pub fn new(pool: Arc<BufferPool>, config: TprConfig) -> TprTree {
-        let layout = NodeLayout::for_page_size(pool.page_size(), config.min_fill);
+        let layout = NodeLayout::for_page_size(pool.page_size());
         TprTree {
             pool,
             config,
@@ -302,14 +284,7 @@ impl TprTree {
     // ----- cost metric --------------------------------------------------
 
     fn metric(&self, tpbr: &Tpbr) -> f64 {
-        match self.config.variant {
-            TprVariant::Star => {
-                sweep_cost(tpbr, self.now, self.config.horizon, self.config.query_len)
-            }
-            TprVariant::Classic => {
-                midpoint_area(tpbr, self.now, self.config.horizon, self.config.query_len)
-            }
-        }
+        sweep_cost(tpbr, self.now, self.config.horizon, QUERY_LEN)
     }
 
     // ----- insertion ----------------------------------------------------
@@ -484,7 +459,7 @@ impl TprTree {
             da.total_cmp(&db) // ascending: nearest first (kept)
         });
         let n = entries.len();
-        let evict = ((n as f64 * self.config.reinsert_fraction).ceil() as usize)
+        let evict = ((n as f64 * REINSERT_FRACTION).ceil() as usize)
             .min(n - self.layout.min_leaf)
             .max(1);
         n - evict
@@ -514,23 +489,18 @@ impl TprTree {
 
     /// Re-clusters leaf entries into `ceil(n / max_leaf)` groups using
     /// the TPR\*-tree's candidate orderings: position x/y advanced to
-    /// `now` and — in Star mode — velocity x/y (sorting by velocity is
-    /// what lets the tree group objects moving in the same direction).
+    /// `now` and velocity x/y (sorting by velocity is what lets the
+    /// tree group objects moving in the same direction).
     fn cluster_leaves(&self, entries: Vec<LeafEntry>) -> Vec<Vec<LeafEntry>> {
         let now = self.now;
         let px = move |e: &LeafEntry| e.position_at(now).x;
         let py = move |e: &LeafEntry| e.position_at(now).y;
         let vx = |e: &LeafEntry| e.vel.x;
         let vy = |e: &LeafEntry| e.vel.y;
-        let star: [&dyn Fn(&LeafEntry) -> f64; 4] = [&px, &py, &vx, &vy];
-        let classic: [&dyn Fn(&LeafEntry) -> f64; 2] = [&px, &py];
-        let keys: &[&dyn Fn(&LeafEntry) -> f64] = match self.config.variant {
-            TprVariant::Star => &star,
-            TprVariant::Classic => &classic,
-        };
+        let keys: [&dyn Fn(&LeafEntry) -> f64; 4] = [&px, &py, &vx, &vy];
         self.cluster(
             entries,
-            keys,
+            &keys,
             &|e: &LeafEntry| e.tpbr(),
             self.layout.min_leaf,
             self.layout.max_leaf,
@@ -538,21 +508,16 @@ impl TprTree {
     }
 
     /// Re-clusters internal entries into `ceil(n / max_internal)`
-    /// groups, ordering by MBR center and — in Star mode — VBR center.
+    /// groups, ordering by MBR center and VBR center.
     fn cluster_internals(&self, entries: Vec<InternalEntry>) -> Vec<Vec<InternalEntry>> {
         let px = |e: &InternalEntry| e.tpbr.rect.center().x;
         let py = |e: &InternalEntry| e.tpbr.rect.center().y;
         let vx = |e: &InternalEntry| (e.tpbr.vbr.lo.x + e.tpbr.vbr.hi.x) * 0.5;
         let vy = |e: &InternalEntry| (e.tpbr.vbr.lo.y + e.tpbr.vbr.hi.y) * 0.5;
-        let star: [&dyn Fn(&InternalEntry) -> f64; 4] = [&px, &py, &vx, &vy];
-        let classic: [&dyn Fn(&InternalEntry) -> f64; 2] = [&px, &py];
-        let keys: &[&dyn Fn(&InternalEntry) -> f64] = match self.config.variant {
-            TprVariant::Star => &star,
-            TprVariant::Classic => &classic,
-        };
+        let keys: [&dyn Fn(&InternalEntry) -> f64; 4] = [&px, &py, &vx, &vy];
         self.cluster(
             entries,
-            keys,
+            &keys,
             &|e: &InternalEntry| e.tpbr,
             self.layout.min_internal,
             self.layout.max_internal,
@@ -1854,30 +1819,6 @@ mod tests {
         }
         // a unchanged while b worked.
         assert_eq!(a.io_stats(), a_io);
-    }
-
-    #[test]
-    fn classic_variant_works_too() {
-        let mut t = TprTree::new(
-            small_pool(),
-            TprConfig {
-                variant: TprVariant::Classic,
-                ..TprConfig::default()
-            },
-        );
-        let objs = random_objects(300, 0x66);
-        for o in &objs {
-            t.insert(*o).unwrap();
-        }
-        let q = RangeQuery::time_slice(
-            QueryRegion::Circle(Circle::new(Point::new(5_000.0, 5_000.0), 2_000.0)),
-            30.0,
-        );
-        let mut got = t.range_query(&q).unwrap();
-        let mut want: Vec<u64> = objs.iter().filter(|o| q.matches(o)).map(|o| o.id).collect();
-        got.sort_unstable();
-        want.sort_unstable();
-        assert_eq!(got, want);
     }
 
     #[test]

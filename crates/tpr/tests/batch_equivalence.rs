@@ -16,7 +16,7 @@ use proptest::prelude::*;
 use vp_core::{knn_at, MovingObject, MovingObjectIndex, QueryRegion, RangeQuery};
 use vp_geom::{Circle, Point, Rect};
 use vp_storage::{BufferPool, DiskManager};
-use vp_tpr::{TprConfig, TprTree, TprVariant};
+use vp_tpr::{TprConfig, TprTree};
 
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ impl Rng {
     }
 }
 
-fn tree(variant: TprVariant) -> TprTree {
+fn tree() -> TprTree {
     // 512-byte pages: 10 leaf entries, 6 internal entries — small
     // fanout exercises multi-way splits and underflow repair with few
     // objects.
@@ -45,13 +45,7 @@ fn tree(variant: TprVariant) -> TprTree {
         DiskManager::with_page_size(512),
         64,
     ));
-    TprTree::new(
-        pool,
-        TprConfig {
-            variant,
-            ..TprConfig::default()
-        },
-    )
+    TprTree::new(pool, TprConfig::default())
 }
 
 fn random_object(id: u64, t: f64, rng: &mut Rng) -> MovingObject {
@@ -97,10 +91,10 @@ fn assert_equivalent(batched: &TprTree, oracle: &TprTree, t: f64, rng: &mut Rng,
     }
 }
 
-fn run_stream(seed: u64, n: usize, ticks: usize, variant: TprVariant) {
+fn run_stream(seed: u64, n: usize, ticks: usize) {
     let mut rng = Rng(seed | 1);
-    let mut batched = tree(variant);
-    let mut oracle = tree(variant);
+    let mut batched = tree();
+    let mut oracle = tree();
 
     // Seed population: the batched twin loads it through one
     // update_batch on an empty tree (the bulk re-clustering path).
@@ -198,25 +192,13 @@ fn run_stream(seed: u64, n: usize, ticks: usize, variant: TprVariant) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random tick streams against the single-op oracle, TPR\* mode.
+    /// Random tick streams against the single-op oracle.
     #[test]
     fn star_batched_ticks_match_single_op_oracle(
         seed in 0u64..u64::MAX,
         n in 40usize..180,
         ticks in 1usize..5,
     ) {
-        run_stream(seed, n, ticks, TprVariant::Star);
-    }
-
-    /// The classic TPR variant shares the batched machinery with a
-    /// different cost metric and fewer candidate orderings; it must
-    /// hold the same equivalence.
-    #[test]
-    fn classic_batched_ticks_match_single_op_oracle(
-        seed in 0u64..u64::MAX,
-        n in 40usize..120,
-        ticks in 1usize..4,
-    ) {
-        run_stream(seed, n, ticks, TprVariant::Classic);
+        run_stream(seed, n, ticks);
     }
 }

@@ -5,13 +5,13 @@
 //! PVLDB 5(9), VLDB 2012), including every substrate the paper's
 //! system depends on:
 //!
-//! * the **TPR\*-tree** and classic TPR-tree ([`TprTree`]) over a paged
-//!   storage engine with an I/O-counting LRU buffer pool, with batched
+//! * the **TPR\*-tree** ([`TprTree`]) over a paged storage engine
+//!   with an I/O-counting LRU buffer pool, with batched
 //!   maintenance via bulk TPBR re-clustering (`bulk_load`,
 //!   `update_batch`, `remove_batch` — one page write per touched node);
-//! * the **Bx-tree** ([`BxTree`]) over a from-scratch B+-tree, with
-//!   Hilbert/Z-order curves, time buckets, and velocity-histogram
-//!   query enlargement;
+//! * the **Bx-tree** ([`BxTree`]) over a from-scratch B+-tree, with a
+//!   Hilbert curve, time buckets, and velocity-histogram query
+//!   enlargement;
 //! * the **velocity partitioning (VP)** technique itself
 //!   ([`VpIndex`]): PCA-guided k-means discovery of dominant velocity
 //!   axes (DVAs), cost-model-driven outlier thresholds (τ), and an
@@ -170,7 +170,7 @@ pub use vp_workload;
 
 /// The commonly used API surface in one import.
 pub mod prelude {
-    pub use vp_bx::{BxConfig, BxEnlargement, BxTree, CurveKind};
+    pub use vp_bx::{BxConfig, BxEnlargement, BxTree};
     pub use vp_core::{
         knn_at, knn_batch, Health, IndexError, IndexResult, IndexSnapshot, KnnQuery, KnnSubSpec,
         MovingObject, MovingObjectIndex, Neighbor, ObjectId, PartitionSpec, QueryRegion,
@@ -183,7 +183,7 @@ pub mod prelude {
         BufferPool, DiskManager, FaultHandle, FaultInjector, FaultKind, FaultOp, FaultPoint,
         IoStats, RetryPolicy,
     };
-    pub use vp_tpr::{TprConfig, TprTree, TprVariant};
+    pub use vp_tpr::{TprConfig, TprTree};
     pub use vp_workload::{
         Dataset, QueryShape, QuerySpec, ScenarioConfig, ScenarioKind, ScenarioTrace, Workload,
         WorkloadConfig,

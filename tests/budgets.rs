@@ -237,7 +237,7 @@ fn incremental_on_tick_reads_fewer_pages_than_full_reevaluation_tpr() {
     assert_incremental_reads_fewer_pages("tpr", pages_read(tpr));
 }
 
-// --- Bx reads: pages per range query and per kNN search -------------------
+// --- Bx and TPR* reads: pages per range query and per kNN search ----------
 
 /// Logical pages one Bx(VP) range query reads, on average over the
 /// sixteen 5 km circles of [`served_queries`] on the hotspot fleet
@@ -262,6 +262,20 @@ const BX_RANGE_PAGES_MAX: u64 = 64;
 /// window decomposition (budget 71 → 53). TPR\*(VP) stays at 51.3.
 const BX_KNN_PAGES_MAX: u64 = 53;
 
+/// Logical pages one TPR\*(VP) range query reads, on average over the
+/// same sixteen circles and fixture as [`BX_RANGE_PAGES_MAX`].
+///
+/// Measured when set, at commit `9f1f484`: 1 015 pages for the sixteen
+/// queries, 63.44 per query; the budget is its ceiling.
+const TPR_RANGE_PAGES_MAX: u64 = 64;
+
+/// Logical pages one TPR\*(VP) kNN search reads, on average over the
+/// same sixteen searches and fixture as [`BX_KNN_PAGES_MAX`].
+///
+/// Measured when set, at commit `9f1f484`: 821 pages for the sixteen
+/// searches, 51.31 per search; the budget is its ceiling.
+const TPR_KNN_PAGES_MAX: u64 = 52;
+
 fn small_page_pool() -> Arc<BufferPool> {
     Arc::new(BufferPool::with_capacity(
         DiskManager::with_page_size(512),
@@ -284,6 +298,38 @@ fn knn_searches(trace: &ScenarioTrace) -> Vec<(Point, usize)> {
         .collect()
 }
 
+/// Logical pages the [`READS`] range queries of [`served_queries`] and
+/// then the [`READS`] searches of [`knn_searches`] read on `vp`:
+/// `(range, knn)`.
+fn range_and_knn_pages<I: MovingObjectIndex>(trace: &ScenarioTrace, vp: &VpIndex<I>) -> (u64, u64) {
+    let reads = || vp.io_stats().logical_reads;
+
+    let before = reads();
+    for q in &served_queries(trace, READS) {
+        vp.range_query(q).expect("range");
+    }
+    let range = reads() - before;
+
+    let before = reads();
+    for (center, k) in knn_searches(trace) {
+        knn_at(vp, center, k, trace.tick_time(0), &trace.domain).expect("knn");
+    }
+    (range, reads() - before)
+}
+
+/// Asserts the pages of [`range_and_knn_pages`] average at most
+/// `range_max` per range query and `knn_max` per kNN search.
+fn assert_pages_within(index: &str, (range, knn): (u64, u64), range_max: u64, knn_max: u64) {
+    assert!(
+        range <= range_max * READS as u64,
+        "{index}: {READS} range queries read {range} pages, over {range_max} each"
+    );
+    assert!(
+        knn <= knn_max * READS as u64,
+        "{index}: {READS} kNN searches read {knn} pages, over {knn_max} each"
+    );
+}
+
 #[test]
 fn bx_range_and_knn_pages_within_budget() {
     let trace = hotspot_trace();
@@ -292,27 +338,16 @@ fn bx_range_and_knn_pages_within_budget() {
         let height = vp.partition_index(p).btree_height();
         assert!(height >= 3, "partition {p}: Bx sub-tree of height {height}");
     }
-    let reads = || vp.io_stats().logical_reads;
+    let pages = range_and_knn_pages(&trace, &vp);
+    assert_pages_within("Bx(VP)", pages, BX_RANGE_PAGES_MAX, BX_KNN_PAGES_MAX);
+}
 
-    let before = reads();
-    for q in &served_queries(&trace, READS) {
-        vp.range_query(q).expect("range");
-    }
-    let range = reads() - before;
-    assert!(
-        range <= BX_RANGE_PAGES_MAX * READS as u64,
-        "{READS} range queries read {range} pages, over {BX_RANGE_PAGES_MAX} each"
-    );
-
-    let before = reads();
-    for (center, k) in knn_searches(&trace) {
-        knn_at(&vp, center, k, trace.tick_time(0), &trace.domain).expect("knn");
-    }
-    let knn = reads() - before;
-    assert!(
-        knn <= BX_KNN_PAGES_MAX * READS as u64,
-        "{READS} kNN searches read {knn} pages, over {BX_KNN_PAGES_MAX} each"
-    );
+#[test]
+fn tpr_range_and_knn_pages_within_budget() {
+    let trace = hotspot_trace();
+    let vp = build(&trace, small_page_pool(), tpr);
+    let pages = range_and_knn_pages(&trace, &vp);
+    assert_pages_within("TPR*(VP)", pages, TPR_RANGE_PAGES_MAX, TPR_KNN_PAGES_MAX);
 }
 
 // --- the durable tick: fsyncs per tick -------------------------------------
