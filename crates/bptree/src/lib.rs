@@ -8,23 +8,24 @@
 //! large enough for the Bx-tree's `(position, velocity, ref time)`
 //! payload.
 //!
-//! Features: recursive insert with node splits, full deletion with
-//! sibling borrowing and merging, point lookups, and ordered range
-//! scans — one left-to-right sweep per batch of ranges that reads each
-//! page at most once. All node accesses go through the shared
-//! `vp-storage` buffer pool and are attributed to the tree's own I/O
-//! counters, matching the accounting discipline of the other indexes.
+//! Features: one write engine, [`BPlusTree::apply_batch`], that applies
+//! a sorted run of upserts and deletes in one tree walk — multi-way
+//! splits on overflow, and merging or even redistribution of drained
+//! siblings on underflow — with single inserts and deletes as batches
+//! of one; bulk loading; point lookups; and ordered range scans — one
+//! left-to-right sweep per batch of ranges that reads each page at most
+//! once. All node accesses go through the shared `vp-storage` buffer
+//! pool and are attributed to the tree's own I/O counters, matching
+//! the accounting discipline of the other indexes.
 //!
-//! The hot path never decodes a node: point ops and scans run over
-//! zero-copy page views ([`node::LeafView`], [`node::InternalView`]
-//! and their `Mut` variants), and two batched entry points —
-//! [`BPlusTree::bulk_load`] and [`BPlusTree::apply_batch`] — amortize
-//! descents and page writes across sorted runs of keys.
+//! The hot path never decodes a node: writes that fit their leaf, point
+//! lookups and scans run over zero-copy page views
+//! ([`node::LeafView`], [`node::LeafViewMut`], [`node::InternalView`]).
 
 pub mod node;
 pub mod tree;
 pub mod view;
 
-pub use node::{InternalView, InternalViewMut, Key128, LeafView, LeafViewMut, Value, VALUE_LEN};
+pub use node::{InternalView, Key128, LeafView, LeafViewMut, Value, VALUE_LEN};
 pub use tree::{BPlusTree, BatchOp, BatchOutcome};
 pub use view::BPlusTreeSnapshot;

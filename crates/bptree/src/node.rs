@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! header:        tag(u8) level(u8) count(u16) pad(u32)      = 8 bytes
-//! leaf:          next_leaf(u64)                             = 8 bytes
+//! leaf:          reserved(u64), written as PageId::INVALID  = 8 bytes
 //!                entries: key(16) value(VALUE_LEN)          = 56 bytes each
 //! internal:      keys: count x 16 bytes
 //!                children: (count + 1) x 8 bytes
@@ -11,10 +11,10 @@
 //! Two access models share this layout:
 //!
 //! * [`BNode`] — a fully decoded node (`Vec<Key128>`, `Vec<Value>`,
-//!   …). Used for structural surgery: splits, merges, sibling
-//!   borrowing, and bulk construction, where whole-node rewrites are
-//!   unavoidable anyway.
-//! * [`LeafView`] / [`InternalView`] (and their `Mut` variants) —
+//!   …). Used for structural surgery — multi-way splits, merging or
+//!   redistributing drained siblings — and bulk construction, where
+//!   whole-node rewrites are unavoidable anyway.
+//! * [`LeafView`] / [`InternalView`] (and [`LeafViewMut`]) —
 //!   zero-copy typed views over the raw page buffer. These validate
 //!   the header once, then do binary search, slot reads, and
 //!   memmove-style insert/remove **in place**, so the hot path of a
@@ -36,7 +36,9 @@ pub type Value = [u8; VALUE_LEN];
 
 const HEADER_LEN: usize = 8;
 const KEY_LEN: usize = 16;
-const LEAF_META: usize = 8; // next_leaf pointer
+/// A leaf's reserved header word, always written as
+/// `PageId::INVALID`; kept so the on-disk page format does not change.
+const LEAF_META: usize = 8;
 const TAG_LEAF: u8 = 1;
 const TAG_INTERNAL: u8 = 2;
 
@@ -68,7 +70,6 @@ impl Key128 {
 #[derive(Debug, Clone, PartialEq)]
 pub enum BNode {
     Leaf {
-        next: PageId,
         keys: Vec<Key128>,
         values: Vec<Value>,
     },
@@ -83,10 +84,9 @@ pub enum BNode {
 }
 
 impl BNode {
-    /// Creates an empty leaf with no successor.
+    /// Creates an empty leaf.
     pub fn empty_leaf() -> BNode {
         BNode::Leaf {
-            next: PageId::INVALID,
             keys: Vec::new(),
             values: Vec::new(),
         }
@@ -114,13 +114,13 @@ impl BNode {
     pub fn encode(&self, buf: &mut [u8]) -> StorageResult<()> {
         let mut w = PageWriter::new(buf);
         match self {
-            BNode::Leaf { next, keys, values } => {
+            BNode::Leaf { keys, values } => {
                 debug_assert_eq!(keys.len(), values.len());
                 w.put_u8(TAG_LEAF)?;
                 w.put_u8(0)?;
                 w.put_u16(keys.len() as u16)?;
                 w.put_u32(0)?;
-                w.put_page_id(*next)?;
+                w.put_page_id(PageId::INVALID)?; // LEAF_META
                 for (k, v) in keys.iter().zip(values) {
                     w.put_u64(k.hi)?;
                     w.put_u64(k.lo)?;
@@ -158,7 +158,7 @@ impl BNode {
         let _pad = r.get_u32()?;
         match tag {
             TAG_LEAF => {
-                let next = r.get_page_id()?;
+                let _reserved = r.get_page_id()?; // LEAF_META
                 let mut keys = Vec::with_capacity(count);
                 let mut values = Vec::with_capacity(count);
                 for _ in 0..count {
@@ -167,7 +167,7 @@ impl BNode {
                     v.copy_from_slice(r.get_bytes(VALUE_LEN)?);
                     values.push(v);
                 }
-                Ok(BNode::Leaf { next, keys, values })
+                Ok(BNode::Leaf { keys, values })
             }
             TAG_INTERNAL => {
                 let mut keys = Vec::with_capacity(count);
@@ -223,7 +223,6 @@ impl BLayout {
 
 const OFF_TAG: usize = 0;
 const OFF_COUNT: usize = 2;
-const OFF_NEXT: usize = HEADER_LEN;
 const LEAF_ENTRIES: usize = HEADER_LEN + LEAF_META;
 const ENTRY_LEN: usize = KEY_LEN + VALUE_LEN;
 const INT_KEYS: usize = HEADER_LEN;
@@ -239,20 +238,6 @@ fn key_at_off(buf: &[u8], off: usize) -> Key128 {
 fn put_key_at_off(buf: &mut [u8], off: usize, key: Key128) {
     slots::put_u64(buf, off, key.hi);
     slots::put_u64(buf, off + 8, key.lo);
-}
-
-/// Peeks at a page's tag: `true` for a leaf, `false` for an internal
-/// node, error for anything else. The cheap type test the descent loop
-/// runs before constructing a typed view.
-#[inline]
-pub fn is_leaf_page(buf: &[u8]) -> StorageResult<bool> {
-    match buf.first().copied() {
-        Some(TAG_LEAF) => Ok(true),
-        Some(TAG_INTERNAL) => Ok(false),
-        other => Err(StorageError::Corrupt(format!(
-            "unknown bnode tag {other:?}"
-        ))),
-    }
 }
 
 #[inline]
@@ -307,12 +292,6 @@ impl<'a> LeafView<'a> {
     #[inline]
     pub fn count(&self) -> usize {
         self.count
-    }
-
-    /// The next-leaf pointer.
-    #[inline]
-    pub fn next(&self) -> PageId {
-        slots::get_page_id(self.buf, OFF_NEXT)
     }
 
     /// The key of entry `i`.
@@ -403,12 +382,6 @@ impl<'a> LeafViewMut<'a> {
     #[inline]
     pub fn capacity(&self) -> usize {
         (self.buf.len() - LEAF_ENTRIES) / ENTRY_LEN
-    }
-
-    /// Sets the next-leaf pointer.
-    #[inline]
-    pub fn set_next(&mut self, next: PageId) {
-        slots::put_page_id(self.buf, OFF_NEXT, next);
     }
 
     /// Overwrites the value of entry `i` in place.
@@ -511,56 +484,6 @@ impl<'a> InternalView<'a> {
     }
 }
 
-/// A borrowed, mutable view of an encoded internal page.
-///
-/// Structure-changing edits (inserting a separator after a child
-/// split) move the children array and are left to the [`BNode`] path;
-/// this view covers the in-place cases — replacing a separator key or
-/// repointing a child — which need no layout shift.
-#[derive(Debug)]
-pub struct InternalViewMut<'a> {
-    buf: &'a mut [u8],
-    count: usize,
-}
-
-impl<'a> InternalViewMut<'a> {
-    /// Validates the header and constructs the view.
-    #[inline]
-    pub fn parse(buf: &'a mut [u8]) -> StorageResult<InternalViewMut<'a>> {
-        let count = check_internal_header(buf)?;
-        Ok(InternalViewMut { buf, count })
-    }
-
-    /// Read-only alias of this view.
-    #[inline]
-    pub fn as_view(&self) -> InternalView<'_> {
-        InternalView {
-            buf: self.buf,
-            count: self.count,
-        }
-    }
-
-    /// Number of separator keys.
-    #[inline]
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Replaces separator key `i` in place.
-    #[inline]
-    pub fn set_key_at(&mut self, i: usize, key: Key128) {
-        assert!(i < self.count, "separator slot out of range");
-        put_key_at_off(self.buf, INT_KEYS + i * KEY_LEN, key);
-    }
-
-    /// Repoints child slot `i` in place.
-    #[inline]
-    pub fn set_child_at(&mut self, i: usize, child: PageId) {
-        assert!(i <= self.count, "child slot out of range");
-        slots::put_page_id(self.buf, INT_KEYS + self.count * KEY_LEN + i * 8, child);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -580,13 +503,14 @@ mod tests {
     #[test]
     fn leaf_round_trip() {
         let node = BNode::Leaf {
-            next: PageId(9),
             keys: (0..5).map(|i| Key128::new(i, i * 2)).collect(),
             values: (0..5).map(|i| val(i as u8)).collect(),
         };
         let mut buf = vec![0u8; 4096];
         node.encode(&mut buf).unwrap();
         assert_eq!(BNode::decode(&buf).unwrap(), node);
+        // The reserved word keeps the page format: an invalid page id.
+        assert_eq!(slots::get_page_id(&buf, HEADER_LEN), PageId::INVALID);
     }
 
     #[test]
@@ -620,17 +544,14 @@ mod tests {
     #[test]
     fn leaf_view_reads_encoded_node() {
         let node = BNode::Leaf {
-            next: PageId(9),
             keys: (0..5).map(|i| Key128::new(i, i * 2)).collect(),
             values: (0..5).map(|i| val(i as u8)).collect(),
         };
         let mut buf = vec![0u8; 512];
         node.encode(&mut buf).unwrap();
 
-        assert!(is_leaf_page(&buf).unwrap());
         let v = LeafView::parse(&buf).unwrap();
         assert_eq!(v.count(), 5);
-        assert_eq!(v.next(), PageId(9));
         for i in 0..5u64 {
             assert_eq!(v.key_at(i as usize), Key128::new(i, i * 2));
             assert_eq!(v.value_at(i as usize), &val(i as u8));
@@ -644,7 +565,6 @@ mod tests {
     #[test]
     fn leaf_view_mut_matches_decode_after_edits() {
         let node = BNode::Leaf {
-            next: PageId::INVALID,
             keys: vec![Key128::new(1, 0), Key128::new(3, 0), Key128::new(5, 0)],
             values: vec![val(1), val(3), val(5)],
         };
@@ -657,14 +577,12 @@ mod tests {
         m.insert_at(0, Key128::new(0, 0), &val(0));
         m.insert_at(5, Key128::new(6, 0), &val(6));
         m.set_value_at(2, &val(99));
-        m.set_next(PageId(4));
         m.remove_at(4); // drop key (5,0)
 
         let decoded = BNode::decode(&buf).unwrap();
         assert_eq!(
             decoded,
             BNode::Leaf {
-                next: PageId(4),
                 keys: [0u64, 1, 2, 3, 6]
                     .iter()
                     .map(|&h| Key128::new(h, 0))
@@ -703,7 +621,6 @@ mod tests {
         let mut buf = vec![0u8; 512];
         node.encode(&mut buf).unwrap();
 
-        assert!(!is_leaf_page(&buf).unwrap());
         let v = InternalView::parse(&buf).unwrap();
         assert_eq!(v.count(), 4);
         assert_eq!(v.level(), 2);
@@ -714,29 +631,6 @@ mod tests {
         assert_eq!(v.child_for(Key128::new(10, 0)), 1, "separator goes right");
         assert_eq!(v.child_for(Key128::new(35, 0)), 3);
         assert_eq!(v.child_for(Key128::MAX), 4);
-    }
-
-    #[test]
-    fn internal_view_mut_in_place_edits() {
-        let node = BNode::Internal {
-            level: 1,
-            keys: vec![Key128::new(10, 0), Key128::new(20, 0)],
-            children: vec![PageId(1), PageId(2), PageId(3)],
-        };
-        let mut buf = vec![0u8; 512];
-        node.encode(&mut buf).unwrap();
-        let mut m = InternalViewMut::parse(&mut buf).unwrap();
-        m.set_key_at(1, Key128::new(25, 0));
-        m.set_child_at(0, PageId(7));
-        assert_eq!(m.as_view().key_at(1), Key128::new(25, 0));
-        assert_eq!(
-            BNode::decode(&buf).unwrap(),
-            BNode::Internal {
-                level: 1,
-                keys: vec![Key128::new(10, 0), Key128::new(25, 0)],
-                children: vec![PageId(7), PageId(2), PageId(3)],
-            }
-        );
     }
 
     #[test]
@@ -755,7 +649,8 @@ mod tests {
         assert!(LeafView::parse(&buf).is_err());
         assert!(InternalView::parse(&buf).is_ok());
 
-        assert!(is_leaf_page(&[9u8; 16]).is_err());
+        assert!(LeafView::parse(&[9u8; 16]).is_err());
+        assert!(InternalView::parse(&[9u8; 16]).is_err());
         // A count that cannot fit the page is corrupt, not a panic.
         let mut bad = vec![0u8; 64];
         BNode::empty_leaf().encode(&mut bad).unwrap();
@@ -767,7 +662,6 @@ mod tests {
     fn full_nodes_fit_page() {
         let l = BLayout::for_page_size(4096);
         let leaf = BNode::Leaf {
-            next: PageId::INVALID,
             keys: (0..l.max_leaf as u64).map(|i| Key128::new(i, 0)).collect(),
             values: (0..l.max_leaf).map(|i| val(i as u8)).collect(),
         };

@@ -1,34 +1,29 @@
 //! The paged B+-tree.
 //!
-//! ## Hot path: zero-copy page operations
+//! ## One write engine
 //!
-//! Point lookups, fitting inserts, non-underflowing deletes, range
-//! scans, and [`BPlusTree::apply_batch`] all operate **in place on the
-//! encoded pages** through the [`crate::node`] views: descent binary
-//! searches `InternalView`s, and leaf edits are memmoves inside a
-//! [`LeafViewMut`]. No `Vec` materialization, no whole-page re-encode.
-//! Only structural surgery — splits, merges, sibling borrowing — falls
-//! back to the decoded [`BNode`] machinery, which is the rare case by
-//! design (a fraction `1/fanout` of operations).
+//! Every write is [`BPlusTree::apply_batch`]: [`BPlusTree::insert`]
+//! and [`BPlusTree::delete`] are batches of one. The batch walks the
+//! tree once, routing each child's run of ops with one zero-copy
+//! `InternalView` access per internal node, and every touched leaf
+//! absorbs its run **in place** through a [`LeafViewMut`] (memmoves,
+//! no decode). Only structural surgery — a leaf or internal node that
+//! overflows or underflows — falls back to the decoded [`BNode`]
+//! machinery, which is the rare case by design: multi-way splits into
+//! `[min, max]`-sized pieces, and repairs that merge a drained node
+//! into a sibling or redistribute the pair evenly.
 //!
-//! ## Batched maintenance
+//! ## Bulk loading
 //!
-//! Moving-object workloads hit the tree with sorted runs of co-located
-//! keys (delete-old/insert-new pairs from one tick). Two entry points
-//! exploit that:
-//!
-//! * [`BPlusTree::bulk_load`] builds a tree from a sorted stream,
-//!   packing leaves left-to-right and stacking internal levels without
-//!   any per-key root descent.
-//! * [`BPlusTree::apply_batch`] applies a sorted op run with one
-//!   descent *per leaf* instead of per key, and one page write per
-//!   touched leaf.
+//! [`BPlusTree::bulk_load`] builds a tree from a sorted stream,
+//! packing leaves left-to-right and stacking internal levels without
+//! any per-key root descent.
 
 use std::sync::Arc;
 
 use vp_storage::{AtomicIoStats, BufferPool, IoStats, PageId, StorageError, StorageResult};
 
-use crate::node::{BLayout, BNode, Key128, LeafViewMut, Value};
+use crate::node::{BLayout, BNode, InternalView, Key128, LeafViewMut, Value};
 use crate::view::{BPlusTreeSnapshot, ReadView};
 
 /// A disk-paged B+-tree with 128-bit keys and fixed-size values.
@@ -48,11 +43,12 @@ pub struct BPlusTree {
     /// threads, since each operation runs on exactly one thread.
     /// Atomic so a shared handle stays `Sync`.
     own: AtomicIoStats,
-}
-
-enum InsOutcome {
-    Fit,
-    Split { sep: Key128, right: PageId },
+    /// The batch walk's scratch stacks, kept between batches so a
+    /// write allocates nothing to route: the child routes of the
+    /// nodes where the walk fans out, and the `(node, slot)` spine of
+    /// the nodes that passed a whole run to one child.
+    routes: Vec<Route>,
+    spine: Vec<(PageId, usize)>,
 }
 
 /// One operation of a sorted batch handed to [`BPlusTree::apply_batch`].
@@ -89,6 +85,8 @@ impl BPlusTree {
             height: 1,
             len: 0,
             own: AtomicIoStats::zero(),
+            routes: Vec::new(),
+            spine: Vec::new(),
         };
         tree.write_node(tree.root, &BNode::empty_leaf())?;
         Ok(tree)
@@ -160,8 +158,6 @@ impl BPlusTree {
         out
     }
 
-    // ----- descent ------------------------------------------------------
-
     /// The tree's read machinery bound to the live pool (see
     /// [`ReadView`] — snapshots bind the same code to a
     /// [`vp_storage::PageSnapshot`]).
@@ -171,12 +167,6 @@ impl BPlusTree {
             root: self.root,
             height: self.height,
         }
-    }
-
-    /// Walks from the root to the leaf owning `key` via zero-copy
-    /// `InternalView` binary searches.
-    fn descend_to_leaf(&self, key: Key128) -> StorageResult<PageId> {
-        self.view().descend_to_leaf(key)
     }
 
     // ----- lookup -------------------------------------------------------
@@ -215,547 +205,19 @@ impl BPlusTree {
         }
     }
 
-    // ----- insert -------------------------------------------------------
+    // ----- single ops ---------------------------------------------------
 
-    /// Inserts `key -> value`. Returns `true` when the key was new,
-    /// `false` when an existing value was overwritten.
-    ///
-    /// Fast path: when the target leaf has room, the entry is
-    /// memmove-inserted (or the value overwritten) in place via
-    /// [`LeafViewMut`] — one page write, no node decode. A full leaf
-    /// falls back to the decoded split machinery.
+    /// Inserts `key -> value`: [`BPlusTree::apply_batch`] of one `Put`.
+    /// Returns `true` when the key was new, `false` when an existing
+    /// value was overwritten.
     pub fn insert(&mut self, key: Key128, value: Value) -> StorageResult<bool> {
-        self.track_mut(|t| t.insert_untracked(key, value))
+        Ok(self.apply_batch(&[(key, BatchOp::Put(value))])?.inserted == 1)
     }
 
-    fn insert_untracked(&mut self, key: Key128, value: Value) -> StorageResult<bool> {
-        let leaf = self.descend_to_leaf(key)?;
-        let max_leaf = self.layout.max_leaf;
-        let fast = self
-            .pool
-            .with_page_probe_mut(leaf, |buf| -> (StorageResult<_>, bool) {
-                let mut v = match LeafViewMut::parse(buf) {
-                    Ok(v) => v,
-                    Err(e) => return (Err(e), false),
-                };
-                match v.search(key) {
-                    Ok(i) => {
-                        v.set_value_at(i, &value);
-                        (Ok(Some(false)), true)
-                    }
-                    Err(i) if v.count() < max_leaf => {
-                        v.insert_at(i, key, &value);
-                        (Ok(Some(true)), true)
-                    }
-                    Err(_) => (Ok(None), false), // full: needs a split
-                }
-            })??;
-        let new = match fast {
-            Some(new) => new,
-            None => self.insert_slow(key, value)?,
-        };
-        if new {
-            self.len += 1;
-        }
-        Ok(new)
-    }
-
-    /// The split-capable insert path (decoded nodes, root growth).
-    fn insert_slow(&mut self, key: Key128, value: Value) -> StorageResult<bool> {
-        let (new, outcome) = self.insert_rec(self.root, key, value)?;
-        if let InsOutcome::Split { sep, right } = outcome {
-            let new_root = BNode::Internal {
-                level: self.height,
-                keys: vec![sep],
-                children: vec![self.root, right],
-            };
-            self.root = self.alloc_node(&new_root)?;
-            self.height += 1;
-        }
-        Ok(new)
-    }
-
-    fn insert_rec(
-        &mut self,
-        pid: PageId,
-        key: Key128,
-        value: Value,
-    ) -> StorageResult<(bool, InsOutcome)> {
-        match self.read_node(pid)? {
-            BNode::Leaf {
-                next,
-                mut keys,
-                mut values,
-            } => {
-                let new = match keys.binary_search(&key) {
-                    Ok(i) => {
-                        values[i] = value;
-                        false
-                    }
-                    Err(i) => {
-                        keys.insert(i, key);
-                        values.insert(i, value);
-                        true
-                    }
-                };
-                if keys.len() <= self.layout.max_leaf {
-                    self.write_node(pid, &BNode::Leaf { next, keys, values })?;
-                    return Ok((new, InsOutcome::Fit));
-                }
-                // Split the leaf in half; the separator is the first key
-                // of the right node.
-                let h = keys.len() / 2;
-                let right_keys = keys.split_off(h);
-                let right_values = values.split_off(h);
-                let sep = right_keys[0];
-                let right = BNode::Leaf {
-                    next,
-                    keys: right_keys,
-                    values: right_values,
-                };
-                let right_pid = self.alloc_node(&right)?;
-                self.write_node(
-                    pid,
-                    &BNode::Leaf {
-                        next: right_pid,
-                        keys,
-                        values,
-                    },
-                )?;
-                Ok((
-                    new,
-                    InsOutcome::Split {
-                        sep,
-                        right: right_pid,
-                    },
-                ))
-            }
-            BNode::Internal {
-                level,
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|k| *k <= key);
-                let (new, outcome) = self.insert_rec(children[idx], key, value)?;
-                if let InsOutcome::Split { sep, right } = outcome {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                }
-                if keys.len() <= self.layout.max_internal {
-                    self.write_node(
-                        pid,
-                        &BNode::Internal {
-                            level,
-                            keys,
-                            children,
-                        },
-                    )?;
-                    return Ok((new, InsOutcome::Fit));
-                }
-                // Split the internal node: the middle key moves up.
-                let m = keys.len() / 2;
-                let sep_up = keys[m];
-                let right_keys = keys.split_off(m + 1);
-                keys.pop(); // drop sep_up from the left node
-                let right_children = children.split_off(m + 1);
-                let right = BNode::Internal {
-                    level,
-                    keys: right_keys,
-                    children: right_children,
-                };
-                let right_pid = self.alloc_node(&right)?;
-                self.write_node(
-                    pid,
-                    &BNode::Internal {
-                        level,
-                        keys,
-                        children,
-                    },
-                )?;
-                Ok((
-                    new,
-                    InsOutcome::Split {
-                        sep: sep_up,
-                        right: right_pid,
-                    },
-                ))
-            }
-        }
-    }
-
-    // ----- delete -------------------------------------------------------
-
-    /// Deletes `key`. Returns `true` when it was present.
-    ///
-    /// Fast path: when the target leaf stays at or above minimum
-    /// occupancy, the entry is memmove-removed in place via
-    /// [`LeafViewMut`]. Underflow falls back to the decoded
-    /// borrow/merge machinery.
+    /// Deletes `key`: [`BPlusTree::apply_batch`] of one `Delete`.
+    /// Returns `true` when it was present.
     pub fn delete(&mut self, key: Key128) -> StorageResult<bool> {
-        self.track_mut(|t| t.delete_untracked(key))
-    }
-
-    fn delete_untracked(&mut self, key: Key128) -> StorageResult<bool> {
-        let leaf = self.descend_to_leaf(key)?;
-        let min_leaf = self.layout.min_leaf;
-        let is_root = leaf == self.root;
-        let fast = self
-            .pool
-            .with_page_probe_mut(leaf, |buf| -> (StorageResult<_>, bool) {
-                let mut v = match LeafViewMut::parse(buf) {
-                    Ok(v) => v,
-                    Err(e) => return (Err(e), false),
-                };
-                match v.search(key) {
-                    Err(_) => (Ok(Some(false)), false),
-                    Ok(i) if is_root || v.count() > min_leaf => {
-                        v.remove_at(i);
-                        (Ok(Some(true)), true)
-                    }
-                    Ok(_) => (Ok(None), false), // would underflow: needs rebalancing
-                }
-            })??;
-        let found = match fast {
-            Some(found) => found,
-            None => self.delete_slow(key)?,
-        };
-        if found {
-            self.len -= 1;
-        }
-        Ok(found)
-    }
-
-    /// The rebalance-capable delete path (decoded nodes, root collapse).
-    fn delete_slow(&mut self, key: Key128) -> StorageResult<bool> {
-        let (found, _underflow) = self.delete_rec(self.root, key)?;
-        // Collapse a root that lost all separators.
-        loop {
-            match self.read_node(self.root)? {
-                BNode::Internal { keys, children, .. } if keys.is_empty() => {
-                    let old = self.root;
-                    self.root = children[0];
-                    self.height -= 1;
-                    self.pool.free_page(old)?;
-                }
-                _ => break,
-            }
-        }
-        Ok(found)
-    }
-
-    fn delete_rec(&mut self, pid: PageId, key: Key128) -> StorageResult<(bool, bool)> {
-        match self.read_node(pid)? {
-            BNode::Leaf {
-                next,
-                mut keys,
-                mut values,
-            } => {
-                let Ok(i) = keys.binary_search(&key) else {
-                    return Ok((false, false));
-                };
-                keys.remove(i);
-                values.remove(i);
-                let underflow = pid != self.root && keys.len() < self.layout.min_leaf;
-                self.write_node(pid, &BNode::Leaf { next, keys, values })?;
-                Ok((true, underflow))
-            }
-            BNode::Internal {
-                level,
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|k| *k <= key);
-                let (found, child_underflow) = self.delete_rec(children[idx], key)?;
-                if !found {
-                    return Ok((false, false));
-                }
-                if child_underflow {
-                    self.rebalance_child(&mut keys, &mut children, idx)?;
-                }
-                let underflow = pid != self.root && keys.len() < self.layout.min_internal;
-                self.write_node(
-                    pid,
-                    &BNode::Internal {
-                        level,
-                        keys,
-                        children,
-                    },
-                )?;
-                Ok((true, underflow))
-            }
-        }
-    }
-
-    /// Restores the minimum occupancy of `children[idx]` by borrowing
-    /// from a sibling or merging with one, adjusting the separators.
-    fn rebalance_child(
-        &mut self,
-        keys: &mut Vec<Key128>,
-        children: &mut Vec<PageId>,
-        idx: usize,
-    ) -> StorageResult<()> {
-        let child = self.read_node(children[idx])?;
-        // Try the left sibling first, then the right.
-        if idx > 0 {
-            let left = self.read_node(children[idx - 1])?;
-            if self.can_lend(&left) {
-                self.borrow_from_left(keys, children, idx, left, child)?;
-                return Ok(());
-            }
-        }
-        if idx + 1 < children.len() {
-            let right = self.read_node(children[idx + 1])?;
-            if self.can_lend(&right) {
-                self.borrow_from_right(keys, children, idx, child, right)?;
-                return Ok(());
-            }
-        }
-        // Merge with a sibling (prefer left).
-        if idx > 0 {
-            let left = self.read_node(children[idx - 1])?;
-            self.merge(keys, children, idx - 1, left, child)
-        } else {
-            let right = self.read_node(children[idx + 1])?;
-            self.merge(keys, children, idx, child, right)
-        }
-    }
-
-    fn can_lend(&self, node: &BNode) -> bool {
-        match node {
-            BNode::Leaf { keys, .. } => keys.len() > self.layout.min_leaf,
-            BNode::Internal { keys, .. } => keys.len() > self.layout.min_internal,
-        }
-    }
-
-    fn borrow_from_left(
-        &mut self,
-        keys: &mut [Key128],
-        children: &[PageId],
-        idx: usize,
-        left: BNode,
-        child: BNode,
-    ) -> StorageResult<()> {
-        match (left, child) {
-            (
-                BNode::Leaf {
-                    next: lnext,
-                    keys: mut lk,
-                    values: mut lv,
-                },
-                BNode::Leaf {
-                    next: cnext,
-                    keys: mut ck,
-                    values: mut cv,
-                },
-            ) => {
-                let k = lk.pop().expect("lender is non-empty");
-                let v = lv.pop().expect("lender is non-empty");
-                ck.insert(0, k);
-                cv.insert(0, v);
-                keys[idx - 1] = ck[0];
-                self.write_node(
-                    children[idx - 1],
-                    &BNode::Leaf {
-                        next: lnext,
-                        keys: lk,
-                        values: lv,
-                    },
-                )?;
-                self.write_node(
-                    children[idx],
-                    &BNode::Leaf {
-                        next: cnext,
-                        keys: ck,
-                        values: cv,
-                    },
-                )
-            }
-            (
-                BNode::Internal {
-                    level,
-                    keys: mut lk,
-                    children: mut lc,
-                },
-                BNode::Internal {
-                    keys: mut ck,
-                    children: mut cc,
-                    ..
-                },
-            ) => {
-                // Rotate through the parent separator.
-                ck.insert(0, keys[idx - 1]);
-                keys[idx - 1] = lk.pop().expect("lender is non-empty");
-                cc.insert(0, lc.pop().expect("lender has children"));
-                self.write_node(
-                    children[idx - 1],
-                    &BNode::Internal {
-                        level,
-                        keys: lk,
-                        children: lc,
-                    },
-                )?;
-                self.write_node(
-                    children[idx],
-                    &BNode::Internal {
-                        level,
-                        keys: ck,
-                        children: cc,
-                    },
-                )
-            }
-            _ => Err(StorageError::Corrupt(
-                "sibling level mismatch during borrow".into(),
-            )),
-        }
-    }
-
-    fn borrow_from_right(
-        &mut self,
-        keys: &mut [Key128],
-        children: &[PageId],
-        idx: usize,
-        child: BNode,
-        right: BNode,
-    ) -> StorageResult<()> {
-        match (child, right) {
-            (
-                BNode::Leaf {
-                    next: cnext,
-                    keys: mut ck,
-                    values: mut cv,
-                },
-                BNode::Leaf {
-                    next: rnext,
-                    keys: mut rk,
-                    values: mut rv,
-                },
-            ) => {
-                ck.push(rk.remove(0));
-                cv.push(rv.remove(0));
-                keys[idx] = rk[0];
-                self.write_node(
-                    children[idx],
-                    &BNode::Leaf {
-                        next: cnext,
-                        keys: ck,
-                        values: cv,
-                    },
-                )?;
-                self.write_node(
-                    children[idx + 1],
-                    &BNode::Leaf {
-                        next: rnext,
-                        keys: rk,
-                        values: rv,
-                    },
-                )
-            }
-            (
-                BNode::Internal {
-                    level,
-                    keys: mut ck,
-                    children: mut cc,
-                },
-                BNode::Internal {
-                    keys: mut rk,
-                    children: mut rc,
-                    ..
-                },
-            ) => {
-                ck.push(keys[idx]);
-                keys[idx] = rk.remove(0);
-                cc.push(rc.remove(0));
-                self.write_node(
-                    children[idx],
-                    &BNode::Internal {
-                        level,
-                        keys: ck,
-                        children: cc,
-                    },
-                )?;
-                self.write_node(
-                    children[idx + 1],
-                    &BNode::Internal {
-                        level,
-                        keys: rk,
-                        children: rc,
-                    },
-                )
-            }
-            _ => Err(StorageError::Corrupt(
-                "sibling level mismatch during borrow".into(),
-            )),
-        }
-    }
-
-    /// Merges `children[at + 1]` into `children[at]`, dropping the
-    /// separator `keys[at]`.
-    fn merge(
-        &mut self,
-        keys: &mut Vec<Key128>,
-        children: &mut Vec<PageId>,
-        at: usize,
-        left: BNode,
-        right: BNode,
-    ) -> StorageResult<()> {
-        match (left, right) {
-            (
-                BNode::Leaf {
-                    keys: mut lk,
-                    values: mut lv,
-                    ..
-                },
-                BNode::Leaf {
-                    next: rnext,
-                    keys: rk,
-                    values: rv,
-                },
-            ) => {
-                lk.extend(rk);
-                lv.extend(rv);
-                self.write_node(
-                    children[at],
-                    &BNode::Leaf {
-                        next: rnext,
-                        keys: lk,
-                        values: lv,
-                    },
-                )?;
-            }
-            (
-                BNode::Internal {
-                    level,
-                    keys: mut lk,
-                    children: mut lc,
-                },
-                BNode::Internal {
-                    keys: rk,
-                    children: rc,
-                    ..
-                },
-            ) => {
-                lk.push(keys[at]);
-                lk.extend(rk);
-                lc.extend(rc);
-                self.write_node(
-                    children[at],
-                    &BNode::Internal {
-                        level,
-                        keys: lk,
-                        children: lc,
-                    },
-                )?;
-            }
-            _ => {
-                return Err(StorageError::Corrupt(
-                    "sibling level mismatch during merge".into(),
-                ))
-            }
-        }
-        self.pool.free_page(children[at + 1])?;
-        keys.remove(at);
-        children.remove(at + 1);
-        Ok(())
+        Ok(self.apply_batch(&[(key, BatchOp::Delete)])?.deleted == 1)
     }
 
     /// Exhaustively validates the B+-tree's structural invariants;
@@ -763,12 +225,12 @@ impl BPlusTree {
     /// Intended for tests and debugging (visits every page).
     ///
     /// Checked invariants:
-    /// * keys strictly ordered within nodes and across the leaf chain;
-    /// * every subtree's keys respect the parent separator bounds;
+    /// * keys strictly ordered within nodes;
+    /// * every subtree's keys respect the parent separator bounds (so
+    ///   the leaves, left to right, hold the keys in global order);
     /// * occupancy limits for non-root nodes;
     /// * uniform leaf depth;
-    /// * the leaf chain, followed by its `next` pointers from the
-    ///   leftmost leaf, visits exactly the tree's key count in order.
+    /// * the leaves hold exactly the tree's key count.
     pub fn check_invariants(&self) -> StorageResult<Result<(), String>> {
         // Recursive structural walk with key-range bounds.
         fn walk(
@@ -783,7 +245,7 @@ impl BPlusTree {
             let node = t.read_node(pid)?;
             let is_root = pid == t.root;
             match node {
-                BNode::Leaf { keys, values, .. } => {
+                BNode::Leaf { keys, values } => {
                     if keys.len() != values.len() {
                         return Ok(Err(format!("leaf {pid}: key/value arity mismatch")));
                     }
@@ -853,35 +315,6 @@ impl BPlusTree {
         }
         if count != self.len {
             return Ok(Err(format!("structural count {count} != len {}", self.len)));
-        }
-        // Leaf chain: walked by its `next` pointers from the leftmost
-        // leaf, ordered and complete. Every non-root leaf holds a key,
-        // so a sound chain has at most `max(len, 1)` leaves; the bound
-        // stops a cycle.
-        let mut pid = self.descend_to_leaf(Key128::MIN)?;
-        let max_leaves = self.len.max(1);
-        let (mut chained, mut leaves) = (0usize, 0usize);
-        let mut prev: Option<Key128> = None;
-        while pid.is_valid() {
-            leaves += 1;
-            if leaves > max_leaves {
-                return Ok(Err(format!("leaf chain has over {max_leaves} leaves")));
-            }
-            let BNode::Leaf { next, keys, .. } = self.read_node(pid)? else {
-                return Ok(Err(format!("leaf chain reaches internal node {pid}")));
-            };
-            for k in keys {
-                if prev.is_some_and(|p| p >= k) {
-                    return Ok(Err(format!("leaf chain out of order at leaf {pid}")));
-                }
-                prev = Some(k);
-                chained += 1;
-            }
-            pid = next;
-        }
-        if chained != self.len {
-            let len = self.len;
-            return Ok(Err(format!("leaf chain visits {chained}, len {len}")));
         }
         Ok(Ok(()))
     }
@@ -966,26 +399,16 @@ impl BPlusTree {
         let leaf_pids: Vec<PageId> = (0..leaf_sizes.len())
             .map(|_| pool.new_page())
             .collect::<StorageResult<_>>()?;
-        let mut level: Vec<(Key128, PageId)> = Vec::with_capacity(leaf_sizes.len());
+        let mut level: Vec<(Option<Key128>, PageId)> = Vec::with_capacity(leaf_sizes.len());
         let mut cursor = items.into_iter();
-        for (i, &size) in leaf_sizes.iter().enumerate() {
-            let chunk: Vec<(Key128, Value)> = cursor.by_ref().take(size).collect();
-            let min_key = chunk[0].0;
-            let node = BNode::Leaf {
-                next: leaf_pids.get(i + 1).copied().unwrap_or(PageId::INVALID),
-                keys: chunk.iter().map(|(k, _)| *k).collect(),
-                values: chunk.iter().map(|(_, v)| *v).collect(),
-            };
-            pool.with_page_mut(leaf_pids[i], |buf| node.encode(buf))??;
-            level.push((min_key, leaf_pids[i]));
+        for (&size, &pid) in leaf_sizes.iter().zip(&leaf_pids) {
+            let (keys, values): (Vec<Key128>, Vec<Value>) = cursor.by_ref().take(size).unzip();
+            level.push((Some(keys[0]), pid));
+            pool.with_page_mut(pid, |buf| BNode::Leaf { keys, values }.encode(buf))??;
         }
 
         // Stack internal levels until one node remains.
-        let nodes = level
-            .into_iter()
-            .map(|(k, p)| (Some(k), p))
-            .collect::<Vec<_>>();
-        let (root, height) = stack_internal_levels(&pool, &layout, nodes, 1)?;
+        let (root, height) = stack_internal_levels(&pool, &layout, level, 1)?;
 
         let own = AtomicIoStats::zero();
         own.add(vp_storage::thread_io::snapshot().delta(&before));
@@ -996,6 +419,8 @@ impl BPlusTree {
             height,
             len,
             own,
+            routes: Vec::new(),
+            spine: Vec::new(),
         })
     }
 
@@ -1007,9 +432,9 @@ impl BPlusTree {
     /// absorbs its whole run in a single page write (in place when the
     /// result fits, multi-way split when it overflows), and occupancy
     /// repairs happen once per parent — merging or redistributing
-    /// drained siblings — instead of once per key. Compared to a loop
-    /// of single ops this saves one root descent per key and the
-    /// per-key split/rebalance churn of co-located runs.
+    /// drained siblings — instead of once per key. A batch of one op
+    /// costs what a single descent does: one page read per level, and
+    /// one write when its leaf absorbs it in place.
     pub fn apply_batch(&mut self, ops: &[(Key128, BatchOp)]) -> StorageResult<BatchOutcome> {
         if ops.is_empty() {
             return Ok(BatchOutcome::default());
@@ -1022,46 +447,119 @@ impl BPlusTree {
             }
         }
         self.track_mut(|t| {
+            // A failed batch may have left its stacks behind.
+            t.routes.clear();
+            t.spine.clear();
             let mut out = BatchOutcome::default();
-            let effect = t.apply_rec(t.root, true, ops, &mut out)?;
+            let effect = t.apply_rec(t.root, t.height - 1, true, ops, &mut out)?;
             t.len = t.len + out.inserted - out.deleted;
-            if let ApplyEffect::Splits(splits) = effect {
-                t.grow_root(splits)?;
-            }
-            // Collapse a root that lost all separators (possible after
-            // bulk deletion merged everything into one child).
-            loop {
-                match t.read_node(t.root)? {
-                    BNode::Internal { keys, children, .. } if keys.is_empty() => {
-                        let old = t.root;
-                        t.root = children[0];
-                        t.height -= 1;
-                        t.pool.free_page(old)?;
-                    }
-                    _ => break,
-                }
+            match effect {
+                ApplyEffect::Done => {}
+                ApplyEffect::Splits(splits) => t.grow_root(splits)?,
+                ApplyEffect::Underflow => t.collapse_root()?,
             }
             Ok(out)
         })
     }
 
     /// Applies `ops` (all belonging to `pid`'s key range) to the
-    /// subtree under `pid`, reporting the structural effect the parent
-    /// must absorb.
+    /// subtree under `pid`, whose node sits at `level`, reporting the
+    /// structural effect the parent must absorb.
+    ///
+    /// While the whole run routes to one child — all the way down for
+    /// a single op — the walk descends in a loop, stacking each node
+    /// passed with the slot it took, and unwinds that spine only as
+    /// far as some child changed shape. Where the run fans out over
+    /// several children, each child's run recurses.
     fn apply_rec(
         &mut self,
         pid: PageId,
+        level: u8,
         is_root: bool,
         ops: &[(Key128, BatchOp)],
         out: &mut BatchOutcome,
     ) -> StorageResult<ApplyEffect> {
-        debug_assert!(!ops.is_empty());
-        let leaf = self.pool.with_page(pid, crate::node::is_leaf_page)??;
-        if leaf {
-            self.apply_leaf(pid, is_root, ops, out)
-        } else {
-            self.apply_internal(pid, is_root, ops, out)
+        let base = self.spine.len();
+        let (mut node, mut level) = (pid, level);
+        let mut effect = loop {
+            let node_is_root = is_root && self.spine.len() == base;
+            if level == 0 {
+                break self.apply_leaf(node, node_is_root, ops, out)?;
+            }
+            let routed = self.routes.len();
+            let child_level = self.route(node, ops)?;
+            if self.routes.len() > routed + 1 {
+                break self.fan_out(node, node_is_root, child_level, routed, ops, out)?;
+            }
+            let Route { slot, child, .. } = self.routes.pop().expect("a run routes somewhere");
+            self.spine.push((node, slot));
+            (node, level) = (child, child_level);
+        };
+        // Unwind the spine only as far as some child changed shape.
+        while self.spine.len() > base && !matches!(effect, ApplyEffect::Done) {
+            let (node, slot) = self.spine.pop().expect("spine above base");
+            let node_is_root = is_root && self.spine.len() == base;
+            effect = self.absorb_effects(node, node_is_root, vec![(slot, effect)])?;
         }
+        self.spine.truncate(base);
+        Ok(effect)
+    }
+
+    /// Pushes `pid`'s routes for `ops` onto the route stack with one
+    /// zero-copy page access; returns the children's level.
+    fn route(&mut self, pid: PageId, ops: &[(Key128, BatchOp)]) -> StorageResult<u8> {
+        let routes = &mut self.routes;
+        self.pool.with_page(pid, |buf| -> StorageResult<u8> {
+            let v = InternalView::parse(buf)?;
+            let mut start = 0usize;
+            while start < ops.len() {
+                let slot = v.child_for(ops[start].0);
+                let end = if slot < v.count() {
+                    let fence = v.key_at(slot);
+                    start + ops[start..].partition_point(|(k, _)| *k < fence)
+                } else {
+                    ops.len()
+                };
+                routes.push(Route {
+                    slot,
+                    child: v.child_at(slot),
+                    end,
+                });
+                start = end;
+            }
+            v.level()
+                .checked_sub(1)
+                .ok_or_else(|| StorageError::Corrupt(format!("internal node {pid} at level 0")))
+        })?
+    }
+
+    /// Recurses into each child's run of the routes above `base`, then
+    /// absorbs the children's structural effects. The node is only
+    /// decoded and rewritten when some child changed shape.
+    fn fan_out(
+        &mut self,
+        pid: PageId,
+        is_root: bool,
+        child_level: u8,
+        base: usize,
+        ops: &[(Key128, BatchOp)],
+        out: &mut BatchOutcome,
+    ) -> StorageResult<ApplyEffect> {
+        let mut effects: Vec<(usize, ApplyEffect)> = Vec::new();
+        let mut start = 0usize;
+        for r in base..self.routes.len() {
+            let Route { slot, child, end } = self.routes[r];
+            let effect = self.apply_rec(child, child_level, false, &ops[start..end], out)?;
+            if !matches!(effect, ApplyEffect::Done) {
+                effects.push((slot, effect));
+            }
+            start = end;
+        }
+        self.routes.truncate(base);
+        if effects.is_empty() {
+            return Ok(ApplyEffect::Done); // no separator moved: node untouched
+        }
+        self.absorb_effects(pid, is_root, effects)
     }
 
     /// Leaf case: try the whole run in place through [`LeafViewMut`];
@@ -1118,10 +616,20 @@ impl BPlusTree {
         if applied == ops.len() {
             return Ok(ApplyEffect::Done);
         }
+        self.apply_leaf_decoded(pid, is_root, &ops[applied..], out)
+    }
 
-        // Structural case: decode once, absorb the rest of the run.
+    /// The structural leaf case: decode once, absorb the rest of the
+    /// run, and split the leaf multi-way or report its underflow.
+    fn apply_leaf_decoded(
+        &mut self,
+        pid: PageId,
+        is_root: bool,
+        ops: &[(Key128, BatchOp)],
+        out: &mut BatchOutcome,
+    ) -> StorageResult<ApplyEffect> {
+        let (max_leaf, min_leaf) = (self.layout.max_leaf, self.layout.min_leaf);
         let BNode::Leaf {
-            next,
             mut keys,
             mut values,
         } = self.read_node(pid)?
@@ -1130,7 +638,7 @@ impl BPlusTree {
                 "leaf became internal mid-batch".into(),
             ));
         };
-        for &(k, op) in &ops[applied..] {
+        for &(k, op) in ops {
             match op {
                 BatchOp::Put(val) => match keys.binary_search(&k) {
                     Ok(s) => {
@@ -1167,14 +675,12 @@ impl BPlusTree {
                 let node_keys: Vec<Key128> = keys.by_ref().take(size).collect();
                 let node_values: Vec<Value> = values.by_ref().take(size).collect();
                 let node_pid = if gi == 0 { pid } else { extra_pids[gi - 1] };
-                let node_next = extra_pids.get(gi).copied().unwrap_or(next);
                 if gi > 0 {
                     splits.push((node_keys[0], node_pid));
                 }
                 self.write_node(
                     node_pid,
                     &BNode::Leaf {
-                        next: node_next,
                         keys: node_keys,
                         values: node_values,
                     },
@@ -1184,7 +690,7 @@ impl BPlusTree {
         }
 
         let underflow = !is_root && keys.len() < min_leaf;
-        self.write_node(pid, &BNode::Leaf { next, keys, values })?;
+        self.write_node(pid, &BNode::Leaf { keys, values })?;
         Ok(if underflow {
             ApplyEffect::Underflow
         } else {
@@ -1192,15 +698,14 @@ impl BPlusTree {
         })
     }
 
-    /// Internal case: partition `ops` among the children, recurse, and
-    /// absorb the children's structural effects. The node itself is
-    /// only rewritten when some child changed shape.
-    fn apply_internal(
+    /// The structural internal case: decode the node, splice in the
+    /// children's splits, repair the children that underflowed, and
+    /// split the node multi-way or report its own underflow.
+    fn absorb_effects(
         &mut self,
         pid: PageId,
         is_root: bool,
-        ops: &[(Key128, BatchOp)],
-        out: &mut BatchOutcome,
+        effects: Vec<(usize, ApplyEffect)>,
     ) -> StorageResult<ApplyEffect> {
         let BNode::Internal {
             level,
@@ -1212,30 +717,6 @@ impl BPlusTree {
                 "internal became leaf mid-batch".into(),
             ));
         };
-
-        // ops[start_of[i]..start_of[i + 1]) belongs to children[i].
-        let mut start_of = Vec::with_capacity(children.len() + 1);
-        start_of.push(0usize);
-        for sep in &keys {
-            let prev = *start_of.last().expect("non-empty");
-            start_of.push(prev + ops[prev..].partition_point(|(k, _)| *k < *sep));
-        }
-        start_of.push(ops.len());
-
-        let mut effects: Vec<(usize, ApplyEffect)> = Vec::new();
-        for i in 0..children.len() {
-            let range = &ops[start_of[i]..start_of[i + 1]];
-            if range.is_empty() {
-                continue;
-            }
-            let effect = self.apply_rec(children[i], false, range, out)?;
-            if !matches!(effect, ApplyEffect::Done) {
-                effects.push((i, effect));
-            }
-        }
-        if effects.is_empty() {
-            return Ok(ApplyEffect::Done); // no separator moved: node untouched
-        }
 
         // Splice child splits in right-to-left so indices stay valid;
         // remember underflowed children by page id (repairs below may
@@ -1264,7 +745,10 @@ impl BPlusTree {
                 self.split_internal_multiway(pid, level, keys, children)?,
             ));
         }
-        let underflow = !is_root && keys.len() < self.layout.min_internal;
+        // A root left without a separator reports underflow, so the
+        // caller collapses it.
+        let min_keys = if is_root { 1 } else { self.layout.min_internal };
+        let underflow = keys.len() < min_keys;
         self.write_node(
             pid,
             &BNode::Internal {
@@ -1309,12 +793,10 @@ impl BPlusTree {
             match (left, right) {
                 (
                     BNode::Leaf {
-                        next: _,
                         keys: mut lk,
                         values: mut lv,
                     },
                     BNode::Leaf {
-                        next: rnext,
                         keys: rk,
                         values: rv,
                     },
@@ -1325,7 +807,6 @@ impl BPlusTree {
                         self.write_node(
                             children[at],
                             &BNode::Leaf {
-                                next: rnext,
                                 keys: lk,
                                 values: lv,
                             },
@@ -1342,7 +823,6 @@ impl BPlusTree {
                         self.write_node(
                             children[at + 1],
                             &BNode::Leaf {
-                                next: rnext,
                                 keys: rk2,
                                 values: rv2,
                             },
@@ -1350,7 +830,6 @@ impl BPlusTree {
                         self.write_node(
                             children[at],
                             &BNode::Leaf {
-                                next: children[at + 1],
                                 keys: lk,
                                 values: lv,
                             },
@@ -1469,6 +948,24 @@ impl BPlusTree {
         self.height = height;
         Ok(())
     }
+
+    /// Replaces a root that lost its last separator by its only child,
+    /// level by level, until the root is a leaf or has a separator.
+    fn collapse_root(&mut self) -> StorageResult<()> {
+        while self.height > 1 {
+            let only_child = self.pool.with_page(self.root, |buf| -> StorageResult<_> {
+                let v = InternalView::parse(buf)?;
+                Ok((v.count() == 0).then(|| v.child_at(0)))
+            })??;
+            let Some(child) = only_child else {
+                break;
+            };
+            self.pool.free_page(self.root)?;
+            self.root = child;
+            self.height -= 1;
+        }
+        Ok(())
+    }
 }
 
 /// Stacks internal levels over `nodes` — `(subtree min key, page)`
@@ -1509,6 +1006,15 @@ fn stack_internal_levels(
         next_level += 1;
     }
     Ok((nodes[0].1, next_level))
+}
+
+/// One child's share of a batch at an internal node: the child's slot
+/// and page, and where (exclusive) its run of the node's ops ends.
+#[derive(Clone, Copy)]
+struct Route {
+    slot: usize,
+    child: PageId,
+    end: usize,
 }
 
 /// Structural effect a subtree reports to its parent after a batch.
@@ -1989,6 +1495,34 @@ mod tests {
             "batched {batch_writes} page writes vs single-op {single_writes}"
         );
         assert_eq!(batched.len(), single.len());
+    }
+
+    /// A single op is a batch of one that costs what one descent does:
+    /// a fitting insert and a non-underflowing delete each read one
+    /// page per level and write only their leaf. Any further page
+    /// access on the walk — a tag probe, a second read of an internal
+    /// node to decode it, a re-read of the root — breaks the count.
+    #[test]
+    fn single_ops_cost_one_read_per_level_and_one_write() {
+        let items: Vec<(Key128, Value)> = (0..5_000u64).map(|i| (key(i * 2), val(i))).collect();
+        let mut t = BPlusTree::bulk_load(pool(512), items).unwrap();
+        assert!(t.height() >= 3, "height {}", t.height());
+        let cost = |t: &BPlusTree| {
+            let io = t.io_stats();
+            (io.logical_reads, io.logical_writes)
+        };
+        let per_op = (t.height() as u64, 1);
+        for i in [0u64, 1_234, 4_999] {
+            // Bulk-loaded leaves are full: the delete makes room in
+            // the leaf the insert then lands in.
+            t.reset_io_stats();
+            assert!(t.delete(key(i * 2)).unwrap());
+            assert_eq!(cost(&t), per_op, "delete {i}");
+            t.reset_io_stats();
+            assert!(t.insert(key(i * 2 + 1), val(i)).unwrap());
+            assert_eq!(cost(&t), per_op, "insert {i}");
+        }
+        t.check_invariants().unwrap().expect("still valid");
     }
 
     #[test]
