@@ -374,34 +374,27 @@ impl BxTree {
     }
 }
 
+/// A single op is its checks plus a batch of one, so a bare Bx-tree
+/// is maintained exactly as a Bx sub-index of a VP index is.
 impl MovingObjectIndex for BxTree {
     fn insert(&mut self, obj: MovingObject) -> IndexResult<()> {
         if self.keys.contains_key(&obj.id) {
             return Err(IndexError::DuplicateObject(obj.id));
         }
-        self.now = self.now.max(obj.ref_time);
-        let seq = self.bucket_seq(obj.ref_time);
-        let label = self.label_of(seq);
-        let pos_label = obj.position_at(label);
-        let (cx, cy) = self.cell_of(pos_label);
-        let key = self.make_key(seq, self.curve.encode(cx, cy), obj.id);
-        let value = Self::encode_value(pos_label, obj.vel, label);
-        self.btree.insert(key, value).map_err(IndexError::from)?;
-        self.keys.insert(obj.id, key);
-        *self.buckets.entry(seq).or_insert(0) += 1;
-        self.hist.record(pos_label, obj.vel);
-        Ok(())
+        self.update_batch(std::slice::from_ref(&obj))
     }
 
     fn delete(&mut self, id: ObjectId) -> IndexResult<()> {
-        let Some(key) = self.keys.remove(&id) else {
-            return Err(IndexError::UnknownObject(id));
-        };
-        let found = self.btree.delete(key).map_err(IndexError::from)?;
-        debug_assert!(found, "lookup table out of sync with B+-tree");
-        let seq = self.seq_of_key(key);
-        self.bucket_decrement(seq);
-        Ok(())
+        self.remove_batch(&[id])
+    }
+
+    /// One B+-tree batch (delete old key + put new key), not the trait
+    /// default's two.
+    fn update(&mut self, obj: MovingObject) -> IndexResult<()> {
+        if !self.keys.contains_key(&obj.id) {
+            return Err(IndexError::UnknownObject(obj.id));
+        }
+        self.update_batch(std::slice::from_ref(&obj))
     }
 
     /// Batched per-tick maintenance: the implied delete-old-key /

@@ -39,12 +39,14 @@ pub struct VpConfig {
     /// ([`SyncPolicy::Always`]), OS-buffered ([`SyncPolicy::Never`]),
     /// or fsync amortized over every n-th tick
     /// ([`SyncPolicy::EveryTicks`] — cross-tick group commit; an OS
-    /// crash loses at most the ticks since the last boundary).
-    /// Ignored without `wal_dir`.
+    /// crash loses at most the ticks since the last boundary). A
+    /// single insert, delete or update is a one-object tick and
+    /// counts toward n. Ignored without `wal_dir`.
     pub sync_policy: SyncPolicy,
     /// Automatic checkpoint cadence: flush sub-index storage, snapshot
     /// the object table, and truncate the log every this many ticks
-    /// ([`crate::VpIndex::apply_updates`] calls). `0` (the default)
+    /// ([`crate::VpIndex::apply_updates`] calls and single inserts,
+    /// deletes and updates, each a one-object tick). `0` (the default)
     /// means checkpoints happen only via the explicit
     /// [`crate::VpIndex::checkpoint`] call.
     pub checkpoint_every_ticks: u64,

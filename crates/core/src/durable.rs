@@ -10,12 +10,14 @@
 //! wal_dir/
 //!   MANIFEST              config + partition axes/τ + histogram bounds
 //!   ckpt-<seq>.vpck       latest logical checkpoint (object table)
-//!   meta-<seq>.seg        ticks, inserts, deletes, τ refreshes
+//!   meta-<seq>.seg        ticks and τ refreshes
 //! ```
 //!
 //! Every logged event is one record under one increasing sequence
 //! number. A tick is one record holding its input updates in world
-//! coordinates. It is appended and committed (flushed, and fsync'd per
+//! coordinates and the ids it removes; a single insert, delete or
+//! update is a one-object tick, so it has no record kind of its own.
+//! A tick is appended and committed (flushed, and fsync'd per
 //! [`SyncPolicy`]) on the calling thread once every partition has
 //! applied; an error before the commit rolls the tick back. Partitions
 //! are a layout, not a unit of durability: routing is a pure function
@@ -23,9 +25,9 @@
 //! replay rebuilds.
 //!
 //! [`SyncPolicy::EveryTicks`]`(n)` amortizes the fsync: ordinary ticks
-//! only flush, and every n-th tick fsyncs the log, which makes it and
-//! every record before it (single-record events included) survive an
-//! OS crash.
+//! (single ops included) only flush, and every n-th tick fsyncs the
+//! log, which makes it and every record before it (τ refreshes
+//! included) survive an OS crash.
 //!
 //! Checkpoints are **logical**: [`VpIndex::checkpoint`] flushes every
 //! sub-index's storage, snapshots the object table + per-partition τ +
@@ -33,8 +35,8 @@
 //! and truncates the log below it. Recovery rebuilds the sub-indexes
 //! from the snapshot through their batched upsert path, then replays
 //! the log's longest valid prefix in order. A tick record goes back
-//! through [`VpIndex::apply_updates`] itself, so a tick has one code
-//! path live and on replay.
+//! through the tick path itself, so every mutation has one code path
+//! live and on replay.
 
 use std::collections::HashMap;
 use std::fs;
@@ -53,10 +55,9 @@ use crate::manager::{PartitionSpec, VpIndex};
 use crate::object::{MovingObject, ObjectId};
 use crate::traits::MovingObjectIndex;
 
-/// Record kinds on the log. Kinds 3 and 4 were format 2's
-/// per-partition tick records and are not reused.
-pub(crate) const KIND_INSERT: u8 = 1;
-pub(crate) const KIND_DELETE: u8 = 2;
+/// Record kinds on the log. Kinds 1 and 2 were the single insert and
+/// delete records of formats 1–4, kinds 3 and 4 format 2's
+/// per-partition tick records; none is reused.
 pub(crate) const KIND_TAU_REFRESH: u8 = 5;
 pub(crate) const KIND_TICK: u8 = 6;
 
@@ -68,9 +69,12 @@ const CKPT_MAGIC: &[u8; 8] = b"VPCKPT01";
 /// policy widened to the 5-byte [`SyncPolicy::to_bytes`] encoding
 /// (cross-tick group commit); 3 = one log stream, a tick is one
 /// [`KIND_TICK`] record (format 2 kept a stream per partition); 4 = the
-/// manifest no longer carries a tick worker count. A mismatch is a
-/// clean "unsupported version" error rather than a misparse.
-const FORMAT_VERSION: u32 = 4;
+/// manifest no longer carries a tick worker count; 5 = a
+/// [`KIND_TICK`] record also carries removed ids, and single inserts
+/// and deletes are ticks (format 4 had a record kind for each). A
+/// mismatch is a clean "unsupported version" error rather than a
+/// misparse.
+const FORMAT_VERSION: u32 = 5;
 
 /// What [`VpIndex::recover`] found and did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -229,54 +233,38 @@ fn get_object(cur: &mut Cursor<'_>) -> IndexResult<MovingObject> {
     })
 }
 
-/// `INSERT` payload: one object.
-pub(crate) fn encode_object_record(obj: &MovingObject) -> Vec<u8> {
-    let mut out = Vec::with_capacity(48);
-    put_object(&mut out, obj);
-    out
-}
-
-pub(crate) fn decode_object_record(payload: &[u8]) -> IndexResult<MovingObject> {
-    let mut cur = Cursor::new(payload);
-    let obj = get_object(&mut cur)?;
-    cur.done()?;
-    Ok(obj)
-}
-
-/// `DELETE` payload: one object id.
-pub(crate) fn encode_delete_record(id: ObjectId) -> Vec<u8> {
-    id.to_le_bytes().to_vec()
-}
-
-pub(crate) fn decode_delete_record(payload: &[u8]) -> IndexResult<ObjectId> {
-    let mut cur = Cursor::new(payload);
-    let id = cur.u64()?;
-    cur.done()?;
-    Ok(id)
-}
-
-/// `TICK` payload: the tick's input updates in world coordinates and
-/// input order. Replay re-derives last-write-wins, routing and frames.
-fn encode_tick(updates: &[MovingObject]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + updates.len() * 48);
+/// `TICK` payload: `u32 n ‖ n objects ‖ u32 m ‖ m ids` — the tick's
+/// input updates in world coordinates and input order, then the ids it
+/// removes. Replay re-derives last-write-wins, routing and frames.
+fn encode_tick(updates: &[MovingObject], removed: &[ObjectId]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(8 + updates.len() * 48 + removed.len() * 8);
     put_u32(&mut out, updates.len() as u32);
     for obj in updates {
         put_object(&mut out, obj);
     }
+    put_u32(&mut out, removed.len() as u32);
+    for &id in removed {
+        put_u64(&mut out, id);
+    }
     out
 }
 
-fn decode_tick(payload: &[u8]) -> IndexResult<Vec<MovingObject>> {
+fn decode_tick(payload: &[u8]) -> IndexResult<(Vec<MovingObject>, Vec<ObjectId>)> {
     let mut cur = Cursor::new(payload);
-    let n = cur.u32()? as usize;
-    // Clamp the reservation: a corrupt count must fail in the cursor
+    // Clamp the reservations: a corrupt count must fail in the cursor
     // (truncated payload) rather than abort on a huge allocation.
+    let n = cur.u32()? as usize;
     let mut updates = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
         updates.push(get_object(&mut cur)?);
     }
+    let m = cur.u32()? as usize;
+    let mut removed = Vec::with_capacity(m.min(1 << 20));
+    for _ in 0..m {
+        removed.push(cur.u64()?);
+    }
     cur.done()?;
-    Ok(updates)
+    Ok((updates, removed))
 }
 
 // ---------------------------------------------------------------------
@@ -758,12 +746,13 @@ impl<I> VpIndex<I> {
         let mut last_seq = ckpt_seq;
         for rec in &records {
             match rec.kind {
-                KIND_INSERT => vp.insert(decode_object_record(&rec.payload)?)?,
-                KIND_DELETE => vp.delete(decode_delete_record(&rec.payload)?)?,
                 KIND_TAU_REFRESH => {
                     vp.refresh_tau()?;
                 }
-                KIND_TICK => vp.apply_updates(&decode_tick(&rec.payload)?)?,
+                KIND_TICK => {
+                    let (updates, removed) = decode_tick(&rec.payload)?;
+                    vp.apply_tick(&updates, &removed)?
+                }
                 k => {
                     return Err(IndexError::Wal(format!(
                         "log holds unknown record kind {k}"
@@ -878,7 +867,8 @@ impl<I> VpIndex<I> {
         self.durability.as_mut().filter(|d| !d.replaying)
     }
 
-    /// Logs a single-record event (insert/delete/τ-refresh).
+    /// Logs a single-record event (a τ refresh), committed per the
+    /// policy and outside the tick cadence.
     pub(crate) fn log_single(&mut self, kind: u8, payload: &[u8]) -> IndexResult<()> {
         match self.live_log() {
             Some(d) => d.append(kind, payload, d.policy),
@@ -890,7 +880,11 @@ impl<I> VpIndex<I> {
     /// whether the checkpoint cadence came due. The cadence counters
     /// move only once the record is committed, so a failed tick leaves
     /// them as they were.
-    pub(crate) fn log_tick(&mut self, updates: &[MovingObject]) -> IndexResult<bool> {
+    pub(crate) fn log_tick(
+        &mut self,
+        updates: &[MovingObject],
+        removed: &[ObjectId],
+    ) -> IndexResult<bool> {
         let Some(d) = self.live_log() else {
             return Ok(false);
         };
@@ -906,7 +900,7 @@ impl<I> VpIndex<I> {
         } else {
             d.policy
         };
-        d.append(KIND_TICK, &encode_tick(updates), policy)?;
+        d.append(KIND_TICK, &encode_tick(updates, removed), policy)?;
         d.ticks_since_sync = if boundary { 0 } else { d.ticks_since_sync + 1 };
         d.ticks_since_ckpt += 1;
         Ok(d.checkpoint_every > 0 && d.ticks_since_ckpt >= d.checkpoint_every)

@@ -99,19 +99,6 @@ impl CumulativeHistogram {
         self.total += 1;
     }
 
-    /// Removes a previously recorded sample (the exact inverse of
-    /// [`CumulativeHistogram::add`] for the same value) — the rollback
-    /// primitive used when a logged mutation fails after its
-    /// perpendicular-speed sample was already recorded. Removing a
-    /// value that was never added is a no-op rather than an underflow.
-    pub fn remove(&mut self, value: f64) {
-        let idx = self.bucket_of(value);
-        if self.counts[idx] > 0 {
-            self.counts[idx] -= 1;
-            self.total -= 1;
-        }
-    }
-
     /// Clears all counts (keeps the bucket layout).
     pub fn reset(&mut self) {
         self.counts.iter_mut().for_each(|c| *c = 0);

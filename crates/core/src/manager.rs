@@ -13,7 +13,8 @@
 //!   direction of travel changed partitions;
 //! * applies whole ticks of updates partition-bucketed, one batched
 //!   removal and upsert per touched partition, in partition order on
-//!   the calling thread ([`VpIndex::apply_updates`]);
+//!   the calling thread ([`VpIndex::apply_updates`]); a single insert,
+//!   delete or update is a one-object tick down the same path;
 //! * executes range queries by transforming the query into every DVA
 //!   frame (Algorithm 3), running the underlying index's query, and
 //!   exact-filtering the merged candidates in world space — written
@@ -389,13 +390,19 @@ impl<I> VpIndex<I> {
     /// removals (migrations away) and then its upserts, in partition
     /// order on the calling thread.
     ///
+    /// A single-object [`insert`](MovingObjectIndex::insert),
+    /// [`delete`](MovingObjectIndex::delete) or
+    /// [`update`](MovingObjectIndex::update) is a one-object tick down
+    /// this same path, with the same record, rollback and commit.
+    ///
     /// ## Durability
     ///
     /// On a durable index ([`VpIndex::open`]) a tick is one log record
-    /// holding `updates` in world coordinates, appended and committed
-    /// (flushed, and fsync'd per [`VpConfig::sync_policy`]) on the
-    /// calling thread after every partition has applied. Recovery
-    /// replays that record through this method.
+    /// holding `updates` in world coordinates (and, for a delete, the
+    /// removed ids), appended and committed (flushed, and fsync'd per
+    /// [`VpConfig::sync_policy`]) on the calling thread after every
+    /// partition has applied. Recovery replays that record through
+    /// this same path.
     ///
     /// ## Error contract (tick atomicity)
     ///
@@ -415,14 +422,28 @@ impl<I> VpIndex<I> {
     where
         I: MovingObjectIndex,
     {
+        self.apply_tick(updates, &[])
+    }
+
+    /// The one write path: a tick of upserts (`updates`, last write
+    /// wins) and removals (`removed`), applied, logged and committed
+    /// as one event; see [`VpIndex::apply_updates`] for the contract.
+    /// A tick that removes an absent id ([`IndexError::UnknownObject`])
+    /// or names a removed id twice, or also upserts it
+    /// ([`IndexError::DuplicateObject`]), is rejected whole with the
+    /// index unchanged.
+    pub(crate) fn apply_tick(
+        &mut self,
+        updates: &[MovingObject],
+        removed: &[ObjectId],
+    ) -> IndexResult<()>
+    where
+        I: MovingObjectIndex,
+    {
         self.check_writable()?;
-        if updates.is_empty() {
+        if updates.is_empty() && removed.is_empty() {
             return Ok(());
         }
-        let parts = self.specs.len();
-        let mut removals: Vec<Vec<ObjectId>> = vec![Vec::new(); parts];
-        let mut upserts: Vec<Vec<MovingObject>> = vec![Vec::new(); parts];
-
         // Last write wins within one tick.
         let mut latest: HashMap<ObjectId, usize> = HashMap::with_capacity(updates.len());
         for (i, obj) in updates.iter().enumerate() {
@@ -430,13 +451,31 @@ impl<I> VpIndex<I> {
         }
 
         // Pre-tick snapshot backing the rollback contract above: each
-        // winning id's previous world object + partition (None = not
+        // touched id's previous world object + partition (None = not
         // present) and the online histograms. Cost is proportional to
-        // the tick, not the index.
-        let hist_snapshot = self.perp_hists.clone();
+        // the tick, not the index. Removals are captured (and
+        // validated) before anything moves.
         let mut prior: HashMap<ObjectId, Option<(MovingObject, PartitionId)>> =
-            HashMap::with_capacity(latest.len());
+            HashMap::with_capacity(latest.len() + removed.len());
+        for &id in removed {
+            let Some(&p) = self.assignment.get(&id) else {
+                return Err(IndexError::UnknownObject(id));
+            };
+            if latest.contains_key(&id) || prior.insert(id, Some((self.objects[&id], p))).is_some()
+            {
+                return Err(IndexError::DuplicateObject(id));
+            }
+        }
+        let hist_snapshot = self.perp_hists.clone();
+        let parts = self.specs.len();
+        let mut removals: Vec<Vec<ObjectId>> = vec![Vec::new(); parts];
+        let mut upserts: Vec<Vec<MovingObject>> = vec![Vec::new(); parts];
 
+        for &id in removed {
+            let p = self.assignment.remove(&id).expect("validated above");
+            Arc::make_mut(&mut self.objects).remove(&id);
+            removals[p].push(id);
+        }
         for (i, obj) in updates.iter().enumerate() {
             if latest[&obj.id] != i {
                 continue;
@@ -460,7 +499,7 @@ impl<I> VpIndex<I> {
 
         match self
             .apply_partitions(&removals, &upserts)
-            .and_then(|()| self.log_tick(updates))
+            .and_then(|()| self.log_tick(updates, removed))
         {
             Ok(want_ckpt) => {
                 // The tick is committed: publish the sub-indexes' new
@@ -528,13 +567,13 @@ impl<I> VpIndex<I> {
         Ok(())
     }
 
-    /// Restores the pre-tick state captured by
-    /// [`VpIndex::apply_updates`]: every touched partition's sub-index
-    /// is *reconciled* object by object against the snapshot (so the
-    /// undo is correct whether a partition applied fully, partially,
-    /// or not at all — each object is compared to its desired pre-tick
-    /// state and fixed only if it diverged), then the routing
-    /// metadata and histograms are swapped back wholesale.
+    /// Restores the pre-tick state captured by `apply_tick`: every
+    /// touched partition's sub-index is *reconciled* object by object
+    /// against the snapshot (so the undo is correct whether a
+    /// partition applied fully, partially, or not at all — each object
+    /// is compared to its desired pre-tick state and fixed only if it
+    /// diverged), then the routing metadata and histograms are swapped
+    /// back wholesale.
     fn rollback_tick(
         &mut self,
         prior: &HashMap<ObjectId, Option<(MovingObject, PartitionId)>>,
@@ -615,80 +654,30 @@ impl<I> VpIndex<I> {
         crate::knn::knn_batch(self, queries, domain)
     }
 
-    /// Returns which histogram recorded which value, so a failed
-    /// mutation can subtract its sample again
-    /// ([`CumulativeHistogram::remove`]).
-    pub(crate) fn record_perp_speed(&mut self, vel: Vec2) -> Option<(usize, f64)> {
+    fn record_perp_speed(&mut self, vel: Vec2) {
         // Track the perpendicular speed against the *closest* DVA — the
         // candidate population of that DVA's τ decision.
-        let best = self.nearest_dva(vel);
-        if let Some((i, d)) = best {
+        if let Some((i, d)) = self.nearest_dva(vel) {
             self.perp_hists[i].add(d);
         }
-        best
     }
 }
 
 impl<I: MovingObjectIndex> MovingObjectIndex for VpIndex<I> {
-    /// On a durable index the insert is applied first and logged
-    /// second (logging a precondition-checked op that then failed
-    /// would poison replay). If the *log* append/commit itself fails —
-    /// disk full, I/O error — the in-memory insert is **undone** and
-    /// the call returns the structured error with the index unchanged
-    /// and still queryable; memory never runs ahead of the durable
-    /// state. A failed fsync additionally demotes the index to
-    /// read-only ([`Health`]). Same contract for `delete`; ticks via
-    /// [`VpIndex::apply_updates`] have the analogous (snapshot-based)
-    /// contract, documented there.
+    /// A one-object tick after the duplicate check: logged, committed
+    /// and snapshot-published as one event, with the tick's rollback
+    /// on failure ([`VpIndex::apply_updates`] has the contract).
     fn insert(&mut self, obj: MovingObject) -> IndexResult<()> {
-        self.check_writable()?;
         if self.assignment.contains_key(&obj.id) {
             return Err(IndexError::DuplicateObject(obj.id));
         }
-        let p = self.choose_partition(obj.vel);
-        let local = obj.to_frame(&self.specs[p].frame);
-        self.indexes[p].insert(local)?;
-        self.assignment.insert(obj.id, p);
-        Arc::make_mut(&mut self.objects).insert(obj.id, obj);
-        let sample = self.record_perp_speed(obj.vel);
-        if let Err(e) = self.log_single(durable::KIND_INSERT, &durable::encode_object_record(&obj))
-        {
-            let undo = self.indexes[p].delete(obj.id);
-            self.assignment.remove(&obj.id);
-            Arc::make_mut(&mut self.objects).remove(&obj.id);
-            if let Some((i, d)) = sample {
-                self.perp_hists[i].remove(d);
-            }
-            return Err(self.handle_failure(undo, e));
-        }
-        Ok(())
+        self.apply_tick(std::slice::from_ref(&obj), &[])
     }
 
+    /// A one-removal tick; an absent id is
+    /// [`IndexError::UnknownObject`].
     fn delete(&mut self, id: ObjectId) -> IndexResult<()> {
-        self.check_writable()?;
-        let p = self
-            .assignment
-            .get(&id)
-            .copied()
-            .ok_or(IndexError::UnknownObject(id))?;
-        self.indexes[p].delete(id)?;
-        let obj = Arc::make_mut(&mut self.objects).remove(&id);
-        self.assignment.remove(&id);
-        if let Err(e) = self.log_single(durable::KIND_DELETE, &durable::encode_delete_record(id)) {
-            let undo = match obj {
-                Some(o) => {
-                    let r = self.indexes[p].insert(o.to_frame(&self.specs[p].frame));
-                    if r.is_ok() {
-                        Arc::make_mut(&mut self.objects).insert(id, o);
-                        self.assignment.insert(id, p);
-                    }
-                    r
-                }
-                None => Ok(()),
-            };
-            return Err(self.handle_failure(undo, e));
-        }
-        Ok(())
+        self.apply_tick(&[], &[id])
     }
 
     /// Unlike the trait default (delete + insert — which on a durable
@@ -751,10 +740,8 @@ impl<I: MovingObjectIndex> MovingObjectIndex for VpIndex<I> {
     }
 
     /// Publishes every sub-index's current state as its next committed
-    /// snapshot epoch. [`VpIndex::apply_updates`] calls this
-    /// automatically after each tick's WAL commit; call it manually
-    /// after direct single-object mutations if snapshots should
-    /// observe them before the next tick.
+    /// snapshot epoch. Every mutation already does this at its commit
+    /// (a single op is a one-object tick), so callers never need to.
     fn publish_epoch(&self) {
         for i in &self.indexes {
             i.publish_epoch();

@@ -1189,12 +1189,6 @@ fn apply_write_job<I>(
             // reports a stale ref_time.
             delta.time = delta.time.max(reg.last_time);
             reg.last_time = delta.time;
-            // Make the mutation snapshot-visible (ticks publish
-            // their epoch during commit; single-object mutations
-            // need the explicit publish) and hand the fresh
-            // snapshot — with the change set that produced it —
-            // to the read side.
-            index.publish_epoch();
             // Evaluate standing queries against the committed
             // state before publishing, so a subscriber that reacts
             // to an event always finds a snapshot at least as new.

@@ -170,11 +170,15 @@ fn multi_client_mixed_reads_match_quiesced_snapshot_under_tick_storm() {
     let oracle = Arc::new(index.snapshot().unwrap());
     let domain = index.domain();
 
+    // A 20 ms stall per window makes coalescing deterministic: the
+    // clients leave the barrier together, and whatever the first
+    // window misses is queued long before the second one opens.
     let handle = spawn(
         index,
         "127.0.0.1:0",
         ServerConfig {
             max_batch: 8,
+            former_stall_us: 20_000,
             ..ServerConfig::default()
         },
     )

@@ -362,19 +362,30 @@ fn tpr_range_and_knn_pages_within_budget() {
 /// `EveryTicks(4)` 0, 0, 0, 6.
 const ALWAYS_TICK_FSYNCS: u64 = 1;
 
-/// Ticks the hotspot trace through a durable Bx(VP) index under
-/// `policy` with a counting (never failing) fault injector, and returns
-/// the WAL fsyncs each tick paid.
-fn fsyncs_per_tick(policy: SyncPolicy, name: &str) -> Vec<u64> {
-    let trace = hotspot_trace();
+/// One mutation of a durable Bx(VP) index.
+type Op<'a> = Box<dyn FnOnce(&mut VpIndex<BxTree>) + 'a>;
+
+fn op<'a>(f: impl FnOnce(&mut VpIndex<BxTree>) + 'a) -> Op<'a> {
+    Box::new(f)
+}
+
+/// Opens a durable Bx(VP) index over the hotspot trace's analysis under
+/// `policy` with a counting (never failing) fault injector, runs each
+/// of `ops` on it, and returns the WAL fsyncs each op paid.
+fn fsyncs_per_op<'a>(
+    policy: SyncPolicy,
+    name: &str,
+    trace: &ScenarioTrace,
+    ops: impl IntoIterator<Item = Op<'a>>,
+) -> Vec<u64> {
     let dir = std::env::temp_dir().join(format!("vp-budgets-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let inj = FaultInjector::new();
-    let cfg = vp_config(&trace)
+    let cfg = vp_config(trace)
         .with_wal_dir(&dir)
         .with_sync_policy(policy)
         .with_fault_injector(FaultHandle::new(Arc::clone(&inj)));
-    let analysis = analyze(&trace, &cfg);
+    let analysis = analyze(trace, &cfg);
     let pool = pool();
     let mut vp =
         VpIndex::open(cfg, &analysis, |spec| bx(spec, Arc::clone(&pool))).expect("durable index");
@@ -387,18 +398,28 @@ fn fsyncs_per_tick(policy: SyncPolicy, name: &str) -> Vec<u64> {
             .map(|site| inj.op_count(site, FaultOp::Sync))
             .sum()
     };
-    let per_tick = trace
-        .ticks
-        .iter()
-        .map(|tick| {
+    let per_op = ops
+        .into_iter()
+        .map(|op| {
             let before = fsyncs();
-            vp.apply_updates(tick).expect("durable tick");
+            op(&mut vp);
             fsyncs() - before
         })
         .collect();
     drop(vp);
     let _ = std::fs::remove_dir_all(&dir);
-    per_tick
+    per_op
+}
+
+/// Ticks the hotspot trace through [`fsyncs_per_op`]'s durable index
+/// and returns the WAL fsyncs each tick paid.
+fn fsyncs_per_tick(policy: SyncPolicy, name: &str) -> Vec<u64> {
+    let trace = hotspot_trace();
+    let ticks = trace
+        .ticks
+        .iter()
+        .map(|tick| op(move |vp| vp.apply_updates(tick).expect("durable tick")));
+    fsyncs_per_op(policy, name, &trace, ticks)
 }
 
 #[test]
@@ -413,6 +434,33 @@ fn an_always_tick_pays_one_fsync() {
 fn every_fourth_tick_pays_the_one_fsync() {
     let per_tick = fsyncs_per_tick(SyncPolicy::EveryTicks(4), "every4");
     assert_eq!(per_tick[..4], [0, 0, 0, ALWAYS_TICK_FSYNCS]);
+}
+
+/// A durable single op is a one-object tick: one record, one commit,
+/// and under `Always` exactly the one fsync a tick pays.
+#[test]
+fn an_always_insert_or_delete_pays_one_fsync() {
+    let trace = hotspot_trace();
+    let obj = trace.ticks[0][0];
+    let ops = [
+        op(|vp| vp.insert(obj).expect("durable insert")),
+        op(|vp| vp.delete(obj.id).expect("durable delete")),
+    ];
+    let per_op = fsyncs_per_op(SyncPolicy::Always, "always-single", &trace, ops);
+    assert_eq!(per_op, [ALWAYS_TICK_FSYNCS; 2]);
+}
+
+/// … and a single op counts toward the `EveryTicks` cadence: three
+/// inserts only flush, the fourth pays the fsync that makes all four
+/// durable.
+#[test]
+fn every_fourth_single_insert_pays_the_one_fsync() {
+    let trace = hotspot_trace();
+    let inserts = trace.ticks[0][..4]
+        .iter()
+        .map(|o| op(move |vp| vp.insert(*o).expect("durable insert")));
+    let per_op = fsyncs_per_op(SyncPolicy::EveryTicks(4), "every4-single", &trace, inserts);
+    assert_eq!(per_op, [0, 0, 0, ALWAYS_TICK_FSYNCS]);
 }
 
 // --- the read combiner: windows per request ------------------------------

@@ -432,8 +432,8 @@ fn recovery_amputates_the_dead_suffix_so_later_events_survive() {
 }
 
 /// A directory written by another on-disk format is refused, not
-/// misread. Format 3's manifest carries a tick worker count that
-/// format 4 would read as the sync policy.
+/// misread. Format 4's log holds single insert and delete records that
+/// format 5 has no replay for, and its tick records no removal list.
 #[test]
 fn manifest_of_another_format_version_is_refused() {
     let t = TempDir::new("format-version");
@@ -442,13 +442,13 @@ fn manifest_of_another_format_version_is_refused() {
     // The version word (bytes 8..12) sits outside the CRC.
     let path = t.0.join("MANIFEST");
     let mut bytes = fs::read(&path).unwrap();
-    assert_eq!(bytes[8..12], 4u32.to_le_bytes(), "current format");
-    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    assert_eq!(bytes[8..12], 5u32.to_le_bytes(), "current format");
+    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
     fs::write(&path, &bytes).unwrap();
     match VpIndex::<BxTree>::recover(&t.0, bx_factory(Some(&t.0))) {
-        Err(IndexError::Wal(msg)) => assert!(msg.contains("unsupported version 3"), "{msg}"),
+        Err(IndexError::Wal(msg)) => assert!(msg.contains("unsupported version 4"), "{msg}"),
         Err(e) => panic!("wrong error: {e}"),
-        Ok(_) => panic!("a format-3 directory was recovered"),
+        Ok(_) => panic!("a format-4 directory was recovered"),
     }
 }
 
@@ -526,6 +526,90 @@ fn single_object_update_is_one_atomic_logged_event() {
     assert_eq!(report.events_replayed, 2, "insert + one atomic update");
     assert_eq!(recovered.get_object(9).unwrap(), Some(moved));
     assert_eq!(recovered.len(), 1);
+}
+
+/// One event of [`mixed_events_recover_at_every_record_boundary`].
+enum Event {
+    Tick(usize),
+    Insert(MovingObject),
+    Delete(u64),
+}
+
+/// Every mutation is one record, so a crash at any record boundary of a
+/// mixed stream of ticks, single inserts and single deletes, or inside
+/// any record, recovers equal to the uncrashed twin taken through
+/// exactly the events that survived.
+#[test]
+fn mixed_events_recover_at_every_record_boundary() {
+    let t = TempDir::new("mixed-events");
+    let cfg = durable_config(&t.0, SyncPolicy::Always);
+    let ticks = make_ticks(0xB0DA, 4);
+    let fresh = |id: u64, x: f64| {
+        MovingObject::new(id, Point::new(x, 42_000.0), Point::new(25.0, 0.3), 5.0)
+    };
+    let events = [
+        Event::Tick(0),
+        Event::Insert(fresh(77_777, 42_000.0)),
+        Event::Delete(5),
+        Event::Tick(1),
+        Event::Insert(fresh(77_778, 61_000.0)),
+        Event::Delete(77_777),
+        Event::Tick(2),
+        Event::Delete(7),
+        Event::Tick(3),
+    ];
+    let apply = |vp: &mut VpIndex<BxTree>, e: &Event| match e {
+        Event::Tick(i) => vp.apply_updates(&ticks[*i]).unwrap(),
+        Event::Insert(o) => vp.insert(*o).unwrap(),
+        Event::Delete(id) => vp.delete(*id).unwrap(),
+    };
+    // The log's length after each committed event: its record ends.
+    let mut ends = Vec::new();
+    {
+        let mut vp = VpIndex::open(cfg.clone(), &analysis(&cfg), bx_factory(Some(&t.0))).unwrap();
+        for e in &events {
+            apply(&mut vp, e);
+            let files = list_segment_files(&t.0);
+            assert_eq!(files.len(), 1, "one log segment: {files:?}");
+            ends.push(fs::metadata(&files[0]).unwrap().len());
+        }
+    }
+    let segment = list_segment_files(&t.0).remove(0);
+    let ocfg = VpConfig {
+        wal_dir: None,
+        ..cfg.clone()
+    };
+    for (i, &end) in ends.iter().enumerate() {
+        // Cut at the end of record i, and one byte into its tail.
+        for (cut, survived) in [(end, i + 1), (end - 1, i)] {
+            let c = TempDir::new(&format!("mixed-events-cut-{cut}"));
+            fs::copy(t.0.join("MANIFEST"), c.0.join("MANIFEST")).unwrap();
+            let copy = c.0.join(segment.file_name().unwrap());
+            fs::copy(&segment, &copy).unwrap();
+            fs::OpenOptions::new()
+                .write(true)
+                .open(&copy)
+                .unwrap()
+                .set_len(cut)
+                .unwrap();
+            let (recovered, report) =
+                VpIndex::<BxTree>::recover(&c.0, bx_factory(Some(&c.0))).unwrap();
+            assert_eq!(report.events_replayed, survived, "cut at byte {cut}");
+            let mut twin =
+                VpIndex::build(ocfg.clone(), &analysis(&ocfg), bx_factory(None)).unwrap();
+            for e in &events[..survived] {
+                apply(&mut twin, e);
+            }
+            assert_matches_oracle(&recovered, &twin, &format!("{survived} events survive"));
+            for id in [77_777, 77_778] {
+                assert_eq!(
+                    recovered.get_object(id).unwrap(),
+                    twin.get_object(id).unwrap(),
+                    "{survived} events survive: object {id}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
