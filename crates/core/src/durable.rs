@@ -469,8 +469,7 @@ fn write_checkpoint(
     seq: u64,
     taus: &[f64],
     hists: &[CumulativeHistogram],
-    objects: &HashMap<ObjectId, MovingObject>,
-    assignment: &HashMap<ObjectId, usize>,
+    objects: &HashMap<ObjectId, (MovingObject, usize)>,
     fault: Option<&FaultHandle>,
 ) -> IndexResult<()> {
     let mut p = Vec::new();
@@ -488,16 +487,12 @@ fn write_checkpoint(
         }
     }
     // Sorted object table: deterministic bytes for a given state.
-    let mut ids: Vec<ObjectId> = objects.keys().copied().collect();
-    ids.sort_unstable();
-    put_u64(&mut p, ids.len() as u64);
-    for id in ids {
-        let obj = &objects[&id];
-        let part = *assignment
-            .get(&id)
-            .ok_or_else(|| IndexError::Wal(format!("object {id} has no partition assignment")))?;
+    let mut entries: Vec<&(MovingObject, usize)> = objects.values().collect();
+    entries.sort_unstable_by_key(|(obj, _)| obj.id);
+    put_u64(&mut p, entries.len() as u64);
+    for (obj, part) in entries {
         put_object(&mut p, obj);
-        put_u32(&mut p, part as u32);
+        put_u32(&mut p, *part as u32);
     }
     write_file_atomic(dir, &ckpt_name(seq), CKPT_MAGIC, &p, fault)
 }
@@ -716,8 +711,7 @@ impl<I> VpIndex<I> {
                         obj.id
                     )));
                 }
-                vp.assignment.insert(obj.id, *p);
-                std::sync::Arc::make_mut(&mut vp.objects).insert(obj.id, *obj);
+                std::sync::Arc::make_mut(&mut vp.objects).insert(obj.id, (*obj, *p));
                 buckets[*p].push(obj.to_frame(&vp.specs[*p].frame));
             }
             for (p, batch) in buckets.iter().enumerate() {
@@ -819,7 +813,6 @@ impl<I> VpIndex<I> {
             &taus,
             &self.perp_hists,
             &self.objects,
-            &self.assignment,
             d.fault.as_ref(),
         )?;
         // Only after the snapshot is durably published may the log

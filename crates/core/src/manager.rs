@@ -9,12 +9,12 @@
 //!   perpendicular velocity distance) to the object's velocity, unless
 //!   that distance exceeds the partition's τ — then to the outlier
 //!   index;
-//! * handles updates as delete + insert, which migrates objects whose
-//!   direction of travel changed partitions;
 //! * applies whole ticks of updates partition-bucketed, one batched
 //!   removal and upsert per touched partition, in partition order on
-//!   the calling thread ([`VpIndex::apply_updates`]); a single insert,
-//!   delete or update is a one-object tick down the same path;
+//!   the calling thread ([`VpIndex::apply_updates`]); an object whose
+//!   direction of travel changed partitions migrates as a removal from
+//!   its old partition plus an upsert into its new one, and a single
+//!   insert, delete or update is a one-object tick down the same path;
 //! * executes range queries by transforming the query into every DVA
 //!   frame (Algorithm 3), running the underlying index's query, and
 //!   exact-filtering the merged candidates in world space — written
@@ -114,15 +114,13 @@ pub struct VpIndex<I> {
     pub(crate) config: VpConfig,
     pub(crate) specs: Vec<PartitionSpec>,
     pub(crate) indexes: Vec<I>,
-    /// Which partition each live object resides in (the "simple lookup
-    /// table" of Section 5.3).
-    pub(crate) assignment: HashMap<ObjectId, PartitionId>,
-    /// World-space state of each live object, used for exact query
-    /// filtering and for delete/update routing. Behind an [`Arc`] so a
-    /// [`VpSnapshot`] captures it by reference count; the copy-on-write
-    /// ([`Arc::make_mut`]) at mutation sites only pays for a deep clone
-    /// while a snapshot is actually alive.
-    pub(crate) objects: Arc<HashMap<ObjectId, MovingObject>>,
+    /// Each live object's world-space state and the partition it
+    /// resides in (the "simple lookup table" of Section 5.3), used for
+    /// exact query filtering and for delete/update routing. Behind an
+    /// [`Arc`] so a [`VpSnapshot`] captures it by reference count; the
+    /// copy-on-write ([`Arc::make_mut`]) at mutation sites only pays
+    /// for a deep clone while a snapshot is actually alive.
+    pub(crate) objects: Arc<HashMap<ObjectId, (MovingObject, PartitionId)>>,
     /// Online per-DVA histograms of perpendicular speeds (Section 5.5).
     pub(crate) perp_hists: Vec<CumulativeHistogram>,
     /// The log and checkpoint bookkeeping; `Some` only for indexes
@@ -200,7 +198,6 @@ impl<I> VpIndex<I> {
             config,
             specs,
             indexes,
-            assignment: HashMap::new(),
             objects: Arc::new(HashMap::new()),
             perp_hists,
             durability: None,
@@ -260,7 +257,7 @@ impl<I> VpIndex<I> {
 
     /// The partition currently holding `id`, if present.
     pub fn partition_of(&self, id: ObjectId) -> Option<PartitionId> {
-        self.assignment.get(&id).copied()
+        self.objects.get(&id).map(|&(_, p)| p)
     }
 
     /// Number of objects in each partition.
@@ -409,7 +406,7 @@ impl<I> VpIndex<I> {
     /// A tick either applies completely or not at all. Any error
     /// before its record is committed — a sub-index storage error, a
     /// log append or flush failure — **rolls the in-memory state back
-    /// to the pre-tick snapshot**: routing metadata, object table,
+    /// to the pre-tick snapshot**: object table (with its routing),
     /// online histograms, and every touched sub-index are restored,
     /// the buffered record is discarded, and the call returns a
     /// structured error with the index still [`Health::Healthy`] and
@@ -458,11 +455,10 @@ impl<I> VpIndex<I> {
         let mut prior: HashMap<ObjectId, Option<(MovingObject, PartitionId)>> =
             HashMap::with_capacity(latest.len() + removed.len());
         for &id in removed {
-            let Some(&p) = self.assignment.get(&id) else {
+            let Some(&entry) = self.objects.get(&id) else {
                 return Err(IndexError::UnknownObject(id));
             };
-            if latest.contains_key(&id) || prior.insert(id, Some((self.objects[&id], p))).is_some()
-            {
+            if latest.contains_key(&id) || prior.insert(id, Some(entry)).is_some() {
                 return Err(IndexError::DuplicateObject(id));
             }
         }
@@ -472,28 +468,24 @@ impl<I> VpIndex<I> {
         let mut upserts: Vec<Vec<MovingObject>> = vec![Vec::new(); parts];
 
         for &id in removed {
-            let p = self.assignment.remove(&id).expect("validated above");
-            Arc::make_mut(&mut self.objects).remove(&id);
+            let (_, p) = Arc::make_mut(&mut self.objects)
+                .remove(&id)
+                .expect("validated above");
             removals[p].push(id);
         }
         for (i, obj) in updates.iter().enumerate() {
             if latest[&obj.id] != i {
                 continue;
             }
-            prior.insert(
-                obj.id,
-                self.objects
-                    .get(&obj.id)
-                    .map(|o| (*o, self.assignment[&obj.id])),
-            );
             let p = self.choose_partition(obj.vel);
-            match self.assignment.get(&obj.id) {
-                Some(&old) if old != p => removals[old].push(obj.id),
+            // One probe returns the prior object and its partition.
+            let old = Arc::make_mut(&mut self.objects).insert(obj.id, (*obj, p));
+            match old {
+                Some((_, q)) if q != p => removals[q].push(obj.id),
                 _ => {}
             }
+            prior.insert(obj.id, old);
             upserts[p].push(obj.to_frame(&self.specs[p].frame));
-            self.assignment.insert(obj.id, p);
-            Arc::make_mut(&mut self.objects).insert(obj.id, *obj);
             self.record_perp_speed(obj.vel);
         }
 
@@ -572,8 +564,8 @@ impl<I> VpIndex<I> {
     /// against the snapshot (so the undo is correct whether a
     /// partition applied fully, partially, or not at all — each object
     /// is compared to its desired pre-tick state and fixed only if it
-    /// diverged), then the routing metadata and histograms are swapped
-    /// back wholesale.
+    /// diverged), then the object table's touched entries and the
+    /// histograms are restored.
     fn rollback_tick(
         &mut self,
         prior: &HashMap<ObjectId, Option<(MovingObject, PartitionId)>>,
@@ -609,17 +601,12 @@ impl<I> VpIndex<I> {
                 }
             }
         }
-        for (&id, pr) in prior {
+        let objects = Arc::make_mut(&mut self.objects);
+        for (&id, &pr) in prior {
             match pr {
-                Some((o, q)) => {
-                    Arc::make_mut(&mut self.objects).insert(id, *o);
-                    self.assignment.insert(id, *q);
-                }
-                None => {
-                    Arc::make_mut(&mut self.objects).remove(&id);
-                    self.assignment.remove(&id);
-                }
-            }
+                Some(entry) => objects.insert(id, entry),
+                None => objects.remove(&id),
+            };
         }
         self.perp_hists = hist_snapshot;
         Ok(())
@@ -668,7 +655,7 @@ impl<I: MovingObjectIndex> MovingObjectIndex for VpIndex<I> {
     /// and snapshot-published as one event, with the tick's rollback
     /// on failure ([`VpIndex::apply_updates`] has the contract).
     fn insert(&mut self, obj: MovingObject) -> IndexResult<()> {
-        if self.assignment.contains_key(&obj.id) {
+        if self.objects.contains_key(&obj.id) {
             return Err(IndexError::DuplicateObject(obj.id));
         }
         self.apply_tick(std::slice::from_ref(&obj), &[])
@@ -688,7 +675,7 @@ impl<I: MovingObjectIndex> MovingObjectIndex for VpIndex<I> {
     /// identical; the object must already exist, as the trait
     /// requires.
     fn update(&mut self, obj: MovingObject) -> IndexResult<()> {
-        if !self.assignment.contains_key(&obj.id) {
+        if !self.objects.contains_key(&obj.id) {
             return Err(IndexError::UnknownObject(obj.id));
         }
         self.apply_updates(std::slice::from_ref(&obj))
@@ -769,7 +756,7 @@ impl<I: MovingObjectIndex> MovingObjectIndex for VpIndex<I> {
 pub struct VpSnapshot<S> {
     specs: Vec<PartitionSpec>,
     indexes: Vec<S>,
-    objects: Arc<HashMap<ObjectId, MovingObject>>,
+    objects: Arc<HashMap<ObjectId, (MovingObject, PartitionId)>>,
 }
 
 impl<S: IndexSnapshot> VpSnapshot<S> {
@@ -923,19 +910,18 @@ sub_read!(Snap, IndexSnapshot);
 
 /// The partition layer's one read path, shared by [`VpIndex`] and
 /// [`VpSnapshot`]: the partition specs, one sub-index (or sub-index
-/// snapshot) per partition and the world-space object table, all
-/// borrowed.
+/// snapshot) per partition and the object table, all borrowed.
 pub(crate) struct VpView<'a, X, R> {
     specs: &'a [PartitionSpec],
     parts: &'a [X],
-    objects: &'a HashMap<ObjectId, MovingObject>,
+    objects: &'a HashMap<ObjectId, (MovingObject, PartitionId)>,
     read: PhantomData<fn() -> R>,
 }
 
 impl<X, R: SubRead<X>> VpView<'_, X, R> {
     /// The exact world-space filter of a candidate.
     fn matches(&self, query: &RangeQuery, id: &ObjectId) -> bool {
-        self.objects.get(id).is_some_and(|o| query.matches(o))
+        self.objects.get(id).is_some_and(|(o, _)| query.matches(o))
     }
 
     /// Algorithm 3: query every partition in its own frame, exact-filter
@@ -985,7 +971,7 @@ impl<X, R: SubRead<X>> VpView<'_, X, R> {
     }
 
     fn get_object(&self, id: ObjectId) -> IndexResult<Option<MovingObject>> {
-        Ok(self.objects.get(&id).copied())
+        Ok(self.objects.get(&id).map(|&(o, _)| o))
     }
 
     fn len(&self) -> usize {

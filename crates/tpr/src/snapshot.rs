@@ -1,14 +1,16 @@
 //! The TPR-tree read path, shared between the live tree and its
 //! lock-free snapshots.
 //!
-//! The traversal machinery (single, batched, and incremental-kNN
-//! queries) is written once, generic over a [`PageRead`] page source:
-//! the live [`TprTree`] runs it against its buffer pool (wrapped in
-//! I/O tracking), [`TprSnapshot`] against a pinned [`PageSnapshot`] —
-//! giving point-in-time query results with no coordination with
-//! writers mutating the live tree.
+//! One traversal answers single, batched and incremental-kNN queries
+//! (a single query is a batch of one), generic over a [`PageRead`]
+//! page source: the live [`TprTree`] runs it against its buffer pool
+//! (wrapped in I/O tracking), [`TprSnapshot`] against a pinned
+//! [`PageSnapshot`] — giving point-in-time query results with no
+//! coordination with writers mutating the live tree.
 //!
 //! [`TprTree`]: crate::tree::TprTree
+
+use std::slice;
 
 use vp_core::{IndexResult, IndexSnapshot, ObjectId, RangeQuery};
 use vp_geom::Tpbr;
@@ -22,61 +24,65 @@ pub(crate) fn read_node_from<P: PageRead>(pages: &P, pid: PageId) -> IndexResult
     Ok(node)
 }
 
-/// Single range query: DFS from `root`, pruning subtrees whose TPBR
-/// cannot intersect the query's over its time window; leaf entries are
-/// exact-filtered. Contract as
-/// [`vp_core::MovingObjectIndex::range_query`].
-pub(crate) fn range_query_from<P: PageRead>(
-    pages: &P,
-    root: PageId,
-    query: &RangeQuery,
-) -> IndexResult<Vec<ObjectId>> {
-    let mut out = Vec::new();
-    if root.is_valid() {
-        let q_tpbr = query.tpbr();
-        let mut stack = vec![root];
-        while let Some(pid) = stack.pop() {
-            match read_node_from(pages, pid)? {
-                Node::Leaf { entries } => {
-                    for e in &entries {
-                        if query.matches(&e.to_object()) {
-                            out.push(e.id);
-                        }
-                    }
-                }
-                Node::Internal { entries, .. } => {
-                    for e in &entries {
-                        if e.tpbr
-                            .intersects_during(&q_tpbr, query.t_start, query.t_end)
-                        {
-                            stack.push(e.child);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(out)
+/// What a visited leaf reports to each query that reaches it.
+#[derive(Clone, Copy)]
+pub(crate) enum Report<'a> {
+    /// The entries the query matches exactly. Contract as
+    /// [`vp_core::MovingObjectIndex::range_query_batch`].
+    Matches,
+    /// kNN candidate mode: every entry, unfiltered, skipping subtrees
+    /// whose footprint over the query window lies entirely inside the
+    /// `covered` probe's region (already swept by earlier rounds of
+    /// the chain). Contract as
+    /// [`vp_core::MovingObjectIndex::knn_candidates`].
+    Candidates(Option<&'a RangeQuery>),
 }
 
-/// Shared traversal over the whole batch: one top-down pass carries,
-/// per subtree, the indices of the queries whose TPBR still intersects
-/// it — every node page is read and decoded once for all queries that
-/// reach it. Per query the visited subtrees, the exact filter, and the
-/// report order are identical to [`range_query_from`].
-pub(crate) fn range_query_batch_from<P: PageRead>(
+/// The answer of a batch of one.
+pub(crate) fn one(batch: IndexResult<Vec<Vec<ObjectId>>>) -> IndexResult<Vec<ObjectId>> {
+    Ok(batch?.pop().unwrap_or_default())
+}
+
+/// The one read walk: a DFS from `root` carrying, per subtree, the
+/// indices of the queries whose TPBR still intersects it over their
+/// time windows — every node page is read and decoded once for all
+/// queries that reach it. Per query the visited subtrees and the
+/// report order are those of a walk for that query alone, so a single
+/// query is a batch of one.
+pub(crate) fn query_from<P: PageRead>(
     pages: &P,
     root: PageId,
     queries: &[RangeQuery],
+    report: Report<'_>,
 ) -> IndexResult<Vec<Vec<ObjectId>>> {
     let mut results: Vec<Vec<ObjectId>> = vec![Vec::new(); queries.len()];
     if !root.is_valid() || queries.is_empty() {
         return Ok(results);
     }
+    // The containment test evaluates node footprints at a single
+    // instant, which is only sound for time-slice probes over the
+    // same instant.
+    let (candidates, covered) = match report {
+        Report::Matches => (false, None),
+        Report::Candidates(covered) => (
+            true,
+            covered.filter(|c| {
+                c.is_time_slice()
+                    && queries
+                        .iter()
+                        .all(|q| q.is_time_slice() && q.t_start == c.t_start)
+            }),
+        ),
+    };
     let q_tpbrs: Vec<Tpbr> = queries.iter().map(RangeQuery::tpbr).collect();
     let mut stack: Vec<(PageId, Vec<usize>)> = vec![(root, (0..queries.len()).collect())];
     while let Some((pid, alive)) = stack.pop() {
         match read_node_from(pages, pid)? {
+            Node::Leaf { entries } if candidates => {
+                for &qi in &alive {
+                    results[qi].extend(entries.iter().map(|e| e.id));
+                }
+            }
             Node::Leaf { entries } => {
                 for e in &entries {
                     let obj = e.to_object();
@@ -100,51 +106,7 @@ pub(crate) fn range_query_batch_from<P: PageRead>(
                             )
                         })
                         .collect();
-                    if !survivors.is_empty() {
-                        stack.push((e.child, survivors));
-                    }
-                }
-            }
-        }
-    }
-    Ok(results)
-}
-
-/// Incremental kNN candidates: a pruned re-descent skipping subtrees
-/// whose footprint over the query window lies entirely inside the
-/// `covered` probe's region (already swept by earlier rounds of the
-/// chain); visited leaves report unfiltered. Contract as
-/// [`vp_core::MovingObjectIndex::knn_candidates`].
-pub(crate) fn knn_candidates_from<P: PageRead>(
-    pages: &P,
-    root: PageId,
-    query: &RangeQuery,
-    covered: Option<&RangeQuery>,
-) -> IndexResult<Vec<ObjectId>> {
-    let mut out = Vec::new();
-    if !root.is_valid() {
-        return Ok(out);
-    }
-    // The containment test evaluates node footprints at a single
-    // instant, which is only sound for time-slice probes over the
-    // same instant.
-    let covered = covered
-        .filter(|c| c.is_time_slice() && query.is_time_slice() && c.t_start == query.t_start);
-    let q_tpbr = query.tpbr();
-    let mut stack = vec![root];
-    while let Some(pid) = stack.pop() {
-        match read_node_from(pages, pid)? {
-            Node::Leaf { entries } => {
-                // Candidate mode: every entry of a visited leaf,
-                // unfiltered.
-                out.extend(entries.iter().map(|e| e.id));
-            }
-            Node::Internal { entries, .. } => {
-                for e in &entries {
-                    if !e
-                        .tpbr
-                        .intersects_during(&q_tpbr, query.t_start, query.t_end)
-                    {
+                    if survivors.is_empty() {
                         continue;
                     }
                     if let Some(c) = covered {
@@ -152,12 +114,12 @@ pub(crate) fn knn_candidates_from<P: PageRead>(
                             continue; // fully swept by earlier rounds
                         }
                     }
-                    stack.push(e.child);
+                    stack.push((e.child, survivors));
                 }
             }
         }
     }
-    Ok(out)
+    Ok(results)
 }
 
 /// A point-in-time, read-only handle on a [`TprTree`]: the root handle
@@ -187,11 +149,16 @@ impl TprSnapshot {
 
 impl IndexSnapshot for TprSnapshot {
     fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
-        range_query_from(&self.pages, self.root, query)
+        one(query_from(
+            &self.pages,
+            self.root,
+            slice::from_ref(query),
+            Report::Matches,
+        ))
     }
 
     fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
-        range_query_batch_from(&self.pages, self.root, queries)
+        query_from(&self.pages, self.root, queries, Report::Matches)
     }
 
     fn knn_candidates(
@@ -199,7 +166,13 @@ impl IndexSnapshot for TprSnapshot {
         query: &RangeQuery,
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>> {
-        knn_candidates_from(&self.pages, self.root, query, covered)
+        let report = Report::Candidates(covered);
+        one(query_from(
+            &self.pages,
+            self.root,
+            slice::from_ref(query),
+            report,
+        ))
     }
 
     fn len(&self) -> usize {

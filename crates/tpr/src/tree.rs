@@ -65,7 +65,7 @@ use vp_storage::{AtomicIoStats, BufferPool, IoStats, PageId};
 
 use crate::cost::sweep_cost;
 use crate::node::{InternalEntry, LeafEntry, Node, NodeLayout};
-use crate::snapshot::TprSnapshot;
+use crate::snapshot::{one, query_from, Report, TprSnapshot};
 
 /// TPR\*-tree configuration.
 #[derive(Debug, Clone)]
@@ -279,6 +279,15 @@ impl TprTree {
     fn track_end(&self, before: IoStats) {
         self.own
             .add(vp_storage::thread_io::snapshot().delta(&before));
+    }
+
+    /// The one read walk over the live pool, tallied in this tree's
+    /// own I/O counters.
+    fn read(&self, queries: &[RangeQuery], report: Report<'_>) -> IndexResult<Vec<Vec<ObjectId>>> {
+        let before = self.track_begin();
+        let result = query_from(&*self.pool, self.root, queries, report);
+        self.track_end(before);
+        result
     }
 
     // ----- cost metric --------------------------------------------------
@@ -1196,10 +1205,7 @@ impl MovingObjectIndex for TprTree {
     }
 
     fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
-        let before = self.track_begin();
-        let result = crate::snapshot::range_query_from(&*self.pool, self.root, query);
-        self.track_end(before);
-        result
+        one(self.read(std::slice::from_ref(query), Report::Matches))
     }
 
     /// Shared traversal over the whole batch: one top-down pass
@@ -1213,10 +1219,7 @@ impl MovingObjectIndex for TprTree {
     /// traversal (a DFS visits any query's subtree subset in the same
     /// relative order).
     fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
-        let before = self.track_begin();
-        let result = crate::snapshot::range_query_batch_from(&*self.pool, self.root, queries);
-        self.track_end(before);
-        result
+        self.read(queries, Report::Matches)
     }
 
     /// Incremental kNN candidates: a pruned re-descent. Besides the
@@ -1235,10 +1238,7 @@ impl MovingObjectIndex for TprTree {
         query: &RangeQuery,
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>> {
-        let before = self.track_begin();
-        let result = crate::snapshot::knn_candidates_from(&*self.pool, self.root, query, covered);
-        self.track_end(before);
-        result
+        one(self.read(std::slice::from_ref(query), Report::Candidates(covered)))
     }
 
     fn get_object(&self, id: ObjectId) -> IndexResult<Option<MovingObject>> {

@@ -217,15 +217,33 @@ fn prefix(n_ticks: usize, applied: usize) -> Vec<bool> {
     (0..n_ticks).map(|i| i < applied).collect()
 }
 
-/// Logical equality: object table, routing, range + kNN probes.
+/// Logical equality: object table, routing, range + kNN probes; and
+/// `got`'s routing agrees with its sub-indexes (each present id is
+/// held by its partition, and the partitions hold `len()` objects).
 fn assert_same_state<I: MovingObjectIndex>(got: &VpIndex<I>, want: &VpIndex<I>, context: &str) {
     assert_eq!(got.len(), want.len(), "{context}: object count");
+    assert_eq!(
+        got.partition_sizes().iter().sum::<usize>(),
+        got.len(),
+        "{context}: partition sizes sum to the object count"
+    );
     for id in (0..N_OBJECTS).chain(10_000..10_020) {
         assert_eq!(
             got.get_object(id).unwrap(),
             want.get_object(id).unwrap(),
             "{context}: object {id} state"
         );
+        assert_eq!(
+            got.partition_of(id),
+            want.partition_of(id),
+            "{context}: object {id} routing"
+        );
+        if let Some(p) = got.partition_of(id) {
+            assert!(
+                got.partition_index(p).get_object(id).unwrap().is_some(),
+                "{context}: object {id} missing from its partition {p}"
+            );
+        }
     }
     let domain = Rect::from_bounds(0.0, 0.0, 100_000.0, 100_000.0);
     let mut probe = Rng(0xFA17);
@@ -520,12 +538,15 @@ fn insert_and_delete_log_failures_roll_back_in_memory_state() {
     assert!(!vp.is_read_only());
     vp.insert(b).unwrap();
 
-    // Failed delete: the object must survive, still queryable.
+    // Failed delete: the object must survive, still queryable and
+    // still held by its partition.
+    let home = vp.partition_of(1).unwrap();
     next_op(&inj, "wal:meta", FaultOp::Write, FaultKind::NoSpace);
     assert!(matches!(vp.delete(1), Err(IndexError::Wal(_))));
     assert_eq!(vp.len(), 2);
     assert_eq!(vp.get_object(1).unwrap(), Some(a));
-    assert_eq!(vp.partition_of(1), Some(vp.partition_of(1).unwrap()));
+    assert_eq!(vp.partition_of(1), Some(home));
+    assert!(vp.partition_index(home).get_object(1).unwrap().is_some());
     vp.delete(1).unwrap();
     assert_eq!(vp.len(), 1);
     drop(vp);
