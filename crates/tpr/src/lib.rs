@@ -16,12 +16,11 @@
 //! node visit is a logical page access, so the paper's query/update I/O
 //! metrics fall out of the pool statistics. The tree implements
 //! [`vp_core::MovingObjectIndex`], so it can be wrapped by the VP index
-//! manager unchanged — including the **batched maintenance path**
-//! ([`TprTree::bulk_load`], `update_batch`, `remove_batch`): whole
-//! tick batches are partitioned per node top-down and applied with
-//! bulk TPBR re-clustering (multi-way splits scored by prefix/suffix
-//! cost scans, bulk underflow repair), one page write per touched
-//! node. See the [`tree`] module docs for the algorithm.
+//! manager unchanged. Every write runs one engine, a top-down pass
+//! that writes each touched page once, under one of two overflow
+//! rules: single ops force-reinsert as the TPR\*-tree does, and tick
+//! batches (`update_batch`, `remove_batch`) re-cluster multi-way. See
+//! the [`tree`] module docs for the algorithm.
 
 pub mod cost;
 pub mod node;

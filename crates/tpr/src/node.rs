@@ -120,20 +120,11 @@ impl Node {
     /// The tightest TPBR covering all entries, anchored at the maximum
     /// entry reference time (empty TPBR for an empty node).
     pub fn bounding_tpbr(&self) -> Tpbr {
+        let empty = Tpbr::empty(0.0);
         match self {
-            Node::Leaf { entries } => {
-                let mut acc = Tpbr::empty(0.0);
-                for e in entries {
-                    acc = acc.union(&e.tpbr());
-                }
-                acc
-            }
+            Node::Leaf { entries } => entries.iter().fold(empty, |acc, e| acc.union(&e.tpbr())),
             Node::Internal { entries, .. } => {
-                let mut acc = Tpbr::empty(0.0);
-                for e in entries {
-                    acc = acc.union(&e.tpbr);
-                }
-                acc
+                entries.iter().fold(empty, |acc, e| acc.union(&e.tpbr))
             }
         }
     }

@@ -145,20 +145,19 @@ impl TprSnapshot {
     pub fn epoch(&self) -> u64 {
         self.pages.epoch()
     }
+
+    fn read(&self, queries: &[RangeQuery], report: Report<'_>) -> IndexResult<Vec<Vec<ObjectId>>> {
+        query_from(&self.pages, self.root, queries, report)
+    }
 }
 
 impl IndexSnapshot for TprSnapshot {
     fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
-        one(query_from(
-            &self.pages,
-            self.root,
-            slice::from_ref(query),
-            Report::Matches,
-        ))
+        one(self.read(slice::from_ref(query), Report::Matches))
     }
 
     fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
-        query_from(&self.pages, self.root, queries, Report::Matches)
+        self.read(queries, Report::Matches)
     }
 
     fn knn_candidates(
@@ -166,13 +165,7 @@ impl IndexSnapshot for TprSnapshot {
         query: &RangeQuery,
         covered: Option<&RangeQuery>,
     ) -> IndexResult<Vec<ObjectId>> {
-        let report = Report::Candidates(covered);
-        one(query_from(
-            &self.pages,
-            self.root,
-            slice::from_ref(query),
-            report,
-        ))
+        one(self.read(slice::from_ref(query), Report::Candidates(covered)))
     }
 
     fn len(&self) -> usize {

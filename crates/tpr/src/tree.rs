@@ -1,58 +1,51 @@
 //! The TPR\*-tree proper.
 //!
-//! Structure and algorithms:
-//!
 //! * **ChooseSubtree** — descend towards the child whose cost metric
 //!   (sweep volume over the horizon) increases least when absorbing
 //!   the new entry.
-//! * **Overflow** — on the first leaf overflow per insertion, the
-//!   entries farthest from the node center (evaluated at the horizon
-//!   midpoint) are *force-reinserted* (R\*-tree style); a second
-//!   overflow splits. Internal overflows always split.
 //! * **Split** — candidate sortings along position x/y and velocity
 //!   x/y; every legal split point is scored by the summed cost metric
-//!   of the two groups using prefix/suffix TPBR unions, and the
-//!   cheapest is taken. Sorting by velocity lets the TPR\*-tree group
-//!   objects moving in the same direction — the local optimization the
-//!   paper contrasts with VP's global partitioning.
+//!   of the groups using prefix/suffix TPBR unions, and the cheapest
+//!   is taken. Sorting by velocity lets the TPR\*-tree group objects
+//!   moving in the same direction — the local optimization the paper
+//!   contrasts with VP's global partitioning.
 //! * **Delete** — guided descent using the recorded entry (the paper's
 //!   "simple lookup table", Section 5.3); underflowing nodes are
 //!   dissolved and their entries reinserted (R-tree condense).
-//! * **Tightening** — whenever an insertion or deletion touches a
-//!   path, parent entries are rewritten with the exact union of the
-//!   child's contents, curbing MBR/VBR drift.
+//! * **Tightening** — parent entries on a changed path are rewritten
+//!   with the exact union of the child's contents, curbing MBR/VBR
+//!   drift. A subtree a write visits but does not change is neither
+//!   written nor re-tightened.
 //!
-//! ## Batched maintenance
+//! ## One write engine, two overflow rules
 //!
-//! Moving-object ticks hit the tree with whole batches of coherent
-//! updates (a velocity partition's objects move together — the
-//! regime the VP paper carves out). Three entry points exploit that,
-//! mirroring `vp_bptree::apply_batch`:
+//! Every write is a **pass**: one top-down walk that removes a set of
+//! stored entries and group-inserts a set of new ones, reading and
+//! writing every touched page at most once. An overflowing node
+//! re-clusters multi-way (`ceil(n/max)` nodes, boundaries refined by
+//! the prefix/suffix cost scan; with `max + 1` entries that is the
+//! 2-way split), and the new nodes go after their parent's existing
+//! entries. The caller picks what an overflowing *leaf* does:
 //!
-//! * [`TprTree::bulk_load`] builds a tree bottom-up by re-clustering
-//!   the whole population into leaves with the prefix/suffix TPBR
-//!   cost scan, then stacking internal levels — no per-object root
-//!   descent.
-//! * [`MovingObjectIndex::update_batch`] /
-//!   [`MovingObjectIndex::remove_batch`] partition the batch per node
-//!   in **one top-down pass**: all removals for a subtree are applied
-//!   together (guided by the lookup-table entries), the surviving
-//!   inserts are routed by the same cost metric as single insertion,
-//!   and every touched page is read and written exactly once.
-//!   Overflowing nodes re-cluster **multi-way** (`ceil(n/max)` nodes
-//!   at once, boundaries refined by the prefix/suffix cost scan
-//!   shared with the 2-way split); underflowing nodes dissolve in
-//!   bulk and their survivors are group-reinserted in one trailing
-//!   pass. Forced reinsertion is not used on the batched path —
-//!   multi-way re-clustering already plays its role of un-doing bad
-//!   locality.
+//! * `insert` and `delete` are passes of one under the **R\* rule**
+//!   the TPR\*-tree inserts with: the first overflowing non-root leaf
+//!   *force-reinserts* — it evicts its entries farthest from its
+//!   center at the horizon midpoint instead of splitting. Each evicted
+//!   entry goes back in as a pass of one that may not evict, and each
+//!   orphan of a dissolved node as a pass of one that may. `update` is
+//!   delete then insert.
+//! * `update_batch` and `remove_batch` (VP's ticks) **re-cluster**
+//!   every overflow, and reinsert their orphans as one group pass.
+//!
+//! [`TprTree::bulk_load`] packs a whole population with the same
+//! re-clustering, with no per-object root descent.
 //!
 //! All node accesses go through the shared buffer pool; the tree keeps
 //! its own attributable I/O counters (thread-local stat deltas), so
 //! several trees (the VP sub-indexes) can share one pool — even with
 //! snapshot readers on other threads — without double counting.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use vp_core::{
@@ -65,7 +58,7 @@ use vp_storage::{AtomicIoStats, BufferPool, IoStats, PageId};
 
 use crate::cost::sweep_cost;
 use crate::node::{InternalEntry, LeafEntry, Node, NodeLayout};
-use crate::snapshot::{one, query_from, Report, TprSnapshot};
+use crate::snapshot::{one, query_from, read_node_from, Report, TprSnapshot};
 
 /// TPR\*-tree configuration.
 #[derive(Debug, Clone)]
@@ -100,7 +93,6 @@ pub struct TprTree {
     root: PageId,
     /// Number of levels (0 = empty tree; root level = height - 1).
     height: u8,
-    len: usize,
     /// Logical clock: the largest reference time seen.
     now: f64,
     /// Lookup table: object id -> the exact entry stored in the tree.
@@ -122,7 +114,6 @@ impl TprTree {
             layout,
             root: PageId::INVALID,
             height: 0,
-            len: 0,
             now: 0.0,
             entries: HashMap::new(),
             own: AtomicIoStats::zero(),
@@ -153,8 +144,8 @@ impl TprTree {
         let mut stack = vec![self.root];
         while let Some(pid) = stack.pop() {
             match self.read_node(pid)? {
-                Node::Leaf { entries } => {
-                    let b = Node::Leaf { entries }.bounding_tpbr();
+                leaf @ Node::Leaf { .. } => {
+                    let b = leaf.bounding_tpbr();
                     if !b.is_empty() {
                         f(&b);
                     }
@@ -172,7 +163,7 @@ impl TprTree {
     /// tests and debugging (visits every page).
     ///
     /// Checked invariants:
-    /// * stored entry count equals the lookup table and `len()`;
+    /// * stored entry count equals the lookup table's (`len()`);
     /// * every parent entry's TPBR dominates its child's exact bounding
     ///   TPBR (within float tolerance) at the union reference time;
     /// * fanout bounds: non-root nodes hold at least the minimum and at
@@ -183,10 +174,10 @@ impl TprTree {
     ///   descent.
     pub fn check_invariants(&self) -> IndexResult<Result<(), String>> {
         if !self.root.is_valid() {
-            return Ok(if self.len == 0 && self.entries.is_empty() {
+            return Ok(if self.entries.is_empty() {
                 Ok(())
             } else {
-                Err(format!("empty tree but len = {}", self.len))
+                Err(format!("empty tree but len = {}", self.entries.len()))
             });
         }
         let mut total_entries = 0usize;
@@ -222,19 +213,8 @@ impl TprTree {
             match node {
                 Node::Leaf { entries } => {
                     total_entries += entries.len();
-                    for e in &entries {
-                        match self.entries.get(&e.id) {
-                            None => {
-                                return Ok(Err(format!(
-                                    "leaf entry {} missing from lookup table",
-                                    e.id
-                                )))
-                            }
-                            Some(rec) if rec != e => {
-                                return Ok(Err(format!("lookup table stale for object {}", e.id)))
-                            }
-                            _ => {}
-                        }
+                    if let Some(e) = entries.iter().find(|e| self.entries.get(&e.id) != Some(e)) {
+                        return Ok(Err(format!("lookup table misses or is stale for {}", e.id)));
                     }
                 }
                 Node::Internal { entries, .. } => {
@@ -244,10 +224,9 @@ impl TprTree {
                 }
             }
         }
-        if total_entries != self.len || total_entries != self.entries.len() {
+        if total_entries != self.entries.len() {
             return Ok(Err(format!(
-                "entry count mismatch: tree {total_entries}, len {}, table {}",
-                self.len,
+                "entry count mismatch: tree {total_entries}, table {}",
                 self.entries.len()
             )));
         }
@@ -257,8 +236,7 @@ impl TprTree {
     // ----- page helpers -------------------------------------------------
 
     fn read_node(&self, pid: PageId) -> IndexResult<Node> {
-        let node = self.pool.with_page(pid, Node::decode)??;
-        Ok(node)
+        read_node_from(&*self.pool, pid)
     }
 
     fn write_node(&self, pid: PageId, node: &Node) -> IndexResult<()> {
@@ -296,141 +274,7 @@ impl TprTree {
         sweep_cost(tpbr, self.now, self.config.horizon, QUERY_LEN)
     }
 
-    // ----- insertion ----------------------------------------------------
-
-    fn insert_entry_toplevel(&mut self, entry: LeafEntry) -> IndexResult<()> {
-        if !self.root.is_valid() {
-            let node = Node::Leaf {
-                entries: vec![entry],
-            };
-            self.root = self.alloc_node(&node)?;
-            self.height = 1;
-            return Ok(());
-        }
-        let mut pending: Vec<LeafEntry> = Vec::new();
-        let mut reinserted = false;
-        self.insert_from_root(entry, &mut pending, &mut reinserted)?;
-        // Reinsert evicted entries; further reinsertion is disabled
-        // (standard R* policy: once per level per insertion — we apply
-        // forced reinsert at the leaf level only).
-        while let Some(e) = pending.pop() {
-            let mut nobody = true;
-            self.insert_from_root(e, &mut Vec::new(), &mut nobody)?;
-        }
-        Ok(())
-    }
-
-    fn insert_from_root(
-        &mut self,
-        entry: LeafEntry,
-        pending: &mut Vec<LeafEntry>,
-        reinserted: &mut bool,
-    ) -> IndexResult<()> {
-        match self.insert_rec(self.root, entry, pending, reinserted)? {
-            RecOutcome::Fit(_) => Ok(()),
-            RecOutcome::Split(left_tpbr, right_pid, right_tpbr) => {
-                // Root split: grow the tree.
-                let new_root = Node::Internal {
-                    level: self.height,
-                    entries: vec![
-                        InternalEntry {
-                            child: self.root,
-                            tpbr: left_tpbr,
-                        },
-                        InternalEntry {
-                            child: right_pid,
-                            tpbr: right_tpbr,
-                        },
-                    ],
-                };
-                self.root = self.alloc_node(&new_root)?;
-                self.height += 1;
-                Ok(())
-            }
-        }
-    }
-
-    fn insert_rec(
-        &mut self,
-        pid: PageId,
-        entry: LeafEntry,
-        pending: &mut Vec<LeafEntry>,
-        reinserted: &mut bool,
-    ) -> IndexResult<RecOutcome> {
-        match self.read_node(pid)? {
-            Node::Leaf { mut entries } => {
-                entries.push(entry);
-                if entries.len() <= self.layout.max_leaf {
-                    let node = Node::Leaf { entries };
-                    self.write_node(pid, &node)?;
-                    return Ok(RecOutcome::Fit(node.bounding_tpbr()));
-                }
-                // Overflow. Forced reinsert once per insertion, and only
-                // when the leaf is not the root (splitting the root is
-                // how the tree grows).
-                if !*reinserted && self.height > 1 {
-                    *reinserted = true;
-                    let keep = self.select_reinsert(&mut entries);
-                    pending.extend(entries.drain(keep..));
-                    let node = Node::Leaf { entries };
-                    self.write_node(pid, &node)?;
-                    return Ok(RecOutcome::Fit(node.bounding_tpbr()));
-                }
-                // Split.
-                let (left, right) = self.split_leaf(entries);
-                let left_node = Node::Leaf { entries: left };
-                let right_node = Node::Leaf { entries: right };
-                self.write_node(pid, &left_node)?;
-                let right_pid = self.alloc_node(&right_node)?;
-                Ok(RecOutcome::Split(
-                    left_node.bounding_tpbr(),
-                    right_pid,
-                    right_node.bounding_tpbr(),
-                ))
-            }
-            Node::Internal { level, mut entries } => {
-                let chosen = self.choose_subtree(&entries, &entry);
-                let child_pid = entries[chosen].child;
-                match self.insert_rec(child_pid, entry, pending, reinserted)? {
-                    RecOutcome::Fit(tpbr) => {
-                        // Tighten: the child's exact bounding TPBR.
-                        entries[chosen].tpbr = tpbr;
-                        let node = Node::Internal { level, entries };
-                        self.write_node(pid, &node)?;
-                        Ok(RecOutcome::Fit(node.bounding_tpbr()))
-                    }
-                    RecOutcome::Split(left_tpbr, right_pid, right_tpbr) => {
-                        entries[chosen].tpbr = left_tpbr;
-                        entries.push(InternalEntry {
-                            child: right_pid,
-                            tpbr: right_tpbr,
-                        });
-                        if entries.len() <= self.layout.max_internal {
-                            let node = Node::Internal { level, entries };
-                            self.write_node(pid, &node)?;
-                            return Ok(RecOutcome::Fit(node.bounding_tpbr()));
-                        }
-                        let (left, right) = self.split_internal(entries);
-                        let left_node = Node::Internal {
-                            level,
-                            entries: left,
-                        };
-                        let right_node = Node::Internal {
-                            level,
-                            entries: right,
-                        };
-                        self.write_node(pid, &left_node)?;
-                        let right_pid = self.alloc_node(&right_node)?;
-                        Ok(RecOutcome::Split(
-                            left_node.bounding_tpbr(),
-                            right_pid,
-                            right_node.bounding_tpbr(),
-                        ))
-                    }
-                }
-            }
-        }
-    }
+    // ----- routing, eviction and clustering -----------------------------
 
     /// Picks the child minimizing the cost-metric increase.
     fn choose_subtree(&self, entries: &[InternalEntry], entry: &LeafEntry) -> usize {
@@ -457,11 +301,11 @@ impl TprTree {
     /// the prefix length. Eviction candidates are the entries farthest
     /// from the node center at the horizon midpoint.
     fn select_reinsert(&self, entries: &mut [LeafEntry]) -> usize {
-        let node = Node::Leaf {
-            entries: entries.to_vec(),
-        };
         let tm = self.now + self.config.horizon * 0.5;
-        let center = node.bounding_tpbr().rect_at(tm).center();
+        let bound = entries
+            .iter()
+            .fold(Tpbr::empty(0.0), |acc, e| acc.union(&e.tpbr()));
+        let center = bound.rect_at(tm).center();
         entries.sort_by(|a, b| {
             let da = a.position_at(tm).dist_sq(center);
             let db = b.position_at(tm).dist_sq(center);
@@ -472,28 +316,6 @@ impl TprTree {
             .min(n - self.layout.min_leaf)
             .max(1);
         n - evict
-    }
-
-    /// TPR\*-style leaf split: the 2-way case of
-    /// [`TprTree::cluster_leaves`] (an overflowing node holds exactly
-    /// `max + 1` entries, so re-clustering yields two groups).
-    fn split_leaf(&self, entries: Vec<LeafEntry>) -> (Vec<LeafEntry>, Vec<LeafEntry>) {
-        let mut groups = self.cluster_leaves(entries);
-        debug_assert_eq!(groups.len(), 2, "single-op split always yields two groups");
-        let right = groups.pop().expect("two groups");
-        let left = groups.pop().expect("two groups");
-        (left, right)
-    }
-
-    fn split_internal(
-        &self,
-        entries: Vec<InternalEntry>,
-    ) -> (Vec<InternalEntry>, Vec<InternalEntry>) {
-        let mut groups = self.cluster_internals(entries);
-        debug_assert_eq!(groups.len(), 2, "single-op split always yields two groups");
-        let right = groups.pop().expect("two groups");
-        let left = groups.pop().expect("two groups");
-        (left, right)
     }
 
     /// Re-clusters leaf entries into `ceil(n / max_leaf)` groups using
@@ -533,18 +355,15 @@ impl TprTree {
         )
     }
 
-    /// The multi-way re-clustering core shared by 2-way node splits,
-    /// group insertion, and bulk loading.
-    ///
-    /// Partitions `items` into `ceil(n / max)` groups of between `min`
-    /// and `max` items. For each candidate ordering the items are
-    /// sorted, balanced contiguous chunks are seeded, and every
-    /// interior chunk boundary is refined between its (fixed)
+    /// The multi-way re-clustering core of every split and of bulk
+    /// loading: partitions `items` into `ceil(n / max)` groups of
+    /// between `min` and `max` items. For each candidate ordering the
+    /// items are sorted, balanced contiguous chunks are seeded, and
+    /// every interior chunk boundary is refined between its (fixed)
     /// neighbors by the O(window) prefix/suffix TPBR cost scan of
     /// [`TprTree::best_split_in`]. The ordering with the smallest
-    /// summed group cost wins. With `n == max + 1` this degenerates to
-    /// exactly the classic TPR\*-tree 2-way split (same candidate
-    /// range, same scoring, same tie-breaking).
+    /// summed group cost wins. With `n == max + 1` this is exactly the
+    /// classic TPR\*-tree 2-way split.
     fn cluster<T: Clone>(
         &self,
         items: Vec<T>,
@@ -579,24 +398,19 @@ impl TprTree {
             }
             let cost: f64 = (0..m)
                 .map(|g| {
-                    let mut acc = Tpbr::empty(0.0);
-                    for t in &tpbrs[bounds[g]..bounds[g + 1]] {
-                        acc = acc.union(t);
-                    }
-                    self.metric(&acc)
+                    let group = &tpbrs[bounds[g]..bounds[g + 1]];
+                    self.metric(&group.iter().fold(Tpbr::empty(0.0), |acc, t| acc.union(t)))
                 })
                 .sum();
             if best.as_ref().is_none_or(|(c, _, _)| cost < *c) {
                 best = Some((cost, sorted, bounds));
             }
         }
-        let (_, mut sorted, bounds) = best.expect("at least one candidate ordering");
-        let mut groups: Vec<Vec<T>> = Vec::with_capacity(m);
-        for g in (1..m).rev() {
-            groups.push(sorted.split_off(bounds[g]));
-        }
-        groups.push(sorted);
-        groups.reverse();
+        let (_, sorted, bounds) = best.expect("at least one candidate ordering");
+        let groups: Vec<Vec<T>> = bounds
+            .windows(2)
+            .map(|w| sorted[w[0]..w[1]].to_vec())
+            .collect();
         debug_assert!(groups.iter().all(|g| (min..=max).contains(&g.len())));
         groups
     }
@@ -609,18 +423,13 @@ impl TprTree {
         if n < 2 || lo == 0 || hi >= n || lo > hi {
             return None;
         }
-        let mut prefix = Vec::with_capacity(n);
-        let mut acc = Tpbr::empty(0.0);
-        for t in tpbrs {
-            acc = acc.union(t);
-            prefix.push(acc);
-        }
-        let mut suffix = vec![Tpbr::empty(0.0); n];
-        let mut acc = Tpbr::empty(0.0);
-        for i in (0..n).rev() {
-            acc = acc.union(&tpbrs[i]);
-            suffix[i] = acc;
-        }
+        let running = |acc: &mut Tpbr, t: &Tpbr| {
+            *acc = acc.union(t);
+            Some(*acc)
+        };
+        let prefix: Vec<Tpbr> = tpbrs.iter().scan(Tpbr::empty(0.0), running).collect();
+        let mut suffix: Vec<Tpbr> = tpbrs.iter().rev().scan(Tpbr::empty(0.0), running).collect();
+        suffix.reverse();
         let mut best: Option<(f64, usize)> = None;
         for at in lo..=hi {
             let cost = self.metric(&prefix[at - 1]) + self.metric(&suffix[at]);
@@ -631,27 +440,7 @@ impl TprTree {
         best
     }
 
-    // ----- deletion -----------------------------------------------------
-
-    fn delete_entry_toplevel(&mut self, target: LeafEntry) -> IndexResult<bool> {
-        let mut orphans: Vec<LeafEntry> = Vec::new();
-        let outcome = self.delete_rec(self.root, self.height - 1, &target, &mut orphans)?;
-        let found = match outcome {
-            DelOutcome::NotFound => false,
-            DelOutcome::Deleted { .. } => true,
-        };
-        if !found {
-            return Ok(false);
-        }
-        self.shrink_root()?;
-        // Reinsert orphaned entries. Dissolved subtrees were dismantled
-        // to leaf entries during the descent, so everything reinserts
-        // uniformly at the leaf level.
-        for e in orphans {
-            self.insert_entry_toplevel(e)?;
-        }
-        Ok(true)
-    }
+    // ----- condensing ---------------------------------------------------
 
     /// Collapses trivial roots left behind by removals: an internal
     /// root with a single child loses a level (repeatedly), and an
@@ -668,14 +457,8 @@ impl TprTree {
                     self.height -= 1;
                     self.pool.free_page(old_root)?;
                 }
-                Node::Internal { entries, .. } if entries.is_empty() => {
-                    // All children dissolved into orphans.
-                    self.pool.free_page(self.root)?;
-                    self.root = PageId::INVALID;
-                    self.height = 0;
-                    return Ok(());
-                }
-                Node::Leaf { entries } if entries.is_empty() => {
+                node if node.is_empty() => {
+                    // Everything was removed or dissolved into orphans.
                     self.pool.free_page(self.root)?;
                     self.root = PageId::INVALID;
                     self.height = 0;
@@ -686,10 +469,9 @@ impl TprTree {
         }
     }
 
-    /// Dismantles a subtree into its leaf entries, freeing every page.
-    /// Used when an internal node underflows: reinserting the leaves is
-    /// simpler and more robust than grafting subtrees at matching
-    /// levels, and internal underflow is rare in the paper's workloads.
+    /// Dismantles a subtree into its leaf entries, freeing every page
+    /// (condensing an internal node: reinserting leaf entries is simpler
+    /// than grafting subtrees at matching levels, and rare).
     fn dismantle_subtree(&mut self, root: PageId, out: &mut Vec<LeafEntry>) -> IndexResult<()> {
         let mut stack = vec![root];
         while let Some(pid) = stack.pop() {
@@ -704,96 +486,13 @@ impl TprTree {
         Ok(())
     }
 
-    fn delete_rec(
-        &mut self,
-        pid: PageId,
-        level: u8,
-        target: &LeafEntry,
-        orphans: &mut Vec<LeafEntry>,
-    ) -> IndexResult<DelOutcome> {
-        match self.read_node(pid)? {
-            Node::Leaf { mut entries } => {
-                let Some(at) = entries.iter().position(|e| e.id == target.id) else {
-                    return Ok(DelOutcome::NotFound);
-                };
-                entries.remove(at);
-                let is_root = pid == self.root;
-                if !is_root && entries.len() < self.layout.min_leaf {
-                    // Dissolve: caller removes this node; entries become
-                    // orphans.
-                    orphans.extend(entries);
-                    self.pool.free_page(pid)?;
-                    return Ok(DelOutcome::Deleted {
-                        tpbr: None,
-                        dissolved: true,
-                    });
-                }
-                let node = Node::Leaf { entries };
-                self.write_node(pid, &node)?;
-                Ok(DelOutcome::Deleted {
-                    tpbr: Some(node.bounding_tpbr()),
-                    dissolved: false,
-                })
-            }
-            Node::Internal {
-                level: lvl,
-                mut entries,
-            } => {
-                debug_assert_eq!(lvl, level);
-                let mut found_at: Option<(usize, Option<Tpbr>, bool)> = None;
-                // Indexing (not iterating) because the loop body calls
-                // `&mut self` methods while `entries` stays borrowed.
-                #[allow(clippy::needless_range_loop)]
-                for i in 0..entries.len() {
-                    if !could_contain(&entries[i].tpbr, target) {
-                        continue;
-                    }
-                    match self.delete_rec(entries[i].child, level - 1, target, orphans)? {
-                        DelOutcome::NotFound => continue,
-                        DelOutcome::Deleted { tpbr, dissolved } => {
-                            found_at = Some((i, tpbr, dissolved));
-                            break;
-                        }
-                    }
-                }
-                let Some((i, child_tpbr, dissolved)) = found_at else {
-                    return Ok(DelOutcome::NotFound);
-                };
-                if dissolved {
-                    entries.remove(i);
-                } else if let Some(t) = child_tpbr {
-                    entries[i].tpbr = t; // tighten
-                }
-                let is_root = pid == self.root;
-                if !is_root && entries.len() < self.layout.min_internal {
-                    for e in &entries {
-                        self.dismantle_subtree(e.child, orphans)?;
-                    }
-                    self.pool.free_page(pid)?;
-                    return Ok(DelOutcome::Deleted {
-                        tpbr: None,
-                        dissolved: true,
-                    });
-                }
-                let node = Node::Internal { level, entries };
-                self.write_node(pid, &node)?;
-                Ok(DelOutcome::Deleted {
-                    tpbr: Some(node.bounding_tpbr()),
-                    dissolved: false,
-                })
-            }
-        }
-    }
+    // ----- bulk load and the write pass ---------------------------------
 
-    // ----- batched maintenance ------------------------------------------
-
-    /// Builds a tree from a snapshot of objects by bulk TPBR
-    /// re-clustering: leaves are packed by the multi-way clustering
-    /// core and internal levels stacked on top, with no per-object
-    /// root descent. Equivalent in contents to
-    /// inserting every object individually, far cheaper, and usually
-    /// better clustered (every leaf is cost-optimized at once).
-    /// Fails with [`IndexError::DuplicateObject`] on a repeated id.
+    /// Builds a tree over `objects` bottom-up: the multi-way clustering
+    /// core packs the leaves and stacks internal levels on top, with no
+    /// per-object root descent. Same contents as inserting each object,
+    /// far cheaper. Fails with [`IndexError::DuplicateObject`] on a
+    /// repeated id.
     pub fn bulk_load(
         pool: Arc<BufferPool>,
         config: TprConfig,
@@ -814,7 +513,6 @@ impl TprTree {
         let built = tree.build_from_entries(leaves);
         tree.track_end(before);
         built?;
-        tree.len = table.len();
         tree.entries = table;
         Ok(tree)
     }
@@ -826,14 +524,8 @@ impl TprTree {
         if entries.is_empty() {
             return Ok(());
         }
-        let groups = self.cluster_leaves(entries);
-        let mut nodes = Vec::with_capacity(groups.len());
-        for g in groups {
-            let node = Node::Leaf { entries: g };
-            let tpbr = node.bounding_tpbr();
-            let pid = self.alloc_node(&node)?;
-            nodes.push(InternalEntry { child: pid, tpbr });
-        }
+        let leaves = self.recluster(Node::Leaf { entries });
+        let nodes = self.write_siblings(None, leaves)?;
         self.install_root(nodes, 0)
     }
 
@@ -845,31 +537,27 @@ impl TprTree {
         mut child_level: u8,
     ) -> IndexResult<()> {
         while nodes.len() > 1 {
-            let level = child_level + 1;
-            let groups = self.cluster_internals(nodes);
-            let mut parents = Vec::with_capacity(groups.len());
-            for g in groups {
-                let node = Node::Internal { level, entries: g };
-                let tpbr = node.bounding_tpbr();
-                let pid = self.alloc_node(&node)?;
-                parents.push(InternalEntry { child: pid, tpbr });
-            }
-            nodes = parents;
-            child_level = level;
+            child_level += 1;
+            let parents = self.recluster(Node::Internal {
+                level: child_level,
+                entries: nodes,
+            });
+            nodes = self.write_siblings(None, parents)?;
         }
         self.root = nodes[0].child;
         self.height = child_level + 1;
         Ok(())
     }
 
-    /// One batched pass over the tree: remove the given stored entries
-    /// and group-insert `inserts`, reading and writing every touched
-    /// page exactly once. Entries orphaned by bulk underflow repair
-    /// are group-reinserted in one trailing pure-insert pass.
+    /// One pass over the tree: remove the given stored entries and
+    /// group-insert `inserts`, reading and writing every touched page
+    /// at most once. `rule` says what an overflowing leaf does and how
+    /// the entries the pass spills (evicted or orphaned) go back in.
     fn apply_group(
         &mut self,
         removals: Vec<LeafEntry>,
         inserts: Vec<LeafEntry>,
+        rule: Overflow,
     ) -> IndexResult<()> {
         if removals.is_empty() && inserts.is_empty() {
             return Ok(());
@@ -878,18 +566,13 @@ impl TprTree {
             debug_assert!(removals.is_empty(), "nothing to remove from an empty tree");
             return self.build_from_entries(inserts);
         }
-        let cands: Vec<ObjectId> = removals.iter().map(|e| e.id).collect();
-        let mut pending: HashMap<ObjectId, LeafEntry> =
-            removals.into_iter().map(|e| (e.id, e)).collect();
-        let mut orphans = Vec::new();
-        let outcome = self.batch_rec(
-            self.root,
-            self.height - 1,
-            &cands,
-            &mut pending,
-            inserts,
-            &mut orphans,
-        )?;
+        let mut pending: HashSet<ObjectId> = removals.iter().map(|e| e.id).collect();
+        let mut spill = Spill {
+            may_evict: rule == Overflow::Reinsert,
+            evicted: Vec::new(),
+            orphans: Vec::new(),
+        };
+        let outcome = self.batch_rec(self.root, &removals, &mut pending, inserts, &mut spill)?;
         if let GroupOutcome::Many(nodes) = outcome {
             let child_level = self.height - 1;
             self.install_root(nodes, child_level)?;
@@ -897,191 +580,215 @@ impl TprTree {
         if !pending.is_empty() {
             // The lookup table said these exist; a miss means drift
             // beyond the containment epsilons — surface loudly rather
-            // than corrupting the table (same contract as `delete`).
-            let mut ids: Vec<ObjectId> = pending.keys().copied().collect();
+            // than corrupting the table.
+            let mut ids: Vec<ObjectId> = pending.into_iter().collect();
             ids.sort_unstable();
             return Err(IndexError::Storage(vp_storage::StorageError::Corrupt(
                 format!("entries for objects {ids:?} not reachable by guided descent"),
             )));
         }
-        self.shrink_root()?;
-        if !orphans.is_empty() {
-            // A pure insert pass cannot dissolve nodes, so this
-            // recursion terminates after one round.
-            self.apply_group(Vec::new(), orphans)?;
+        if !removals.is_empty() {
+            self.shrink_root()?;
         }
-        Ok(())
+        // Reinsertion passes insert only, so they dissolve nothing and
+        // this recursion ends after one round.
+        match rule {
+            Overflow::Reinsert => {
+                while let Some(e) = spill.evicted.pop() {
+                    self.apply_group(Vec::new(), vec![e], Overflow::Recluster)?;
+                }
+                for e in spill.orphans {
+                    self.apply_group(Vec::new(), vec![e], Overflow::Reinsert)?;
+                }
+                Ok(())
+            }
+            Overflow::Recluster => self.apply_group(Vec::new(), spill.orphans, rule),
+        }
     }
 
-    /// The recursive batched pass. `cands` is the subset of pending
-    /// removal ids whose stored entry this subtree could contain;
-    /// `pending` is the global not-yet-removed map (ids are claimed
-    /// from it at the leaves, so overlapping sibling subtrees never
-    /// search for an already-removed entry).
+    /// The recursive pass. `cands` are the pending removals whose
+    /// stored entry this subtree could contain; `pending` holds the ids
+    /// not yet removed (claimed at the leaves, so overlapping sibling
+    /// subtrees never search for an already-removed entry).
     fn batch_rec(
         &mut self,
         pid: PageId,
-        level: u8,
-        cands: &[ObjectId],
-        pending: &mut HashMap<ObjectId, LeafEntry>,
+        cands: &[LeafEntry],
+        pending: &mut HashSet<ObjectId>,
         inserts: Vec<LeafEntry>,
-        orphans: &mut Vec<LeafEntry>,
+        spill: &mut Spill,
     ) -> IndexResult<GroupOutcome> {
         match self.read_node(pid)? {
             Node::Leaf { mut entries } => {
-                debug_assert_eq!(level, 0);
+                let held = entries.len();
                 if !cands.is_empty() {
-                    entries.retain(|e| pending.remove(&e.id).is_none());
+                    entries.retain(|e| !pending.remove(&e.id));
+                }
+                if entries.len() == held && inserts.is_empty() {
+                    return Ok(GroupOutcome::Unchanged);
                 }
                 entries.extend(inserts);
-                self.finish_leaf(pid, entries, orphans)
+                if entries.len() > self.layout.max_leaf && spill.may_evict && pid != self.root {
+                    spill.may_evict = false;
+                    let keep = self.select_reinsert(&mut entries);
+                    spill.evicted.extend(entries.drain(keep..));
+                }
+                self.finish(pid, Node::Leaf { entries }, spill)
             }
             Node::Internal {
-                level: lvl,
-                mut entries,
+                level,
+                entries: old,
             } => {
-                debug_assert_eq!(lvl, level);
                 // Route every insert to the child whose cost metric
-                // grows least — the same rule as single insertion,
-                // evaluated against the pre-pass child TPBRs.
-                let mut child_inserts: Vec<Vec<LeafEntry>> = vec![Vec::new(); entries.len()];
+                // grows least, evaluated against the pre-pass child
+                // TPBRs.
+                let mut child_inserts: Vec<Vec<LeafEntry>> = vec![Vec::new(); old.len()];
                 for e in inserts {
-                    let c = self.choose_subtree(&entries, &e);
+                    let c = self.choose_subtree(&old, &e);
                     child_inserts[c].push(e);
                 }
-                let mut out: Vec<InternalEntry> = Vec::with_capacity(entries.len());
-                for (i, ie) in entries.drain(..).enumerate() {
+                let mut changed = false;
+                let mut entries: Vec<InternalEntry> = Vec::with_capacity(old.len());
+                // Nodes split off a child go after the existing entries.
+                let mut split_off: Vec<InternalEntry> = Vec::new();
+                for (i, ie) in old.into_iter().enumerate() {
                     let ins = std::mem::take(&mut child_inserts[i]);
-                    let child_cands: Vec<ObjectId> = cands
+                    let child_cands: Vec<LeafEntry> = cands
                         .iter()
+                        .filter(|t| could_contain(&ie.tpbr, t) && pending.contains(&t.id))
                         .copied()
-                        .filter(|id| pending.get(id).is_some_and(|t| could_contain(&ie.tpbr, t)))
                         .collect();
                     if ins.is_empty() && child_cands.is_empty() {
-                        // Untouched subtree: zero I/O.
-                        out.push(ie);
+                        entries.push(ie);
                         continue;
                     }
-                    match self.batch_rec(
-                        ie.child,
-                        level - 1,
-                        &child_cands,
-                        pending,
-                        ins,
-                        orphans,
-                    )? {
-                        GroupOutcome::One(tpbr) => out.push(InternalEntry {
-                            child: ie.child,
-                            tpbr,
-                        }),
-                        GroupOutcome::Many(nodes) => out.extend(nodes),
+                    let outcome = self.batch_rec(ie.child, &child_cands, pending, ins, spill)?;
+                    changed |= !matches!(outcome, GroupOutcome::Unchanged);
+                    match outcome {
+                        GroupOutcome::Unchanged => entries.push(ie),
+                        GroupOutcome::One(tpbr) => entries.push(InternalEntry { tpbr, ..ie }),
+                        GroupOutcome::Many(nodes) => {
+                            entries.push(nodes[0]);
+                            split_off.extend_from_slice(&nodes[1..]);
+                        }
                         GroupOutcome::Dissolved => {}
                     }
                 }
-                self.finish_internal(pid, level, out, orphans)
+                if !changed {
+                    return Ok(GroupOutcome::Unchanged);
+                }
+                entries.append(&mut split_off);
+                self.finish(pid, Node::Internal { level, entries }, spill)
             }
         }
     }
 
-    /// Writes back a leaf's post-batch contents: multi-way re-cluster
-    /// on overflow (page `pid` is reused for the first group), dissolve
-    /// into the orphan pool on underflow, plain single write otherwise.
-    fn finish_leaf(
-        &mut self,
-        pid: PageId,
-        entries: Vec<LeafEntry>,
-        orphans: &mut Vec<LeafEntry>,
-    ) -> IndexResult<GroupOutcome> {
-        if entries.len() > self.layout.max_leaf {
-            let groups = self.cluster_leaves(entries);
-            let mut out = Vec::with_capacity(groups.len());
-            for (i, g) in groups.into_iter().enumerate() {
-                let node = Node::Leaf { entries: g };
-                let tpbr = node.bounding_tpbr();
-                let child = if i == 0 {
-                    self.write_node(pid, &node)?;
-                    pid
-                } else {
-                    self.alloc_node(&node)?
-                };
-                out.push(InternalEntry { child, tpbr });
-            }
-            return Ok(GroupOutcome::Many(out));
+    /// Writes back a node's post-pass contents: on overflow it
+    /// re-clusters multi-way (page `pid` is reused for the first node),
+    /// on underflow a non-root node dissolves into the orphans (an
+    /// internal node by dismantling its subtrees), and otherwise it is
+    /// one plain write.
+    fn finish(&mut self, pid: PageId, node: Node, spill: &mut Spill) -> IndexResult<GroupOutcome> {
+        let level = node.level();
+        if node.len() > self.layout.max_for_level(level) {
+            let nodes = self.recluster(node);
+            return Ok(GroupOutcome::Many(self.write_siblings(Some(pid), nodes)?));
         }
-        if pid != self.root && entries.len() < self.layout.min_leaf {
-            orphans.extend(entries);
-            self.pool.free_page(pid)?;
-            return Ok(GroupOutcome::Dissolved);
-        }
-        let node = Node::Leaf { entries };
-        self.write_node(pid, &node)?;
-        Ok(GroupOutcome::One(node.bounding_tpbr()))
-    }
-
-    /// [`TprTree::finish_leaf`]'s internal-node sibling: on underflow
-    /// the surviving child subtrees are dismantled into the orphan
-    /// pool (bulk condense).
-    fn finish_internal(
-        &mut self,
-        pid: PageId,
-        level: u8,
-        entries: Vec<InternalEntry>,
-        orphans: &mut Vec<LeafEntry>,
-    ) -> IndexResult<GroupOutcome> {
-        if entries.len() > self.layout.max_internal {
-            let groups = self.cluster_internals(entries);
-            let mut out = Vec::with_capacity(groups.len());
-            for (i, g) in groups.into_iter().enumerate() {
-                let node = Node::Internal { level, entries: g };
-                let tpbr = node.bounding_tpbr();
-                let child = if i == 0 {
-                    self.write_node(pid, &node)?;
-                    pid
-                } else {
-                    self.alloc_node(&node)?
-                };
-                out.push(InternalEntry { child, tpbr });
-            }
-            return Ok(GroupOutcome::Many(out));
-        }
-        if pid != self.root && entries.len() < self.layout.min_internal {
-            for e in &entries {
-                self.dismantle_subtree(e.child, orphans)?;
+        if pid != self.root && node.len() < self.layout.min_for_level(level) {
+            match node {
+                Node::Leaf { entries } => spill.orphans.extend(entries),
+                Node::Internal { entries, .. } => {
+                    for e in &entries {
+                        self.dismantle_subtree(e.child, &mut spill.orphans)?;
+                    }
+                }
             }
             self.pool.free_page(pid)?;
             return Ok(GroupOutcome::Dissolved);
         }
-        let node = Node::Internal { level, entries };
         self.write_node(pid, &node)?;
         Ok(GroupOutcome::One(node.bounding_tpbr()))
     }
+
+    /// Re-clusters a node's entries into `ceil(n / max)` nodes at its
+    /// level (the node itself when it fits).
+    fn recluster(&self, node: Node) -> Vec<Node> {
+        match node {
+            Node::Leaf { entries } => self
+                .cluster_leaves(entries)
+                .into_iter()
+                .map(|entries| Node::Leaf { entries })
+                .collect(),
+            Node::Internal { level, entries } => self
+                .cluster_internals(entries)
+                .into_iter()
+                .map(|entries| Node::Internal { level, entries })
+                .collect(),
+        }
+    }
+
+    /// Writes sibling nodes, the first over page `reuse` when given and
+    /// the rest on fresh pages, and returns their parent entries.
+    fn write_siblings(
+        &mut self,
+        mut reuse: Option<PageId>,
+        nodes: Vec<Node>,
+    ) -> IndexResult<Vec<InternalEntry>> {
+        let mut out = Vec::with_capacity(nodes.len());
+        for node in nodes {
+            let child = match reuse.take() {
+                Some(pid) => {
+                    self.write_node(pid, &node)?;
+                    pid
+                }
+                None => self.alloc_node(&node)?,
+            };
+            out.push(InternalEntry {
+                child,
+                tpbr: node.bounding_tpbr(),
+            });
+        }
+        Ok(out)
+    }
 }
 
-enum RecOutcome {
-    /// Child absorbed the entry; its new exact bounding TPBR.
-    Fit(Tpbr),
-    /// Child split: (left TPBR, right page, right TPBR).
-    Split(Tpbr, PageId, Tpbr),
+/// What a pass does with a leaf that overflows.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Overflow {
+    /// The R\*-tree's rule, as the TPR\*-tree inserts: the first
+    /// overflowing non-root leaf of the pass evicts its
+    /// `REINSERT_FRACTION` farthest entries instead of splitting. After
+    /// the pass each evicted entry goes back in as a pass of its own
+    /// that may not evict (last-evicted first), then each orphan as a
+    /// pass of its own that may. The single ops use it.
+    Reinsert,
+    /// Every overflow re-clusters multi-way, and the orphans go back in
+    /// as one trailing group pass. The batches use it.
+    Recluster,
 }
 
-enum DelOutcome {
-    NotFound,
-    Deleted {
-        /// The child's new bounding TPBR (None when dissolved).
-        tpbr: Option<Tpbr>,
-        dissolved: bool,
-    },
+/// What one pass leaves to reinsert.
+struct Spill {
+    /// Whether an overflowing non-root leaf may still evict.
+    may_evict: bool,
+    /// Entries evicted under [`Overflow::Reinsert`], in eviction order.
+    evicted: Vec<LeafEntry>,
+    /// Survivors of the nodes dissolved by underflow.
+    orphans: Vec<LeafEntry>,
 }
 
-/// Outcome of one subtree's share of a batched pass.
+/// Outcome of one subtree's share of a pass.
 enum GroupOutcome {
+    /// Nothing in the subtree changed: no page was written, and the
+    /// parent keeps its entry as it is.
+    Unchanged,
     /// The node absorbed its ops in place; its new exact bounding TPBR.
     One(Tpbr),
     /// The node overflowed and re-clustered into several nodes (the
     /// original page is reused for the first); all at the node's level.
     Many(Vec<InternalEntry>),
     /// The node underflowed and dissolved: its surviving entries moved
-    /// to the orphan pool and its page was freed.
+    /// to the orphans and its page was freed.
     Dissolved,
 }
 
@@ -1107,11 +814,10 @@ impl MovingObjectIndex for TprTree {
         let before = self.track_begin();
         self.now = self.now.max(obj.ref_time);
         let entry = LeafEntry::from_object(&obj);
-        let result = self.insert_entry_toplevel(entry);
+        let result = self.apply_group(Vec::new(), vec![entry], Overflow::Reinsert);
         self.track_end(before);
         result?;
         self.entries.insert(obj.id, entry);
-        self.len += 1;
         Ok(())
     }
 
@@ -1120,62 +826,43 @@ impl MovingObjectIndex for TprTree {
             return Err(IndexError::UnknownObject(id));
         };
         let before = self.track_begin();
-        let found = self.delete_entry_toplevel(entry);
+        let result = self.apply_group(vec![entry], Vec::new(), Overflow::Reinsert);
         self.track_end(before);
-        if !found? {
-            // The lookup table says it exists; a miss means drift beyond
-            // the containment epsilons — surface loudly rather than
-            // corrupting the table.
-            return Err(IndexError::Storage(vp_storage::StorageError::Corrupt(
-                format!("entry for object {id} not reachable by guided descent"),
-            )));
-        }
+        result?;
         self.entries.remove(&id);
-        self.len -= 1;
         Ok(())
     }
 
-    /// Batched upsert (the tentpole of the TPR batched-maintenance
-    /// path): the stale stored entries of already-present ids are
-    /// removed and every winner group-inserted in **one top-down
-    /// pass** — per-node op partitioning, multi-way re-clustering
-    /// splits, bulk underflow repair, one write per touched page —
-    /// instead of a delete + insert root descent per object. Same
-    /// contents as the looped default (last occurrence of an id wins),
-    /// usually a different (at least as well clustered) shape.
+    /// Batched upsert: the stale stored entries of already-present ids
+    /// are removed and every winner group-inserted in **one pass**
+    /// under the re-cluster rule. Same contents as the looped default
+    /// (last occurrence of an id wins), usually a different shape.
     fn update_batch(&mut self, updates: &[MovingObject]) -> IndexResult<()> {
         if updates.is_empty() {
             return Ok(());
         }
-        let mut latest: HashMap<ObjectId, usize> = HashMap::with_capacity(updates.len());
-        for (i, obj) in updates.iter().enumerate() {
-            latest.insert(obj.id, i);
-        }
-        let mut removals = Vec::new();
-        let mut winners: Vec<LeafEntry> = Vec::with_capacity(latest.len());
-        for (i, obj) in updates.iter().enumerate() {
-            if latest[&obj.id] != i {
-                continue;
-            }
+        // Each id's last occurrence wins, in the order those occur.
+        let mut seen = HashSet::with_capacity(updates.len());
+        let (mut winners, mut removals) = (Vec::new(), Vec::new());
+        for obj in updates.iter().rev().filter(|o| seen.insert(o.id)) {
             self.now = self.now.max(obj.ref_time);
-            if let Some(old) = self.entries.get(&obj.id) {
-                removals.push(*old);
-            }
+            removals.extend(self.entries.get(&obj.id).copied());
             winners.push(LeafEntry::from_object(obj));
         }
+        winners.reverse();
+        removals.reverse();
         let before = self.track_begin();
-        let result = self.apply_group(removals, winners.clone());
+        let result = self.apply_group(removals, winners.clone(), Overflow::Recluster);
         self.track_end(before);
         result?;
         for e in winners {
             self.entries.insert(e.id, e);
         }
-        self.len = self.entries.len();
         Ok(())
     }
 
-    /// Batched deletion: all doomed entries are removed in one
-    /// top-down pass with bulk underflow repair. Every id is resolved
+    /// Batched deletion: all doomed entries are removed in one pass
+    /// under the re-cluster rule. Every id is resolved
     /// before the tree is touched, so an unknown or duplicated id
     /// rejects the whole batch with the index unchanged.
     fn remove_batch(&mut self, ids: &[ObjectId]) -> IndexResult<()> {
@@ -1183,7 +870,7 @@ impl MovingObjectIndex for TprTree {
             return Ok(());
         }
         let mut targets = Vec::with_capacity(ids.len());
-        let mut seen = std::collections::HashSet::with_capacity(ids.len());
+        let mut seen = HashSet::with_capacity(ids.len());
         for &id in ids {
             let Some(entry) = self.entries.get(&id) else {
                 return Err(IndexError::UnknownObject(id));
@@ -1194,13 +881,12 @@ impl MovingObjectIndex for TprTree {
             targets.push(*entry);
         }
         let before = self.track_begin();
-        let result = self.apply_group(targets, Vec::new());
+        let result = self.apply_group(targets, Vec::new(), Overflow::Recluster);
         self.track_end(before);
         result?;
         for &id in ids {
             self.entries.remove(&id);
         }
-        self.len = self.entries.len();
         Ok(())
     }
 
@@ -1208,31 +894,17 @@ impl MovingObjectIndex for TprTree {
         one(self.read(std::slice::from_ref(query), Report::Matches))
     }
 
-    /// Shared traversal over the whole batch: one top-down pass
-    /// carries, per subtree, the indices of the queries whose TPBR
-    /// still intersects it — every node page is read and decoded once
-    /// for all queries that reach it, instead of once per query as a
-    /// loop of [`MovingObjectIndex::range_query`] calls would. Leaf
-    /// entries are decoded once and exact-filtered against each
-    /// surviving query. Per query the visited subtrees, the exact
-    /// filter, and the report order are identical to the single-query
-    /// traversal (a DFS visits any query's subtree subset in the same
-    /// relative order).
+    /// One shared walk over the whole batch (see
+    /// [`crate::snapshot`]): every node page is read and decoded once
+    /// for all queries that reach it.
     fn range_query_batch(&self, queries: &[RangeQuery]) -> IndexResult<Vec<Vec<ObjectId>>> {
         self.read(queries, Report::Matches)
     }
 
-    /// Incremental kNN candidates: a pruned re-descent. Besides the
-    /// normal intersects-the-probe pruning, any subtree whose TPBR
-    /// footprint over the query window lies **entirely inside** the
-    /// `covered` probe's region is skipped — an earlier round of the
-    /// chain already visited every leaf under it and reported all
-    /// their entries (visited leaves report unfiltered, which is what
-    /// makes that induction airtight). Only the delta ring between
-    /// the two probes is re-read. The covered pruning applies to
-    /// time-slice chains whose windows match (what
-    /// `vp_core::knn` issues); anything else falls
-    /// back to a full candidate scan.
+    /// Incremental kNN candidates: the same walk, reporting visited
+    /// leaves unfiltered and skipping subtrees whose footprint lies
+    /// entirely inside the `covered` probe's region, so only the delta
+    /// ring between the two probes is re-read.
     fn knn_candidates(
         &self,
         query: &RangeQuery,
@@ -1246,7 +918,7 @@ impl MovingObjectIndex for TprTree {
     }
 
     fn len(&self) -> usize {
-        self.len
+        self.entries.len()
     }
 
     fn io_stats(&self) -> IoStats {
@@ -1282,7 +954,7 @@ impl SnapshotIndex for TprTree {
         Ok(TprSnapshot {
             pages: self.pool.page_snapshot(),
             root: self.root,
-            len: self.len,
+            len: self.entries.len(),
         })
     }
 }
@@ -2064,5 +1736,150 @@ mod tests {
         .unwrap();
         assert!(count >= 150 / 10, "expected several leaves, got {count}");
         assert!(total_entries_bound >= 0.0);
+    }
+
+    /// The single ops' exact page work, phase by phase: logical and
+    /// physical reads and writes of a seeded stream over 512-byte
+    /// pages and an 8-page pool (so the pool misses). The load grows
+    /// the tree to height 5; the mixed phase interleaves inserts,
+    /// delete-then-insert updates and deletes; the drain deletes down
+    /// to 5 % of the load, dissolving internal nodes until the root
+    /// has shrunk to height 3. Every phase's answers match a scan.
+    ///
+    /// Measured at `fa2bf35`, where the single ops still ran their own
+    /// recursive engine (split in two, R\* forced reinsertion once per
+    /// insertion, condense by reinserting orphans one at a time).
+    #[test]
+    fn single_ops_io_is_pinned() {
+        // (logical reads, logical writes, physical reads, physical
+        // writes) of the load, the mixed phase and the drain.
+        const PINNED: [[u64; 4]; 3] = [
+            [26_318, 13_594, 4_548, 4_830],
+            [83_385, 38_728, 22_807, 18_947],
+            [40_305, 18_564, 8_511, 6_846],
+        ];
+        let pool = BufferPool::with_capacity(DiskManager::with_page_size(512), 8);
+        let mut t = TprTree::new(Arc::new(pool), TprConfig::default());
+        let mut live: std::collections::BTreeMap<u64, MovingObject> = Default::default();
+        let mut rng = Rng(0x5EED_0905);
+        let fresh = |rng: &mut Rng, id: u64, t: f64| {
+            let (ang, speed) = (rng.next() * std::f64::consts::TAU, rng.next() * 100.0);
+            let (x, y) = (rng.next() * 10_000.0, rng.next() * 10_000.0);
+            obj(id, x, y, ang.cos() * speed, ang.sin() * speed, t)
+        };
+        let (mut measured, mut heights, mut next_id) = (Vec::new(), Vec::new(), 0);
+        for phase in 0..3 {
+            t.reset_io_stats();
+            let mut step = 0;
+            while [step < 1_500, step < 3_000, live.len() > 75][phase] {
+                let now = [0.0, 1.0 + (step / 100) as f64][phase.min(1)];
+                // Below 0.25 inserts, below 0.5 deletes, else updates.
+                let r = match phase {
+                    0 => 0.0,
+                    1 => rng.next(),
+                    _ => 0.4,
+                };
+                step += 1;
+                if r < 0.25 {
+                    let o = fresh(&mut rng, next_id, now);
+                    next_id += 1;
+                    t.insert(o).unwrap();
+                    live.insert(o.id, o);
+                    continue;
+                }
+                let at = (rng.next() * live.len() as f64) as usize;
+                let k = live.keys().copied().nth(at).unwrap();
+                if r < 0.5 {
+                    t.delete(k).unwrap();
+                    live.remove(&k);
+                } else {
+                    let o = fresh(&mut rng, k, now);
+                    t.update(o).unwrap();
+                    live.insert(k, o);
+                }
+            }
+            let io = t.io_stats();
+            measured.push([
+                io.logical_reads,
+                io.logical_writes,
+                io.physical_reads,
+                io.physical_writes,
+            ]);
+            heights.push(t.height());
+            t.check_invariants().unwrap().unwrap();
+            for qi in 0..20 {
+                let c = Point::new(rng.next() * 10_000.0, rng.next() * 10_000.0);
+                let q = RangeQuery::time_slice(
+                    QueryRegion::Circle(Circle::new(c, 1_500.0)),
+                    t.now() + (qi % 4) as f64 * 10.0,
+                );
+                let mut got = t.range_query(&q).unwrap();
+                got.sort_unstable();
+                let want: Vec<u64> = live
+                    .values()
+                    .filter(|o| q.matches(o))
+                    .map(|o| o.id)
+                    .collect();
+                assert_eq!(got, want, "phase {phase} query {qi}");
+            }
+        }
+        assert_eq!(heights, [5, 5, 3]);
+        assert_eq!(measured, PINNED);
+    }
+
+    /// Path cost as a budget: on a tree of height ≥ 3, an insert that
+    /// fits its leaf reads and writes exactly one page per level, and
+    /// a delete that underflows nothing writes exactly one page per
+    /// level (its reads may include false-positive subtrees). The pool
+    /// counts the fetch behind every page write as a logical read too,
+    /// so the insert's `logical_reads` is twice the height.
+    #[test]
+    fn single_ops_cost_one_path_when_nothing_splits_or_dissolves() {
+        // The leaf a pass of one routes `e` to, or the one holding it.
+        let leaf_len = |t: &TprTree, e: &LeafEntry, holding: bool| {
+            let mut stack = vec![t.root];
+            while let Some(pid) = stack.pop() {
+                match t.read_node(pid).unwrap() {
+                    Node::Internal { entries, .. } if holding => {
+                        stack.extend(entries.iter().map(|c| c.child))
+                    }
+                    Node::Internal { entries, .. } => {
+                        stack.push(entries[t.choose_subtree(&entries, e)].child)
+                    }
+                    Node::Leaf { entries } if !holding || entries.contains(e) => {
+                        return entries.len()
+                    }
+                    Node::Leaf { .. } => {}
+                }
+            }
+            unreachable!("object {} not in the tree", e.id)
+        };
+        let mut t = tree();
+        for o in random_objects(400, 0xC057) {
+            t.insert(o).unwrap();
+        }
+        let h = u64::from(t.height());
+        assert!(h >= 3, "height {h}");
+        let (mut inserts, mut deletes) = (0, 0);
+        for o in random_objects(200, 0xF17) {
+            let o = MovingObject::new(o.id + 10_000, o.pos, o.vel, o.ref_time);
+            if leaf_len(&t, &LeafEntry::from_object(&o), false) < t.layout.max_leaf {
+                t.reset_io_stats();
+                t.insert(o).unwrap();
+                let io = t.io_stats();
+                assert_eq!((io.logical_reads, io.logical_writes), (2 * h, h));
+                inserts += 1;
+            }
+        }
+        for id in 0..200 {
+            if leaf_len(&t, &t.entries[&id], true) > t.layout.min_leaf {
+                t.reset_io_stats();
+                t.delete(id).unwrap();
+                assert_eq!(t.io_stats().logical_writes, h, "delete {id}");
+                deletes += 1;
+            }
+        }
+        assert_eq!(u64::from(t.height()), h);
+        assert!(inserts >= 50 && deletes >= 50);
     }
 }

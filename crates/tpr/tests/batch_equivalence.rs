@@ -1,16 +1,15 @@
-//! Seeded property test: the TPR\*-tree's batched maintenance path is
-//! observationally equivalent to the single-op oracle.
+//! Seeded property test: the TPR\*-tree's two overflow rules are
+//! observationally equivalent.
 //!
-//! The promoted successor of the pinned deterministic baselines in
-//! `src/tree.rs` (which predate the batched path and once guarded the
-//! trait-default fallback): for **random tick streams** — moves,
-//! direction turns, fresh insertions, batch deletions, duplicate ids
-//! within one batch — a tree maintained through `update_batch` /
-//! `remove_batch` must answer every range and kNN query exactly like
-//! a twin maintained through looped `insert` / `update` / `delete`
-//! calls. Tree *shapes* legitimately differ (group insertion
-//! re-clusters, forced reinsertion does not run); query answers,
-//! contents, and structural invariants must not.
+//! Every write is a pass of one engine. For **random tick streams** —
+//! moves, direction turns, fresh insertions, batch deletions,
+//! duplicate ids within one batch — a tree maintained through
+//! `update_batch` / `remove_batch` (group passes that re-cluster every
+//! overflow) must answer every range and kNN query exactly like a twin
+//! maintained through looped `insert` / `update` / `delete` (passes of
+//! one under the R\* rule, which force-reinserts). Tree *shapes*
+//! legitimately differ; query answers, contents, and structural
+//! invariants must not.
 
 use proptest::prelude::*;
 use vp_core::{knn_at, MovingObject, MovingObjectIndex, QueryRegion, RangeQuery};

@@ -353,9 +353,10 @@ fn tpr_range_and_knn_pages_within_budget() {
 // --- the durable tick: fsyncs per tick -------------------------------------
 
 /// WAL fsyncs one [`SyncPolicy::Always`] tick pays: one log, one record,
-/// one fsync. The count sums the log's site (`wal:meta`) and every
-/// per-partition site (`wal:part-<p>`), so a second log path cannot
-/// hide its fsyncs.
+/// one fsync. The count sums the log's site (`wal:meta`), every
+/// per-partition site (`wal:part-<p>`) and the checkpoint publish's
+/// (`ckpt`, `ckpt:dir`), so a second durable path cannot hide its
+/// fsyncs.
 ///
 /// Measured when set (the hotspot trace above, k = 4): 1 per tick. A
 /// stream per partition plus `meta` paid 6 per tick, and under
@@ -371,7 +372,8 @@ fn op<'a>(f: impl FnOnce(&mut VpIndex<BxTree>) + 'a) -> Op<'a> {
 
 /// Opens a durable Bx(VP) index over the hotspot trace's analysis under
 /// `policy` with a counting (never failing) fault injector, runs each
-/// of `ops` on it, and returns the WAL fsyncs each op paid.
+/// of `ops` on it, and returns the fsyncs each op paid: the WAL's and
+/// the checkpoint publish's (`ckpt`, `ckpt:dir`).
 fn fsyncs_per_op<'a>(
     policy: SyncPolicy,
     name: &str,
@@ -389,7 +391,9 @@ fn fsyncs_per_op<'a>(
     let pool = pool();
     let mut vp =
         VpIndex::open(cfg, &analysis, |spec| bx(spec, Arc::clone(&pool))).expect("durable index");
-    let sites: Vec<String> = std::iter::once("wal:meta".to_owned())
+    let sites: Vec<String> = ["wal:meta", "ckpt", "ckpt:dir"]
+        .map(str::to_owned)
+        .into_iter()
         .chain((0..vp.specs().len()).map(|p| format!("wal:part-{p}")))
         .collect();
     let fsyncs = || -> u64 {
@@ -461,6 +465,28 @@ fn every_fourth_single_insert_pays_the_one_fsync() {
         .map(|o| op(move |vp| vp.insert(*o).expect("durable insert")));
     let per_op = fsyncs_per_op(SyncPolicy::EveryTicks(4), "every4-single", &trace, inserts);
     assert_eq!(per_op, [0, 0, 0, ALWAYS_TICK_FSYNCS]);
+}
+
+/// Fsyncs one [`VpIndex::checkpoint`] pays, summed over `wal:meta`,
+/// every `wal:part-<p>`, `ckpt` and `ckpt:dir`: the snapshot file's
+/// fsync before its rename and the directory's after it. Sealing and
+/// truncating the log pay none.
+///
+/// Measured at `fa2bf35` (the hotspot trace above, k = 4, one `Always`
+/// tick before the checkpoint): 2.
+const CHECKPOINT_FSYNCS: u64 = 2;
+
+#[test]
+fn a_checkpoint_pays_its_pinned_fsyncs() {
+    let trace = hotspot_trace();
+    let ops = [
+        op(|vp| vp.apply_updates(&trace.ticks[1]).expect("durable tick")),
+        op(|vp| {
+            vp.checkpoint().expect("checkpoint");
+        }),
+    ];
+    let per_op = fsyncs_per_op(SyncPolicy::Always, "checkpoint", &trace, ops);
+    assert_eq!(per_op, [ALWAYS_TICK_FSYNCS, CHECKPOINT_FSYNCS]);
 }
 
 // --- the read combiner: windows per request ------------------------------
