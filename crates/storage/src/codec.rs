@@ -7,8 +7,8 @@
 //!
 //! The cursor types pay a bounds check per field, which is fine for
 //! whole-node (de)serialization but not for the zero-copy page views
-//! of `vp-bptree` that touch a handful of fields per operation. Those
-//! use the fixed-offset [`slots`] helpers instead: `#[inline]`
+//! of `vp-bptree` and `vp-tpr` that touch a handful of fields per
+//! operation. Those use the fixed-offset [`slots`] helpers instead: `#[inline]`
 //! load/store of scalars at caller-computed offsets, validated once at
 //! view-construction time rather than per access.
 
@@ -48,6 +48,18 @@ pub mod slots {
     #[inline(always)]
     pub fn put_u64(buf: &mut [u8], off: usize, v: u64) {
         buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Loads a little-endian `f64` at `off`.
+    #[inline(always)]
+    pub fn get_f64(buf: &[u8], off: usize) -> f64 {
+        f64::from_bits(get_u64(buf, off))
+    }
+
+    /// Stores a little-endian `f64` at `off`.
+    #[inline(always)]
+    pub fn put_f64(buf: &mut [u8], off: usize, v: f64) {
+        put_u64(buf, off, v.to_bits());
     }
 
     /// Loads a [`PageId`] at `off`.
@@ -301,10 +313,12 @@ mod tests {
         slots::put_u64(&mut buf, 2, 1 << 40);
         slots::put_page_id(&mut buf, 10, PageId(77));
         slots::put_array(&mut buf, 18, b"xyz");
+        slots::put_f64(&mut buf, 21, -3.25);
         assert_eq!(slots::get_u16(&buf, 0), 513);
         assert_eq!(slots::get_u64(&buf, 2), 1 << 40);
         assert_eq!(slots::get_page_id(&buf, 10), PageId(77));
         assert_eq!(slots::get_array::<3>(&buf, 18), b"xyz");
+        assert_eq!(slots::get_f64(&buf, 21), -3.25);
 
         // Same wire format as the cursor codec.
         let mut r = PageReader::new(&buf);
@@ -312,6 +326,7 @@ mod tests {
         assert_eq!(r.get_u64().unwrap(), 1 << 40);
         assert_eq!(r.get_page_id().unwrap(), PageId(77));
         assert_eq!(r.get_bytes(3).unwrap(), b"xyz");
+        assert_eq!(r.get_f64().unwrap(), -3.25);
     }
 
     #[test]

@@ -16,13 +16,7 @@ use vp_core::{IndexResult, IndexSnapshot, ObjectId, RangeQuery};
 use vp_geom::Tpbr;
 use vp_storage::{IoStats, PageId, PageRead, PageSnapshot};
 
-use crate::node::Node;
-
-/// Reads and decodes one node from any page source.
-pub(crate) fn read_node_from<P: PageRead>(pages: &P, pid: PageId) -> IndexResult<Node> {
-    let node = pages.read_page(pid, Node::decode)??;
-    Ok(node)
-}
+use crate::node::NodeView;
 
 /// What a visited leaf reports to each query that reaches it.
 #[derive(Clone, Copy)]
@@ -45,10 +39,11 @@ pub(crate) fn one(batch: IndexResult<Vec<Vec<ObjectId>>>) -> IndexResult<Vec<Obj
 
 /// The one read walk: a DFS from `root` carrying, per subtree, the
 /// indices of the queries whose TPBR still intersects it over their
-/// time windows — every node page is read and decoded once for all
-/// queries that reach it. Per query the visited subtrees and the
-/// report order are those of a walk for that query alone, so a single
-/// query is a batch of one.
+/// time windows — every node page is read once for all queries that
+/// reach it, and tested in place through its view (no node is
+/// decoded). Per query the visited subtrees and the report order are
+/// those of a walk for that query alone, so a single query is a batch
+/// of one.
 pub(crate) fn query_from<P: PageRead>(
     pages: &P,
     root: PageId,
@@ -77,47 +72,51 @@ pub(crate) fn query_from<P: PageRead>(
     let q_tpbrs: Vec<Tpbr> = queries.iter().map(RangeQuery::tpbr).collect();
     let mut stack: Vec<(PageId, Vec<usize>)> = vec![(root, (0..queries.len()).collect())];
     while let Some((pid, alive)) = stack.pop() {
-        match read_node_from(pages, pid)? {
-            Node::Leaf { entries } if candidates => {
-                for &qi in &alive {
-                    results[qi].extend(entries.iter().map(|e| e.id));
-                }
-            }
-            Node::Leaf { entries } => {
-                for e in &entries {
-                    let obj = e.to_object();
+        pages.read_page(pid, |buf| {
+            match NodeView::parse(buf)? {
+                NodeView::Leaf(v) if candidates => {
                     for &qi in &alive {
-                        if queries[qi].matches(&obj) {
-                            results[qi].push(e.id);
+                        results[qi].extend((0..v.len()).map(|i| v.id_at(i)));
+                    }
+                }
+                NodeView::Leaf(v) => {
+                    for e in v.entries() {
+                        let obj = e.to_object();
+                        for &qi in &alive {
+                            if queries[qi].matches(&obj) {
+                                results[qi].push(e.id);
+                            }
                         }
                     }
                 }
-            }
-            Node::Internal { entries, .. } => {
-                for e in &entries {
-                    let survivors: Vec<usize> = alive
-                        .iter()
-                        .copied()
-                        .filter(|&qi| {
-                            e.tpbr.intersects_during(
-                                &q_tpbrs[qi],
-                                queries[qi].t_start,
-                                queries[qi].t_end,
-                            )
-                        })
-                        .collect();
-                    if survivors.is_empty() {
-                        continue;
-                    }
-                    if let Some(c) = covered {
-                        if c.region.contains_rect(&e.tpbr.rect_at(c.t_start)) {
-                            continue; // fully swept by earlier rounds
+                NodeView::Internal(v) => {
+                    for i in 0..v.len() {
+                        let tpbr = v.tpbr_at(i);
+                        let survivors: Vec<usize> = alive
+                            .iter()
+                            .copied()
+                            .filter(|&qi| {
+                                tpbr.intersects_during(
+                                    &q_tpbrs[qi],
+                                    queries[qi].t_start,
+                                    queries[qi].t_end,
+                                )
+                            })
+                            .collect();
+                        if survivors.is_empty() {
+                            continue;
                         }
+                        if let Some(c) = covered {
+                            if c.region.contains_rect(&tpbr.rect_at(c.t_start)) {
+                                continue; // fully swept by earlier rounds
+                            }
+                        }
+                        stack.push((v.child_at(i), survivors));
                     }
-                    stack.push((e.child, survivors));
                 }
             }
-        }
+            Ok::<_, vp_storage::StorageError>(())
+        })??;
     }
     Ok(results)
 }
