@@ -3,10 +3,11 @@
 //! The paper motivates circular range queries as "the filter step of
 //! the k Nearest Neighbor query" (Section 6). This module supplies
 //! that refinement loop: an expanding sequence of circular time-slice
-//! probes, starting from a density-derived radius estimate and
-//! doubling until the k-th nearest candidate provably lies inside the
-//! probed circle — at which point no closer object can exist outside
-//! it and the answer is exact.
+//! probes, starting from a density-derived radius estimate, doubling
+//! while fewer than k candidates are in hand and otherwise reaching
+//! just past the k-th nearest candidate, until that candidate provably
+//! lies inside the probed circle — at which point no closer object can
+//! exist outside it and the answer is exact.
 //!
 //! The enlargement is **incremental**: each round hands the index the
 //! previous round's probe as the *covered* region
@@ -122,15 +123,16 @@ pub fn knn_at<I: MovingObjectIndex + ?Sized>(
             neighbors.truncate(k);
             return Ok(neighbors);
         }
-        // Expand: at least double, or jump straight to the k-th
-        // candidate's distance when we have one.
+        // Expand: with k candidates in hand, just past the k-th one's
+        // distance (which exceeds the radius, or the search would have
+        // ended), so the next round ends it; otherwise double.
         let target = if neighbors.len() >= k {
             neighbors[k - 1].distance * 1.001
         } else {
             radius * 2.0
         };
         covered = Some(q);
-        radius = target.max(radius * 2.0).min(max_radius);
+        radius = target.min(max_radius);
     }
 }
 

@@ -22,13 +22,53 @@
 //! delta alone: each upsert is tested against the *remaining* window
 //! `time_interval(region, t+dt, window_end+dt)` with the exact
 //! [`RangeQuery::matches`] predicate (added on match, dropped
-//! otherwise), and removals are dropped. The per-tick result is then
-//! the candidates filtered by the exact `time_slice(region, t+dt)`
-//! predicate — pure in-memory math, no index pages touched. Only when
-//! a subscription's window expires (`t > window_end`) does it go back
-//! to the index, and all expired subscriptions refresh together
-//! through one [`MovingObjectIndex::range_query_batch`] call so the
-//! shared-sweep machinery groups their scans.
+//! otherwise), and removals are dropped. Only when a subscription's
+//! window expires (`t > window_end`) does it go back to the index, and
+//! all expired subscriptions refresh together through one
+//! [`MovingObjectIndex::range_query_batch`] call so the shared-sweep
+//! machinery groups their scans.
+//!
+//! The result is the candidates that match the exact
+//! `time_slice(region, t+dt)` predicate, but a tick does not re-test
+//! every candidate: most of them cannot have crossed the region's
+//! boundary since they were last tested. Each candidate carries a
+//! **re-check due time** — the tick time it was tested at plus its
+//! margin divided by its speed, where the margin is its distance from
+//! the region's boundary at the slice time, shrunk by a rounding
+//! slack. Before the due time the object cannot have travelled far
+//! enough to reach the boundary, so its membership is unchanged. A
+//! parked object (zero velocity) has no due time. Due times sit in a
+//! per-subscription min-heap with lazy deletion (an entry is live
+//! while its candidate still maps to its time), compacted whenever
+//! stale entries outnumber live ones. A tick then evaluates, with the
+//! unchanged exact predicate on the index's copy of the object:
+//!
+//! * the delta's upserts that stay candidates (removals and upserts
+//!   that left the window just drop out), and
+//! * the candidates whose due time has come;
+//!
+//! and each evaluated object gets a fresh due time. Events come from
+//! those objects alone. Registration,
+//! [`resnapshot`](SubscriptionSet::resnapshot) and the grouped
+//! refresh evaluate the whole candidate set once and rebuild the
+//! schedule. A due time is a conservative lower bound, not a predicted
+//! crossing: membership is always decided by `matches`, so the event
+//! stream is the one re-testing every candidate every tick would emit.
+//!
+//! **Why the slack covers rounding.** Both `matches` and the margin
+//! compute positions and boundary distances from sums and products of
+//! the object's position, velocity × time and the region's coordinates,
+//! a handful of operations each rounding by at most 2⁻⁵³ of the
+//! largest magnitude involved (`scale`). Their absolute error is thus
+//! below 10⁻¹⁵ × `scale`, while the slack is
+//! `RECHECK_SLACK_REL` × (1 + `scale`) = 10⁻¹¹ × (1 + `scale`), four
+//! orders larger: about 3 µm on a 100 km domain. An object whose
+//! computed margin is positive therefore stays more than the
+//! predicates' rounding away from the boundary until its due time, so
+//! `matches` cannot change its answer before then. (The rectangle
+//! predicate's fixed 10⁻¹² tolerance applies only on an axis the object
+//! moves along at under 10⁻¹² per time unit, where its answer is
+//! constant; the slack exceeds that tolerance too.)
 //!
 //! ## Sequence numbers & resume
 //!
@@ -62,7 +102,9 @@
 //! precede all `Leave`s, which precede all `Moved`s. The stream is
 //! deterministic for a given registration/tick history.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, VecDeque};
 
 use vp_geom::{Point, Rect};
 
@@ -260,17 +302,350 @@ impl SubLog {
     }
 }
 
+/// Relative rounding slack of a re-check due time: a candidate's
+/// margin is its distance from the region's boundary less this times
+/// (1 + the magnitude of the coordinates involved). See the module
+/// doc, "Why the slack covers rounding".
+const RECHECK_SLACK_REL: f64 = 1e-11;
+
+/// One entry of a re-check schedule: candidate `id` is due at tick
+/// time `at`. Ordered so that [`BinaryHeap`] pops the earliest first.
+#[derive(Debug, Clone, Copy)]
+struct Due {
+    at: f64,
+    id: ObjectId,
+}
+
+impl Ord for Due {
+    fn cmp(&self, other: &Due) -> Ordering {
+        other
+            .at
+            .total_cmp(&self.at)
+            .then_with(|| other.id.cmp(&self.id))
+    }
+}
+
+impl PartialOrd for Due {
+    fn partial_cmp(&self, other: &Due) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Due {
+    fn eq(&self, other: &Due) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Due {}
+
+/// A range subscription's candidate set, each candidate mapped to its
+/// re-check due time (`INFINITY`: none), plus the min-heap ordering the
+/// due times. The heap deletes lazily: an entry is live while its
+/// candidate still maps to its time, and every candidate with a finite
+/// due time has exactly one live entry.
+#[derive(Debug, Clone, Default)]
+struct Candidates {
+    due: HashMap<ObjectId, f64>,
+    heap: BinaryHeap<Due>,
+    /// Heap entries that are no longer live.
+    stale: usize,
+}
+
+impl Candidates {
+    /// Makes `id` a candidate due at `at`, retiring its old entry.
+    fn set(&mut self, id: ObjectId, at: f64) {
+        match self.due.insert(id, at) {
+            Some(old) if old == at => return,
+            Some(old) if old.is_finite() => self.stale += 1,
+            _ => {}
+        }
+        if at.is_finite() {
+            self.heap.push(Due { at, id });
+        }
+    }
+
+    /// Drops `id`; true when it was a candidate.
+    fn remove(&mut self, id: ObjectId) -> bool {
+        let Some(old) = self.due.remove(&id) else {
+            return false;
+        };
+        if old.is_finite() {
+            self.stale += 1;
+        }
+        true
+    }
+
+    /// Pops every live entry due by tick time `t` into `out`, leaving
+    /// those candidates without a due time until they are re-set.
+    fn pop_due(&mut self, t: f64, out: &mut Vec<ObjectId>) {
+        while self.heap.peek().is_some_and(|d| d.at <= t) {
+            let d = self.heap.pop().expect("peeked");
+            match self.due.get_mut(&d.id) {
+                Some(at) if *at == d.at => {
+                    *at = f64::INFINITY;
+                    out.push(d.id);
+                }
+                _ => self.stale -= 1,
+            }
+        }
+    }
+
+    /// Rebuilds the heap from the live due times once stale entries
+    /// outnumber live ones, so it stays within twice the candidates.
+    fn compact(&mut self) {
+        if 2 * self.stale > self.heap.len() {
+            self.heap = self
+                .due
+                .iter()
+                .filter(|(_, at)| at.is_finite())
+                .map(|(&id, &at)| Due { at, id })
+                .collect();
+            self.stale = 0;
+        }
+    }
+}
+
+/// Whether `obj` is in `spec`'s slice at tick time `t`, and the
+/// earliest tick time at which that answer could change (`INFINITY`
+/// for a parked object). The answer is the exact predicate's; the due
+/// time only has to be a lower bound (module doc).
+fn evaluate(spec: &RangeSubSpec, obj: &MovingObject, t: f64) -> (bool, f64) {
+    let s = t + spec.predictive_dt;
+    let inside = RangeQuery::time_slice(spec.region, s).matches(obj);
+    if obj.vel == Point::ZERO {
+        return (inside, f64::INFINITY);
+    }
+    let p = obj.position_at(s);
+    let (gap, extent) = match spec.region {
+        QueryRegion::Circle(c) => (
+            (p.dist(c.center) - c.radius).abs(),
+            c.center.x.abs() + c.center.y.abs() + c.radius,
+        ),
+        QueryRegion::Rect(r) => {
+            // Positive: how far outside the slab on that axis;
+            // negative: how far inside it.
+            let dx = (r.lo.x - p.x).max(p.x - r.hi.x);
+            let dy = (r.lo.y - p.y).max(p.y - r.hi.y);
+            let gap = if dx <= 0.0 && dy <= 0.0 {
+                -dx.max(dy)
+            } else {
+                dx.max(0.0).hypot(dy.max(0.0))
+            };
+            (
+                gap,
+                r.lo.x.abs() + r.lo.y.abs() + r.hi.x.abs() + r.hi.y.abs(),
+            )
+        }
+    };
+    let scale = extent
+        + obj.pos.x.abs()
+        + obj.pos.y.abs()
+        + (obj.vel.x.abs() + obj.vel.y.abs()) * (obj.ref_time.abs() + s.abs());
+    let margin = gap - RECHECK_SLACK_REL * (1.0 + scale);
+    let due = if margin > 0.0 {
+        t + margin / obj.speed()
+    } else {
+        t
+    };
+    (inside, due)
+}
+
 #[derive(Debug, Clone)]
 struct RangeSub {
     spec: RangeSubSpec,
     /// Exact answer of the last interval probe, patched per tick from
     /// deltas; superset of the slice result for any `t ≤ window_end`.
-    candidates: BTreeSet<ObjectId>,
+    candidates: Candidates,
     /// Result set as of the last evaluation.
     result: BTreeSet<ObjectId>,
     /// Last tick time the candidate set is valid for.
     window_end: f64,
     log: SubLog,
+}
+
+impl RangeSub {
+    /// The interval probe of a window opening at tick time `t`.
+    fn probe(spec: &RangeSubSpec, t: f64, horizon: f64) -> RangeQuery {
+        let dt = spec.predictive_dt;
+        RangeQuery::time_interval(spec.region, t + dt, t + horizon + dt)
+    }
+
+    /// Evaluates each of `ids` at tick time `t`: they become the
+    /// candidates with a fresh schedule. Returns the slice result.
+    fn evaluate_all<I: MovingObjectIndex + ?Sized>(
+        &mut self,
+        index: &I,
+        ids: impl IntoIterator<Item = ObjectId>,
+        t: f64,
+    ) -> IndexResult<BTreeSet<ObjectId>> {
+        let mut due = HashMap::new();
+        let mut heap = Vec::new();
+        let mut result = BTreeSet::new();
+        for id in ids {
+            let (inside, at) = self.evaluate_one(index, id, t)?;
+            if inside {
+                result.insert(id);
+            }
+            if at.is_finite() {
+                heap.push(Due { at, id });
+            }
+            due.insert(id, at);
+        }
+        self.candidates = Candidates {
+            due,
+            heap: heap.into(),
+            stale: 0,
+        };
+        Ok(result)
+    }
+
+    /// [`evaluate`] on the index's copy of `id`; an id the index does
+    /// not hold matches nothing and is never due.
+    fn evaluate_one<I: MovingObjectIndex + ?Sized>(
+        &self,
+        index: &I,
+        id: ObjectId,
+        t: f64,
+    ) -> IndexResult<(bool, f64)> {
+        Ok(match index.get_object(id)? {
+            Some(obj) => evaluate(&self.spec, &obj, t),
+            None => (false, f64::INFINITY),
+        })
+    }
+
+    /// Opens a window at tick time `now`: one interval probe, whose
+    /// answer is evaluated whole. Returns the slice result.
+    fn open<I: MovingObjectIndex + ?Sized>(
+        &mut self,
+        index: &I,
+        now: f64,
+        horizon: f64,
+    ) -> IndexResult<BTreeSet<ObjectId>> {
+        let ids = index.range_query(&Self::probe(&self.spec, now, horizon))?;
+        let result = self.evaluate_all(index, ids, now)?;
+        self.window_end = now + horizon;
+        Ok(result)
+    }
+
+    /// Re-opens an expired window at tick `delta.time` from its probe
+    /// answer `ids`: patched from the delta like any window (the probe
+    /// saw the post-tick index, so this repeats its own test) and then
+    /// evaluated whole, the batch diffed from the whole result. Like
+    /// [`advance`](RangeSub::advance), leaves `result` to the caller.
+    fn refresh<I: MovingObjectIndex + ?Sized>(
+        &mut self,
+        index: &I,
+        ids: Vec<ObjectId>,
+        delta: &TickDelta,
+        reported: &BTreeSet<ObjectId>,
+    ) -> IndexResult<Vec<(SubEventKind, ObjectId)>> {
+        let t = delta.time;
+        let remaining = self.remaining(t);
+        let mut ids: BTreeSet<ObjectId> = ids.into_iter().collect();
+        for obj in &delta.upserts {
+            if remaining.matches(obj) {
+                ids.insert(obj.id);
+            } else {
+                ids.remove(&obj.id);
+            }
+        }
+        for id in &delta.removals {
+            ids.remove(id);
+        }
+        let result = self.evaluate_all(index, ids, t)?;
+        Ok(diff(&self.result, &result, reported))
+    }
+
+    /// Advances a window that still holds to tick `delta.time`,
+    /// evaluating only the delta's objects and the candidates now due.
+    /// Returns the batch; `result` changes only when the caller applies
+    /// it.
+    fn advance<I: MovingObjectIndex + ?Sized>(
+        &mut self,
+        index: &I,
+        delta: &TickDelta,
+    ) -> IndexResult<Vec<(SubEventKind, ObjectId)>> {
+        let t = delta.time;
+        let mut due = Vec::new();
+        self.candidates.pop_due(t, &mut due);
+        // Each evaluated id → (in the slice now, re-reported this tick).
+        let mut evaluated: BTreeMap<ObjectId, (bool, bool)> = BTreeMap::new();
+        if !delta.is_empty() {
+            let remaining = self.remaining(t);
+            for obj in &delta.upserts {
+                if remaining.matches(obj) {
+                    let (inside, at) = self.evaluate_one(index, obj.id, t)?;
+                    self.candidates.set(obj.id, at);
+                    evaluated.insert(obj.id, (inside, true));
+                } else if self.candidates.remove(obj.id) {
+                    evaluated.insert(obj.id, (false, true));
+                }
+            }
+            for &id in &delta.removals {
+                if self.candidates.remove(id) {
+                    evaluated.insert(id, (false, false));
+                }
+            }
+        }
+        for id in due {
+            if let Entry::Vacant(slot) = evaluated.entry(id) {
+                let (inside, at) = self.evaluate_one(index, id, t)?;
+                self.candidates.set(id, at);
+                slot.insert((inside, false));
+            }
+        }
+        self.candidates.compact();
+
+        let (mut enter, mut leave, mut moved) = (Vec::new(), Vec::new(), Vec::new());
+        for (id, (inside, reported)) in evaluated {
+            match (self.result.contains(&id), inside) {
+                (false, true) => enter.push(id),
+                (true, false) => leave.push(id),
+                (true, true) if reported => moved.push(id),
+                _ => {}
+            }
+        }
+        Ok(batch(enter, leave, moved))
+    }
+
+    /// The rest of the window from tick time `t` on.
+    fn remaining(&self, t: f64) -> RangeQuery {
+        let dt = self.spec.predictive_dt;
+        RangeQuery::time_interval(self.spec.region, t + dt, self.window_end + dt)
+    }
+}
+
+/// One subscription's event batch in emission order: `Enter`s, then
+/// `Leave`s, then `Moved`s, each given ascending.
+fn batch(
+    enter: impl IntoIterator<Item = ObjectId>,
+    leave: impl IntoIterator<Item = ObjectId>,
+    moved: impl IntoIterator<Item = ObjectId>,
+) -> Vec<(SubEventKind, ObjectId)> {
+    let tag = |kind| move |id| (kind, id);
+    enter
+        .into_iter()
+        .map(tag(SubEventKind::Enter))
+        .chain(leave.into_iter().map(tag(SubEventKind::Leave)))
+        .chain(moved.into_iter().map(tag(SubEventKind::Moved)))
+        .collect()
+}
+
+/// The batch that turns result `old` into `new`; `Moved` for members
+/// of both that were `reported` this tick.
+fn diff(
+    old: &BTreeSet<ObjectId>,
+    new: &BTreeSet<ObjectId>,
+    reported: &BTreeSet<ObjectId>,
+) -> Vec<(SubEventKind, ObjectId)> {
+    batch(
+        new.difference(old).copied(),
+        old.difference(new).copied(),
+        new.intersection(old)
+            .copied()
+            .filter(|id| reported.contains(id)),
+    )
 }
 
 #[derive(Debug, Clone)]
@@ -353,28 +728,26 @@ impl SubscriptionSet {
         sub: SubscriptionId,
     ) -> IndexResult<Vec<SubEvent>> {
         self.claim_id(sub)?;
-        let dt = spec.predictive_dt;
-        let window_end = now + self.cfg.horizon;
-        let probe = RangeQuery::time_interval(spec.region, now + dt, window_end + dt);
-        let candidates: BTreeSet<ObjectId> = index.range_query(&probe)?.into_iter().collect();
-        let slice = RangeQuery::time_slice(spec.region, now + dt);
-        let mut result = BTreeSet::new();
-        for &id in &candidates {
-            if let Some(obj) = index.get_object(id)? {
-                if slice.matches(&obj) {
-                    result.insert(id);
-                }
-            }
-        }
-        let mut log = SubLog::default();
-        if !result.is_empty() {
-            log.record(
+        let mut s = RangeSub {
+            spec,
+            candidates: Candidates::default(),
+            result: BTreeSet::new(),
+            window_end: now,
+            log: SubLog::default(),
+        };
+        s.result = s.open(index, now, self.cfg.horizon)?;
+        if !s.result.is_empty() {
+            s.log.record(
                 now,
-                result.iter().map(|&id| (SubEventKind::Enter, id)).collect(),
+                s.result
+                    .iter()
+                    .map(|&id| (SubEventKind::Enter, id))
+                    .collect(),
                 self.cfg.retain,
             );
         }
-        let backfill = result
+        let backfill = s
+            .result
             .iter()
             .map(|&id| SubEvent {
                 sub,
@@ -382,16 +755,7 @@ impl SubscriptionSet {
                 id,
             })
             .collect();
-        self.ranges.insert(
-            sub,
-            RangeSub {
-                spec,
-                candidates,
-                result,
-                window_end,
-                log,
-            },
-        );
+        self.ranges.insert(sub, s);
         Ok(backfill)
     }
 
@@ -480,6 +844,56 @@ impl SubscriptionSet {
         index: &I,
         delta: &TickDelta,
     ) -> IndexResult<Vec<SubEvent>> {
+        let batches = match self.evaluate_tick(index, delta) {
+            Ok(batches) => batches,
+            Err(e) => {
+                // A failed evaluation may have patched some windows and
+                // not others. Re-open them all on the next tick, which
+                // evaluates each whole and diffs it against the result
+                // last emitted, so no Enter or Leave is lost.
+                for s in self.ranges.values_mut() {
+                    s.window_end = f64::NEG_INFINITY;
+                }
+                return Err(e);
+            }
+        };
+
+        // Emit, ascending subscription id. Each subscription's batch
+        // moves its result on and is recorded in its replay ring under
+        // the next sequence number.
+        let retain = self.cfg.retain;
+        let mut events = Vec::new();
+        for (sub, batch) in batches {
+            if batch.is_empty() {
+                continue;
+            }
+            let (result, log) = match self.ranges.get_mut(&sub) {
+                Some(s) => (&mut s.result, &mut s.log),
+                None => {
+                    let s = self.knns.get_mut(&sub).expect("knn sub present");
+                    (&mut s.result, &mut s.log)
+                }
+            };
+            for &(kind, id) in &batch {
+                match kind {
+                    SubEventKind::Enter => result.insert(id),
+                    SubEventKind::Leave => result.remove(&id),
+                    SubEventKind::Moved => true,
+                };
+                events.push(SubEvent { sub, kind, id });
+            }
+            log.record(delta.time, batch, retain);
+        }
+        Ok(events)
+    }
+
+    /// Every subscription's event batch for one tick, leaving the
+    /// result sets as they were.
+    fn evaluate_tick<I: MovingObjectIndex + ?Sized>(
+        &mut self,
+        index: &I,
+        delta: &TickDelta,
+    ) -> IndexResult<BTreeMap<SubscriptionId, Vec<(SubEventKind, ObjectId)>>> {
         let t = delta.time;
 
         // Pass 1 — grouped refresh: every range subscription whose
@@ -492,65 +906,40 @@ impl SubscriptionSet {
             .filter(|(_, s)| t > s.window_end)
             .map(|(&id, _)| id)
             .collect();
+        let mut refreshed = BTreeMap::new();
         if !expired.is_empty() {
             let probes: Vec<RangeQuery> = expired
                 .iter()
-                .map(|id| {
-                    let s = &self.ranges[id];
-                    let dt = s.spec.predictive_dt;
-                    RangeQuery::time_interval(s.spec.region, t + dt, t + self.cfg.horizon + dt)
-                })
+                .map(|id| RangeSub::probe(&self.ranges[id].spec, t, self.cfg.horizon))
                 .collect();
             let answers = index.range_query_batch(&probes)?;
-            for (id, ids) in expired.iter().zip(answers) {
-                let s = self.ranges.get_mut(id).expect("expired sub present");
-                s.candidates = ids.into_iter().collect();
-                s.window_end = t + self.cfg.horizon;
+            for (&id, ids) in expired.iter().zip(answers) {
+                self.ranges
+                    .get_mut(&id)
+                    .expect("expired sub present")
+                    .window_end = t + self.cfg.horizon;
+                refreshed.insert(id, ids);
             }
         }
 
-        // Pass 2 — delta patch, zero index I/O: each upsert is tested
-        // against each still-cached subscription's remaining window
-        // with the exact predicate; removals drop out. Freshly
-        // refreshed subscriptions already absorbed the tick (the probe
-        // ran post-commit), and re-testing is a no-op for them, so one
-        // uniform loop is fine.
-        if !delta.is_empty() {
-            for s in self.ranges.values_mut() {
-                let dt = s.spec.predictive_dt;
-                let remaining = RangeQuery::time_interval(s.spec.region, t + dt, s.window_end + dt);
-                for obj in &delta.upserts {
-                    if remaining.matches(obj) {
-                        s.candidates.insert(obj.id);
-                    } else {
-                        s.candidates.remove(&obj.id);
-                    }
-                }
-                for id in &delta.removals {
-                    s.candidates.remove(id);
-                }
-            }
+        // Pass 2 — range subscriptions, no index I/O beyond
+        // `get_object`: a refreshed window is patched from the delta
+        // and evaluated whole; any other evaluates only the delta's
+        // objects and its candidates now due (module doc).
+        let reported: BTreeSet<ObjectId> = delta.upserts.iter().map(|o| o.id).collect();
+        let mut batches = BTreeMap::new();
+        for (&sub, s) in &mut self.ranges {
+            let batch = match refreshed.remove(&sub) {
+                Some(ids) => s.refresh(index, ids, delta, &reported)?,
+                None => s.advance(index, delta)?,
+            };
+            batches.insert(sub, batch);
         }
 
-        // Pass 3 — evaluate. Range results come from the candidate
-        // cache (in-memory exact slice filter); kNN results from one
-        // knn_batch whose probe chains are internally incremental via
-        // the knn_candidates covered-region contract.
-        let mut new_results: BTreeMap<SubscriptionId, BTreeSet<ObjectId>> = BTreeMap::new();
-        for (&sub, s) in &self.ranges {
-            let slice = RangeQuery::time_slice(s.spec.region, t + s.spec.predictive_dt);
-            let mut result = BTreeSet::new();
-            for &id in &s.candidates {
-                if let Some(obj) = index.get_object(id)? {
-                    if slice.matches(&obj) {
-                        result.insert(id);
-                    }
-                }
-            }
-            new_results.insert(sub, result);
-        }
+        // Pass 3 — kNN subscriptions, through one knn_batch whose
+        // probe chains are internally incremental via the
+        // knn_candidates covered-region contract, diffed whole.
         if !self.knns.is_empty() {
-            let ids: Vec<SubscriptionId> = self.knns.keys().copied().collect();
             let queries: Vec<KnnQuery> = self
                 .knns
                 .values()
@@ -561,50 +950,12 @@ impl SubscriptionSet {
                 })
                 .collect();
             let answers = knn_batch(index, &queries, &self.cfg.domain)?;
-            for (sub, neighbors) in ids.into_iter().zip(answers) {
-                new_results.insert(sub, neighbors.into_iter().map(|n| n.id).collect());
+            for ((&sub, s), neighbors) in self.knns.iter().zip(answers) {
+                let result = neighbors.into_iter().map(|n| n.id).collect();
+                batches.insert(sub, diff(&s.result, &result, &reported));
             }
         }
-
-        // Pass 4 — diff and emit, ascending subscription id. Each
-        // subscription's non-empty batch is also recorded in its
-        // replay ring under the next sequence number.
-        let moved_ids: BTreeSet<ObjectId> = delta.upserts.iter().map(|o| o.id).collect();
-        let retain = self.cfg.retain;
-        let mut events = Vec::new();
-        for (sub, new) in new_results {
-            let old = if let Some(s) = self.ranges.get(&sub) {
-                &s.result
-            } else {
-                &self.knns[&sub].result
-            };
-            let mut batch: Vec<(SubEventKind, ObjectId)> = Vec::new();
-            for &id in new.difference(old) {
-                batch.push((SubEventKind::Enter, id));
-            }
-            for &id in old.difference(&new) {
-                batch.push((SubEventKind::Leave, id));
-            }
-            for &id in new.intersection(old) {
-                if moved_ids.contains(&id) {
-                    batch.push((SubEventKind::Moved, id));
-                }
-            }
-            events.extend(batch.iter().map(|&(kind, id)| SubEvent { sub, kind, id }));
-            if let Some(s) = self.ranges.get_mut(&sub) {
-                s.result = new;
-                if !batch.is_empty() {
-                    s.log.record(t, batch, retain);
-                }
-            } else {
-                let s = self.knns.get_mut(&sub).expect("knn sub present");
-                s.result = new;
-                if !batch.is_empty() {
-                    s.log.record(t, batch, retain);
-                }
-            }
-        }
-        Ok(events)
+        Ok(batches)
     }
 
     /// True when `sub` is currently registered.
@@ -615,6 +966,17 @@ impl SubscriptionSet {
     /// The range spec of `sub`, if it is a live range subscription.
     pub fn range_spec(&self, sub: SubscriptionId) -> Option<RangeSubSpec> {
         self.ranges.get(&sub).map(|s| s.spec)
+    }
+
+    /// The size of range subscription `sub`'s re-check schedule:
+    /// `(heap entries, candidates with a due time)`. The heap deletes
+    /// lazily, and each tick compacts it once stale entries outnumber
+    /// live ones, so the first count stays within twice the second.
+    /// None unless `sub` is a live range subscription.
+    pub fn schedule_len(&self, sub: SubscriptionId) -> Option<(usize, usize)> {
+        let c = &self.ranges.get(&sub)?.candidates;
+        let scheduled = c.due.values().filter(|at| at.is_finite()).count();
+        Some((c.heap.len(), scheduled))
     }
 
     /// The kNN spec of `sub`, if it is a live kNN subscription.
@@ -679,27 +1041,13 @@ impl SubscriptionSet {
         now: f64,
     ) -> IndexResult<Option<RetainedBatch>> {
         let retain = self.cfg.retain;
-        if let Some(s) = self.ranges.get(&sub) {
-            let spec = s.spec;
-            let dt = spec.predictive_dt;
-            let window_end = now + self.cfg.horizon;
-            let probe = RangeQuery::time_interval(spec.region, now + dt, window_end + dt);
-            let candidates: BTreeSet<ObjectId> = index.range_query(&probe)?.into_iter().collect();
-            let slice = RangeQuery::time_slice(spec.region, now + dt);
-            let mut result = BTreeSet::new();
-            for &id in &candidates {
-                if let Some(obj) = index.get_object(id)? {
-                    if slice.matches(&obj) {
-                        result.insert(id);
-                    }
-                }
-            }
-            let events: Vec<(SubEventKind, ObjectId)> =
-                result.iter().map(|&id| (SubEventKind::Enter, id)).collect();
-            let s = self.ranges.get_mut(&sub).expect("checked above");
-            s.candidates = candidates;
-            s.window_end = window_end;
-            s.result = result;
+        if let Some(s) = self.ranges.get_mut(&sub) {
+            s.result = s.open(index, now, self.cfg.horizon)?;
+            let events: Vec<(SubEventKind, ObjectId)> = s
+                .result
+                .iter()
+                .map(|&id| (SubEventKind::Enter, id))
+                .collect();
             s.log.retained.clear();
             let seq = s.log.record(now, events.clone(), retain.max(1));
             return Ok(Some(RetainedBatch {
@@ -1108,6 +1456,91 @@ mod tests {
         // The allocator never re-issues a caller-claimed id.
         let (next, _) = subs.register_range(&idx, 0.0, spec).unwrap();
         assert!(next > sub);
+    }
+
+    /// `inner`, whose `get_object` fails while `fail` is set.
+    struct Flaky {
+        inner: ScanIndex,
+        fail: std::cell::Cell<bool>,
+    }
+
+    impl MovingObjectIndex for Flaky {
+        fn insert(&mut self, obj: MovingObject) -> IndexResult<()> {
+            self.inner.insert(obj)
+        }
+
+        fn delete(&mut self, id: ObjectId) -> IndexResult<()> {
+            self.inner.delete(id)
+        }
+
+        fn range_query(&self, query: &RangeQuery) -> IndexResult<Vec<ObjectId>> {
+            self.inner.range_query(query)
+        }
+
+        fn get_object(&self, id: ObjectId) -> IndexResult<Option<MovingObject>> {
+            if self.fail.get() {
+                return Err(crate::error::IndexError::Config("injected".into()));
+            }
+            self.inner.get_object(id)
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn io_stats(&self) -> vp_storage::IoStats {
+            self.inner.io_stats()
+        }
+
+        fn reset_io_stats(&self) {}
+    }
+
+    #[test]
+    fn a_failed_tick_loses_no_enter_or_leave() {
+        let mut idx = Flaky {
+            inner: ScanIndex::new(),
+            fail: std::cell::Cell::new(false),
+        };
+        // Object 1 drifts out of the region by t = 10, object 2 sits
+        // far outside until it re-reports inside at t = 10.
+        idx.insert(obj(1, 140.0, 100.0, 2.0, 0.0, 0.0)).unwrap();
+        idx.insert(obj(2, 900.0, 900.0, 0.0, 0.0, 0.0)).unwrap();
+        let mut subs = SubscriptionSet::new(SubscriptionConfig::new(domain()).with_horizon(100.0));
+        let spec = RangeSubSpec {
+            region: circle(100.0, 100.0, 50.0),
+            predictive_dt: 0.0,
+        };
+        let (sub, backfill) = subs.register_range(&idx, 0.0, spec).unwrap();
+        assert_eq!(backfill.len(), 1);
+
+        let delta = TickDelta::from_updates(&[obj(2, 100.0, 100.0, 0.0, 0.0, 10.0)]);
+        idx.update_batch(&delta.upserts).unwrap();
+        idx.fail.set(true);
+        assert!(subs.on_tick(&idx, &delta).is_err());
+        assert_eq!(
+            subs.result(sub),
+            Some(vec![1]),
+            "a failed tick moved the result"
+        );
+
+        // The next tick catches up on both changes.
+        idx.fail.set(false);
+        let quiet = TickDelta {
+            time: 11.0,
+            ..TickDelta::default()
+        };
+        let kinds: Vec<(SubEventKind, ObjectId)> = subs
+            .on_tick(&idx, &quiet)
+            .unwrap()
+            .into_iter()
+            .map(|e| (e.kind, e.id))
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![(SubEventKind::Enter, 2), (SubEventKind::Leave, 1)]
+        );
+        assert_eq!(subs.result(sub), Some(vec![2]));
+        assert_eq!(subs.last_seq(sub), Some(2));
     }
 
     #[test]
